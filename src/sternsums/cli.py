@@ -45,6 +45,12 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# Cost caps on `mine`; past either one it exits EXIT_RESOURCE.  On one core
+# of an Intel Xeon, `mine 60 --affine` takes about 6 s (80: 40 s; 100:
+# over 3 min), and 200 terms at degree 60 about 20 s.
+MINE_MAX_DEGREE = 60
+MINE_MAX_TERMS = 200
+
 
 def encode_rational(x) -> str:
     """Decimal-string form: integers plain, non-integers as p/q in lowest terms."""
@@ -313,6 +319,20 @@ def cmd_mine(args) -> int:
     if args.r < 1:
         print("error: degree must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.r > MINE_MAX_DEGREE:
+        print(
+            f"error: degree {args.r} is above the mining cap "
+            f"MINE_MAX_DEGREE={MINE_MAX_DEGREE}",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
+    if args.terms is not None and args.terms > MINE_MAX_TERMS:
+        print(
+            f"error: --terms {args.terms} is above the mining cap "
+            f"MINE_MAX_TERMS={MINE_MAX_TERMS}",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
     try:
         results = mine_all_monomials(args.r, args.terms, include_affine=args.affine)
     except InsufficientDataError as exc:
@@ -422,9 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser(
         "mine", help="mine minimal recurrences for degree-r power sums"
     )
-    p_mine.add_argument("r", type=int, help="degree")
+    p_mine.add_argument("r", type=int, help=f"degree (at most {MINE_MAX_DEGREE})")
     p_mine.add_argument(
-        "--terms", type=int, default=None, help="horizon length (default 2*bound+8)"
+        "--terms",
+        type=int,
+        default=None,
+        help=f"horizon length (default 2*bound+8, at most {MINE_MAX_TERMS})",
     )
     p_mine.add_argument(
         "--affine",

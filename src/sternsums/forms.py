@@ -40,7 +40,7 @@ class HomogPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational]):
-        cs = tuple(_normalize_coeff(c) for c in coeffs)
+        cs = tuple([_normalize_coeff(c) for c in coeffs])  # see RationalMatrix
         if not cs:
             raise ValueError("a form needs at least the degree-0 coefficient")
         self.coeffs = cs

@@ -49,7 +49,11 @@ class RationalMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
-        data = tuple(tuple(_normalize_entry(x) for x in row) for row in rows)
+        # tuple() of a list, not of a generator: CPython sizes a generator's
+        # tuple by guess and resizes it, so the tuple is taken from one free
+        # list and returned to another, and over many calls the free lists of
+        # the other sizes fill up (about 4 MB across the sizes 1..20).
+        data = tuple([tuple([_normalize_entry(x) for x in row]) for row in rows])
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
@@ -341,7 +345,7 @@ def _bareiss_echelon(rows: list) -> tuple[list, list]:
 
     Returns (pivot_rows, pivot_cols).  Every division in the Bareiss update is
     checked to be remainder-free; a failure would indicate memory corruption
-    or a bug, hence the hard assert.
+    or a bug, so it raises InexactDivisionError whatever the -O flag.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -367,13 +371,19 @@ def _bareiss_echelon(rows: list) -> tuple[list, list]:
                 for j in range(c + 1, nc):
                     num = pivot * row_i[j] - factor * pivot_row[j]
                     q, rem = divmod(num, prev)
-                    assert rem == 0, "Bareiss step produced an inexact division"
+                    if rem:
+                        raise InexactDivisionError(
+                            "Bareiss step produced an inexact division"
+                        )
                     row_i[j] = q
             else:
                 for j in range(c + 1, nc):
                     num = pivot * row_i[j]
                     q, rem = divmod(num, prev)
-                    assert rem == 0, "Bareiss step produced an inexact division"
+                    if rem:
+                        raise InexactDivisionError(
+                            "Bareiss step produced an inexact division"
+                        )
                     row_i[j] = q
             row_i[c] = 0
         prev = pivot
@@ -589,7 +599,10 @@ def _vector_minpoly(rows: list, v: list) -> list:
                     if bcombo[j]:
                         combo[j] -= f * bcombo[j]
         if not any(w):
-            assert combo[-1] == 1
+            if combo[-1] != 1:
+                raise ArithmeticError(
+                    "Krylov dependence lost its leading coefficient"
+                )
             out = []
             for c in combo:
                 if c.denominator != 1:

@@ -10,19 +10,25 @@ offset n0 = 2 the cubic power-sum sequence 1, 3, 21, 147, ... satisfies the
 length-1 recurrence with coefficient 7 (checked from n = 3 onward, where
 every referenced term has index >= 2).
 
-Recurrences are mined by ascending length: for each candidate length the
-full window of equations is solved exactly (a Hankel-style system over the
-rationals), so a returned recurrence is consistent with every available
-term and minimality is by construction.  The annihilator route provides the
-proof-backed counterpart: the characteristic polynomial of the quotient
-transfer matrix, with known eigenvalue factors divided out, read as a
-recurrence.
+Recurrences are mined with one exact, fraction-free Berlekamp-Massey run
+over the suffix that starts at n0 (J. L. Massey, "Shift-register synthesis
+and BCH decoding", IEEE Trans. Inf. Theory 15, 1969), which yields the
+minimal annihilator m of that suffix.  The homogeneous answer is m itself;
+the affine-alternating answer is m / gcd(m, x^2 - 1), with b and c read off
+two consecutive residuals.  Both are unique at their minimal length while
+the horizon certifies that length, and each is checked exactly against
+every term of the window before it is returned.  The annihilator route
+provides the proof-backed counterpart: the characteristic polynomial of the
+quotient transfer matrix, with known eigenvalue factors divided out, read as
+a recurrence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .forms import HomogPoly, monomial_name, phi_matrix, sym_quotient
@@ -116,8 +122,10 @@ def fit_recurrence(
 ) -> LinearRecurrence | None:
     """Exact fit of one candidate length over the full window, or None.
 
-    The window runs from n = n0 + length to the horizon; all equations must
-    hold simultaneously.  For the affine-alternating variant the constant
+    Mining does not call it; an ascending search over it is the tests'
+    reference for the Berlekamp-Massey miner.  The window runs from
+    n = n0 + length to the horizon; all equations must hold
+    simultaneously.  For the affine-alternating variant the constant
     and (-1)^n columns are appended, and ties are broken by preferring
     b = c = 0, then b = 0, then c = 0 (lexicographic minimization of
     (|b|, |c|) in the cases that occur here).
@@ -176,10 +184,10 @@ def _certifiable_max_length(n_terms: int, n0: int, extra_unknowns: int) -> int:
 def min_recurrence(seq: Sequence[Rational], n0: int) -> LinearRecurrence:
     """Shortest homogeneous recurrence that holds on the whole horizon.
 
-    Lengths are tried in increasing order, so the result is minimal; a
-    length is only accepted while the window leaves at least as many
-    validation equations as unknowns.  Raises InsufficientDataError when no
-    certifiable length fits.
+    A length is only accepted while the window leaves at least as many
+    validation equations as unknowns, which also makes the recurrence of
+    that length unique.  Raises InsufficientDataError when no certifiable
+    length fits.
     """
     return _min_recurrence_impl(seq, n0, HOMOGENEOUS)
 
@@ -189,9 +197,79 @@ def min_affine_alt_recurrence(seq: Sequence[Rational], n0: int) -> LinearRecurre
     return _min_recurrence_impl(seq, n0, AFFINE_ALT)
 
 
-def _min_recurrence_impl(seq, n0, variant) -> LinearRecurrence:
+def _berlekamp_massey(values: Sequence[int]) -> list:
+    """Connection coefficients c[0..L] of the shortest recurrence
+    sum_i c[i] * s[n-i] = 0 (for every n >= L) of an integer sequence.
+
+    Fraction-free: each update scales instead of dividing, and c is divided
+    by its content, so c is a primitive integer vector with c[0] > 0.  It
+    always has L + 1 entries, c[L] = 0 when the connection polynomial has
+    degree below L.
+    """
+    c, prev = [1], [1]
+    length, shift, prev_d = 0, 1, 1
+    for n in range(len(values)):
+        d = sum(x * values[n - i] for i, x in enumerate(c))
+        if not d:
+            shift += 1
+            continue
+        new = [prev_d * x for x in c]
+        new += [0] * (len(prev) + shift - len(new))
+        for i, x in enumerate(prev):
+            if x:
+                new[i + shift] -= d * x
+        g = math.gcd(*new) if new[0] > 0 else -math.gcd(*new)
+        if g != 1:
+            new = [x // g for x in new]
+        if 2 * length <= n:
+            length, prev, prev_d, shift = n + 1 - length, c, d, 1
+        else:
+            shift += 1
+        c = new
+    return c
+
+
+def _suffix_annihilator(seq: Sequence[Rational], n0: int) -> list:
+    """Berlekamp-Massey over seq[n0-1:], cleared of denominators.
+
+    Scaling a sequence leaves its recurrences unchanged, so a rational
+    sequence is multiplied through by the lcm of its denominators first.
+    """
+    tail = seq[n0 - 1:]
+    scale = math.lcm(*(x.denominator for x in tail if isinstance(x, Fraction)))
+    return _berlekamp_massey([int(x * scale) for x in tail])
+
+
+def _divide_out_period_two(conn: list) -> list:
+    """conn with the factors 1 - x and 1 + x that divide it removed.
+
+    Connection polynomials are reversed characteristic polynomials, so this
+    is m / gcd(m, x^2 - 1) for the characteristic polynomial m.
+    """
+    if sum(conn) == 0:  # c = (1 - x)q with q_k = c_0 + ... + c_k
+        conn = list(accumulate(conn[:-1]))
+    if sum(conn[::2]) == sum(conn[1::2]):  # c = (1 + x)q with q_k = c_k - q_(k-1)
+        conn = list(accumulate(conn[:-1], lambda q, x: x - q))
+    return conn
+
+
+def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence:
+    """Minimal recurrence of the given variant, read from one Berlekamp-Massey
+    run (passed in as `annihilator` when the caller shares it between the
+    variants).
+
+    A homogeneous fit of length L is a connection polynomial of degree <= L,
+    so the minimum is the Berlekamp-Massey length.  An affine-alternating fit
+    A(E)S = b + c*(-1)^n makes (x^2 - 1)A an annihilator of the suffix; while
+    the horizon certifies its length, the minimal annihilator m divides it,
+    so the shortest A is m / gcd(m, x^2 - 1).  At the minimal length A is
+    unique, hence so are b and c, and the preference for b = c = 0, then
+    b = 0, then c = 0 has nothing left to choose.
+    """
     if n0 < 1:
         raise ValueError("offset n0 must be a positive index")
+    if variant not in (HOMOGENEOUS, AFFINE_ALT):
+        raise ValueError(f"unknown variant {variant!r}")
     extra = 2 if variant == AFFINE_ALT else 0
     max_len = _certifiable_max_length(len(seq), n0, extra)
     if max_len < 0:
@@ -201,17 +279,34 @@ def _min_recurrence_impl(seq, n0, variant) -> LinearRecurrence:
             f"n0={n0}; need at least {needed} terms",
             needed,
         )
-    for length in range(max_len + 1):
-        rec = fit_recurrence(seq, n0, length, variant)
-        if rec is not None:
-            return rec
-    needed = n0 + 2 * (max_len + 1 + extra) + 2
-    raise InsufficientDataError(
-        f"no recurrence of length <= {max_len} fits the horizon of "
-        f"{len(seq)} terms from n0={n0}; certifying length {max_len + 1} "
-        f"needs at least {needed} terms",
-        needed,
-    )
+    conn = _suffix_annihilator(seq, n0) if annihilator is None else annihilator
+    if variant == AFFINE_ALT:
+        conn = _divide_out_period_two(conn)
+    length = len(conn) - 1
+    if length > max_len:
+        needed = n0 + 2 * (max_len + 1 + extra) + 2
+        raise InsufficientDataError(
+            f"no recurrence of length <= {max_len} fits the horizon of "
+            f"{len(seq)} terms from n0={n0}; certifying length {max_len + 1} "
+            f"needs at least {needed} terms",
+            needed,
+        )
+    coeffs = tuple([_norm(Fraction(-x, conn[0])) for x in conn[1:]])
+    b = c = 0
+    if variant == AFFINE_ALT:
+        # residuals at n and n + 1 are b + c*(-1)^n and b - c*(-1)^n
+        first = n0 + length
+        homogeneous = LinearRecurrence(length, coeffs, n0)
+        r1, r2 = (seq[n - 1] - homogeneous.rhs(seq, n) for n in (first, first + 1))
+        b = _norm(Fraction(r1 + r2, 2))
+        c = _norm(Fraction(r1 - r2, 2) * (-1) ** first)
+    rec = LinearRecurrence(length, coeffs, n0, b, c)
+    if not verify_recurrence(seq, rec):
+        raise ArithmeticError(
+            f"the Berlekamp-Massey recurrence of length {length} fails the "
+            f"exact check on the window from n0={n0}"
+        )
+    return rec
 
 
 def corollary_bound(r: int, variant: str = HOMOGENEOUS) -> int:
@@ -278,7 +373,7 @@ def annihilator_recurrence(r: int) -> LinearRecurrence:
     if not poly.is_monic():
         raise AssertionError("annihilator should be monic")
     length = poly.degree()
-    coeffs = tuple(-poly.coeffs[length - j] for j in range(1, length + 1))
+    coeffs = tuple([-poly.coeffs[length - j] for j in range(1, length + 1)])
     if r % 2:
         _, phi_sym = sym_quotient(r)
         m0 = _root_power(charpoly(phi_sym), 0)
@@ -358,11 +453,12 @@ def mine_all_monomials(
     for a in range((r + 1) // 2, r + 1):
         f = HomogPoly.monomial(a, r)
         seq = power_sum_sequence(f, n_terms, phi=phi)
-        rec = min_recurrence(seq, 2)
+        annihilator = _suffix_annihilator(seq, 2)
+        rec = _min_recurrence_impl(seq, 2, HOMOGENEOUS, annihilator)
         affine = None
         affine_within = None
         if include_affine:
-            affine = min_affine_alt_recurrence(seq, 2)
+            affine = _min_recurrence_impl(seq, 2, AFFINE_ALT, annihilator)
             affine_within = affine.length <= affine_bound
         results.append(
             MiningResult(

@@ -9,6 +9,8 @@ from sternsums.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    MINE_MAX_DEGREE,
+    MINE_MAX_TERMS,
     decode_rational,
     encode_rational,
     main,
@@ -212,6 +214,26 @@ def test_mine_json(capsys):
 def test_mine_bad_terms(capsys):
     code, _, err = run(capsys, "mine", "3", "--terms", "4")
     assert code == EXIT_USAGE
+
+
+def test_mine_degree_cap(capsys):
+    # at the cap the degree passes to the miner, which here rejects the
+    # horizon; one past it the cap stops the call before any work
+    code, _, err = run(capsys, "mine", str(MINE_MAX_DEGREE), "--terms", "1")
+    assert code == EXIT_USAGE
+    assert "required horizon" in err
+    code, out, err = run(capsys, "mine", str(MINE_MAX_DEGREE + 1), "--affine")
+    assert code == EXIT_RESOURCE and out == ""
+    assert f"MINE_MAX_DEGREE={MINE_MAX_DEGREE}" in err
+
+
+def test_mine_terms_cap(capsys):
+    code, out, _ = run(capsys, "mine", "1", "--terms", str(MINE_MAX_TERMS), "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["parameters"]["terms"] == str(MINE_MAX_TERMS)
+    code, out, err = run(capsys, "mine", "1", "--terms", str(MINE_MAX_TERMS + 1))
+    assert code == EXIT_RESOURCE and out == ""
+    assert f"MINE_MAX_TERMS={MINE_MAX_TERMS}" in err
 
 
 def test_broken_pipe_is_not_an_error(monkeypatch):

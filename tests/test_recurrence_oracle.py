@@ -1,0 +1,159 @@
+"""Berlekamp-Massey mining against the Hankel oracle.
+
+The oracle is the ascending-length search over `fit_recurrence`, which
+solves the full window of equations exactly at every candidate length (and,
+for the affine-alternating variant, in the order b = c = 0, then b = 0, then
+c = 0).  Both miners must agree on every input: the same LinearRecurrence,
+or the same InsufficientDataError message and required_terms.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from sternsums.forms import HomogPoly, phi_matrix
+from sternsums.recurrences import (
+    AFFINE_ALT,
+    HOMOGENEOUS,
+    InsufficientDataError,
+    corollary_bound,
+    fit_recurrence,
+    min_affine_alt_recurrence,
+    min_recurrence,
+)
+from sternsums.stern import power_sum_sequence
+
+MINERS = {HOMOGENEOUS: min_recurrence, AFFINE_ALT: min_affine_alt_recurrence}
+
+
+def hankel_min_recurrence(seq, n0, variant):
+    """Shortest certifiable fit by ascending length, one exact solve each."""
+    extra = 2 if variant == AFFINE_ALT else 0
+    max_len = (len(seq) - n0 - 2) // 2 - extra
+    if max_len < 0:
+        needed = n0 + 2 * extra + 2
+        raise InsufficientDataError(
+            f"horizon of {len(seq)} terms cannot certify any recurrence from "
+            f"n0={n0}; need at least {needed} terms",
+            needed,
+        )
+    for length in range(max_len + 1):
+        rec = fit_recurrence(seq, n0, length, variant)
+        if rec is not None:
+            return rec
+    needed = n0 + 2 * (max_len + 1 + extra) + 2
+    raise InsufficientDataError(
+        f"no recurrence of length <= {max_len} fits the horizon of "
+        f"{len(seq)} terms from n0={n0}; certifying length {max_len + 1} "
+        f"needs at least {needed} terms",
+        needed,
+    )
+
+
+def outcome(miner, seq, n0, *variant):
+    try:
+        return miner(seq, n0, *variant)
+    except InsufficientDataError as exc:
+        return ("InsufficientDataError", str(exc), exc.required_terms)
+
+
+def assert_agrees(seq, n0):
+    """Both variants' outcomes, after checking them against the oracle."""
+    outcomes = []
+    for variant, miner in MINERS.items():
+        mined = outcome(miner, seq, n0)
+        expected = outcome(hankel_min_recurrence, seq, n0, variant)
+        assert mined == expected, (variant, n0, seq)
+        outcomes.append(mined)
+    return outcomes
+
+
+@pytest.mark.parametrize("r", range(1, 15))
+def test_every_monomial_class_matches_the_oracle(r):
+    phi = phi_matrix(r)
+    horizon = 2 * corollary_bound(r, HOMOGENEOUS) + 8
+    for a in range((r + 1) // 2, r + 1):
+        seq = power_sum_sequence(HomogPoly.monomial(a, r), horizon, phi=phi)
+        for n0 in (1, 2, 3):
+            assert_agrees(seq, n0)
+
+
+def _random_sequence(rng, rational):
+    """A recurrent tail b + c*(-1)^n + sum a_j S_{n-j} behind a transient."""
+
+    def number(span):
+        if rational:
+            return Fraction(rng.randint(-span, span), rng.randint(1, 4))
+        return rng.randint(-span, span)
+
+    order = rng.randint(0, 4)
+    coeffs = [number(3) for _ in range(order)]
+    b, c = rng.choice(
+        [(0, 0), (number(5), 0), (0, number(5)), (number(5), number(5))]
+    )
+    seq = [number(9) for _ in range(rng.randint(0, 3))]  # off the recurrence
+    tail = [number(9) for _ in range(order)]
+    while len(tail) < 30:
+        n = len(seq) + len(tail) + 1
+        total = b + c * (-1) ** n
+        for j, a in enumerate(coeffs, start=1):
+            total += a * tail[-j]
+        tail.append(total)
+    seq += tail
+    return seq[: rng.randint(1, len(seq))]
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_random_sequences_match_the_oracle(rational):
+    rng = random.Random(20190121 + rational)
+    seen = set()
+    for _ in range(300):
+        seq = _random_sequence(rng, rational)
+        for rec in assert_agrees(seq, rng.randint(1, 4)):
+            if isinstance(rec, tuple):
+                seen.add("too short")
+                continue
+            seen.add((bool(rec.affine_b), bool(rec.alternating_c)))
+            if rec.coefficients and not rec.coefficients[-1]:
+                seen.add("a_L = 0")
+            if rec.length >= 4:
+                seen.add("length >= 4")
+    # every case the draws are meant to reach is reached
+    assert seen == {
+        "too short", "a_L = 0", "length >= 4",
+        (False, False), (True, False), (False, True), (True, True),
+    }
+
+
+@pytest.mark.parametrize(
+    "seq, n0",
+    [
+        ([0] * 12, 1),  # zero tail
+        ([7, -3] + [0] * 10, 2),  # zero tail behind a transient
+        ([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 1),  # a_1 = 0: S_n = 0 * S_(n-1)
+        ([2, 5] + [5 * 3**k for k in range(1, 12)], 1),  # a_L = 0 from a transient
+        ([3] * 14, 1),  # pure b tail
+        ([Fraction(5, 2)] * 14, 2),
+        ([(-1) ** n * 6 for n in range(1, 15)], 1),  # pure c tail
+        ([9] + [(-1) ** n * 6 for n in range(2, 15)], 2),
+        ([1 + (-1) ** n for n in range(1, 15)], 1),
+        ([n for n in range(1, 15)], 1),  # b with a root of multiplicity 2 at 1
+        ([n * (-1) ** n for n in range(1, 15)], 1),  # the same at -1
+        ([2**n + 3 + (-1) ** n for n in range(1, 15)], 1),
+    ],
+)
+def test_edge_sequences_match_the_oracle(seq, n0):
+    assert_agrees(seq, n0)
+
+
+def test_short_horizons_raise_the_oracle_error():
+    fib = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    for n_terms in range(0, len(fib) + 1):
+        for n0 in (1, 2, 3):
+            assert_agrees(fib[:n_terms], n0)
+    # too short for the affine length, long enough for the homogeneous one
+    with pytest.raises(InsufficientDataError) as err:
+        min_affine_alt_recurrence(fib[:9], 1)
+    assert err.value.required_terms == 11
+    assert min_recurrence(fib[:9], 1).coefficients == (1, 1)

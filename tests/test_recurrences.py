@@ -1,7 +1,8 @@
 """Recurrence mining, bounds, and annihilators.
 
-The Hankel-style miner is cross-checked against an independent
-Berlekamp-Massey implementation (over the rationals) on clean sequences.
+The fraction-free Berlekamp-Massey miner is cross-checked against an
+independent Berlekamp-Massey implementation over Fraction on clean
+sequences; test_recurrence_oracle.py compares it with the Hankel fitter.
 """
 
 import random
@@ -16,6 +17,7 @@ from sternsums.recurrences import (
     HOMOGENEOUS,
     InsufficientDataError,
     LinearRecurrence,
+    _min_recurrence_impl,
     annihilator_recurrence,
     corollary_bound,
     fit_recurrence,
@@ -166,6 +168,13 @@ def test_min_recurrence_agrees_with_berlekamp_massey():
         mined = min_recurrence(seq, 1)
         assert mined.length == berlekamp_massey(seq)
         assert verify_recurrence(seq, mined)
+
+
+def test_mining_certificate_rejects_a_wrong_annihilator():
+    seq = power_sum_sequence(X3, 14)
+    assert _min_recurrence_impl(seq, 2, HOMOGENEOUS, [1, -7]).coefficients == (7,)
+    with pytest.raises(ArithmeticError, match="fails the exact check"):
+        _min_recurrence_impl(seq, 2, HOMOGENEOUS, [1, -6])
 
 
 def test_minimality_no_shorter_fit_on_horizon():
