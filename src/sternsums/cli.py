@@ -9,7 +9,8 @@ fixed and kernel bases are canonical.
 
 Exit codes: 0 success (and, for verify/mine, every check passed);
 1 a verified bound or equality failed; 2 usage or input error;
-3 resource limit (for example a row index past the configured cap).
+3 resource limit (a row index past the configured cap, or a degree or term
+count past the caps below).
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ EXIT_RESOURCE = 3
 # over 3 min), and 200 terms at degree 60 about 20 s.
 MINE_MAX_DEGREE = 60
 MINE_MAX_TERMS = 200
+# Degree caps on `phi` and `verify`; past either one the command exits
+# EXIT_RESOURCE.  On the same core, `phi 400` takes 0.6 s for 9 MB of text
+# (as long with `--sym`), and `phi 800` 6 to 8 s for 74 MB.
+# `verify r r` takes 1.3 s at r = 60, 7 s at 80, 36 s at 100 and over 3 min
+# at 120; `verify 61 100` about 8 min.
+PHI_MAX_DEGREE = 400
+VERIFY_MAX_DEGREE = 100
 
 
 def encode_rational(x) -> str:
@@ -229,6 +237,12 @@ def cmd_phi(args) -> int:
     if args.r < 0:
         print("error: degree must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
+    if args.r > PHI_MAX_DEGREE:
+        print(
+            f"error: degree {args.r} is above the cap PHI_MAX_DEGREE={PHI_MAX_DEGREE}",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
     if args.sym:
         _, mat = sym_quotient(args.r)
     else:
@@ -266,7 +280,20 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    reports = verify_range(args.r_min, args.r_max)
+    if args.r_max > VERIFY_MAX_DEGREE:
+        print(
+            f"error: degree {args.r_max} is above the verification cap "
+            f"VERIFY_MAX_DEGREE={VERIFY_MAX_DEGREE}",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
+    try:
+        reports = verify_range(args.r_min, args.r_max)
+    except ArithmeticError as exc:
+        # an exact identity the verification rests on failed (for example
+        # the swap certificate of the block split); the message names r
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
     all_ok = all(rep.passed for rep in reports)
     if args.format == "json":
         emit_json(
@@ -424,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sums.set_defaults(func=cmd_sums)
 
     p_phi = sub.add_parser("phi", help="transfer matrix of degree r")
-    p_phi.add_argument("r", type=int, help="degree")
+    p_phi.add_argument("r", type=int, help=f"degree (at most {PHI_MAX_DEGREE})")
     p_phi.add_argument(
         "--sym", action="store_true", help="matrix on the swap-symmetric quotient"
     )
@@ -434,8 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="verify multiplicity predictions over a degree range"
     )
-    p_verify.add_argument("r_min", type=int)
-    p_verify.add_argument("r_max", type=int)
+    p_verify.add_argument("r_min", type=int, help="lowest degree (at least 1)")
+    p_verify.add_argument(
+        "r_max", type=int, help=f"highest degree (at most {VERIFY_MAX_DEGREE})"
+    )
     _add_format_args(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

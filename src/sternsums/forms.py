@@ -253,32 +253,65 @@ def sym_class_labels(r: int) -> list:
     return [monomial_name(r - i, r) for i in range(sym_dimension(r))]
 
 
-def sym_quotient(r: int) -> tuple[RationalMatrix, RationalMatrix]:
+def sym_quotient(
+    r: int, phi: RationalMatrix | None = None
+) -> tuple[RationalMatrix, RationalMatrix]:
     """(projection, induced transfer matrix) on the swap-symmetric quotient.
 
     The quotient identifies f(x, y) with f(y, x).  Its basis is the classes
     [x^r], [x^(r-1) y], ... down to the middle monomial; the projection adds
     the coefficients of x^a y^(r-a) and x^(r-a) y^a (the self-paired middle
     monomial, present for even r, maps with coefficient 1).  The returned
-    pair satisfies projection @ phi_matrix(r) == phi_sym @ projection.
+    pair satisfies projection @ phi_matrix(r) == phi_sym @ projection.  A
+    caller that already holds phi_matrix(r) passes it as phi.
     """
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    m = sym_dimension(r)
+    return _swap_quotient(r, 1, phi)
+
+
+def anti_quotient(
+    r: int, phi: RationalMatrix | None = None
+) -> tuple[RationalMatrix, RationalMatrix]:
+    """(projection, induced transfer matrix) on the quotient by symmetric forms.
+
+    The quotient identifies f with f + g for every g with g(x, y) == g(y, x).
+    Its basis is the classes [x^r], [x^(r-1) y], ... of the monomials x^(r-i)
+    y^i with r - i > i; the projection subtracts the coefficient of
+    x^i y^(r-i) from that of x^(r-i) y^i.  The pair satisfies
+    projection @ phi_matrix(r) == phi_anti @ projection, and together with
+    sym_quotient it splits the spectrum of the transfer matrix.  Degree 0
+    has no antisymmetric form.
+    """
+    if r < 1:
+        raise ValueError("degree must be at least 1")
+    return _swap_quotient(r, -1, phi)
+
+
+def _swap_quotient(r: int, sign: int, phi: RationalMatrix | None) -> tuple:
+    """The quotient on which the swap acts as sign (see sym_quotient)."""
+    m = sym_dimension(r) if sign == 1 else (r + 1) // 2
     n = r + 1
     proj_rows = []
     for i in range(m):
         row = [0] * n
         row[r - i] = 1
-        row[i] += 1 if i != r - i else 0
+        row[i] += sign if i != r - i else 0
         proj_rows.append(row)
-    projection = RationalMatrix(proj_rows)
-    # Section: class i is represented by the monomial with x power r - i.
-    section = RationalMatrix(
-        [[1 if r - a == i else 0 for i in range(m)] for a in range(n)]
-    )
-    phi_sym = projection @ (phi_matrix(r) @ section)
-    return projection, phi_sym
+    if phi is None:
+        phi = phi_matrix(r)
+    rows = phi.rows
+    # projection @ phi @ section, where the section represents class j by
+    # the monomial with x power r - j: entry (i, j) takes the rows r - i
+    # and i of phi at column r - j, as the projection row i does.
+    induced = [
+        [
+            rows[r - i][r - j] + (sign * rows[i][r - j] if i != r - i else 0)
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+    return RationalMatrix(proj_rows), RationalMatrix(induced)
 
 
 def project_span_dim(projection: RationalMatrix, vectors: list) -> int:

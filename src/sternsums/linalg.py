@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -664,41 +665,36 @@ def minpoly(m: RationalMatrix) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _root_multiplicity(p: IntPolynomial, lam: Rational) -> IntPolynomial | None:
-    """One synthetic-division step p / (x - lam) if lam is a root, else None."""
-    if p.evaluate(lam) != 0:
-        return None
-    out = []
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * lam + c
-        out.append(acc)
-    # out currently holds the Horner prefix values; the quotient drops the last
-    quot = list(reversed(out[:-1]))
-    return IntPolynomial(quot)
+def root_power(p: IntPolynomial, lam: Rational) -> int:
+    """Exact power of (x - lam) dividing the nonconstant part of p.
+
+    Repeated synthetic division: the Horner values of p at lam are the
+    quotient's coefficients, and the last one is the remainder p(lam).  The
+    zero polynomial counts as having no root.
+    """
+    coeffs = p.coeffs
+    k = 0
+    while len(coeffs) > 1:
+        horner = list(accumulate(reversed(coeffs), lambda acc, c: acc * lam + c))
+        if horner[-1]:
+            break
+        coeffs = horner[-2::-1]
+        k += 1
+    return k
 
 
-def eigen_multiplicity(m: RationalMatrix, lam: Rational) -> tuple[int, int]:
+def eigen_multiplicity(
+    m: RationalMatrix, lam: Rational, cp: IntPolynomial | None = None
+) -> tuple[int, int]:
     """(geometric, algebraic) multiplicity of the rational eigenvalue lam.
 
     Geometric multiplicity is the nullity of m - lam*I; algebraic is the exact
-    power of (x - lam) in the characteristic polynomial, found by repeated
-    exact division.
+    power of (x - lam) in the characteristic polynomial, which is computed
+    unless the caller already has it and passes it as cp.
     """
     _require_square(m)
     shifted = m - RationalMatrix.identity(m.nrows) * lam
-    geo = nullity(shifted)
-    p = charpoly(m)
-    alg = 0
-    while True:
-        q = _root_multiplicity(p, lam)
-        if q is None:
-            break
-        p = q
-        alg += 1
-        if p.degree() <= 0:
-            break
-    return geo, alg
+    return nullity(shifted), root_power(charpoly(m) if cp is None else cp, lam)
 
 
 def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list:

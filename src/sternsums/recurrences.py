@@ -31,8 +31,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence, Union
 
-from .forms import HomogPoly, monomial_name, phi_matrix, sym_quotient
-from .linalg import IntPolynomial, charpoly, divide_out, solve_linear
+from .forms import HomogPoly, monomial_name, phi_matrix, sym_dimension, sym_quotient
+from .linalg import IntPolynomial, charpoly, divide_out, root_power, solve_linear
 from .spectra import (
     LENGTH_BOUND_EVEN_AFFINE_ALT,
     LENGTH_BOUND_EVEN_HOMOGENEOUS,
@@ -331,14 +331,6 @@ def corollary_bound(r: int, variant: str = HOMOGENEOUS) -> int:
     return value
 
 
-def _root_power(p: IntPolynomial, lam: int) -> int:
-    k = 0
-    while p.degree() > 0 and p.evaluate(lam) == 0:
-        p = divide_out(p, IntPolynomial([-lam, 1]), 1)
-        k += 1
-    return k
-
-
 def shortened_annihilator(r: int) -> IntPolynomial:
     """Annihilating polynomial of the quotient transfer matrix, shortened.
 
@@ -352,10 +344,10 @@ def shortened_annihilator(r: int) -> IntPolynomial:
     _, phi_sym = sym_quotient(r)
     cp = charpoly(phi_sym)
     if r % 2:
-        m0 = _root_power(cp, 0)
+        m0 = root_power(cp, 0)
         return divide_out(cp, IntPolynomial.x(), m0)
-    m_plus = _root_power(cp, 1)
-    m_minus = _root_power(cp, -1)
+    m_plus = root_power(cp, 1)
+    m_minus = root_power(cp, -1)
     g = divide_out(cp, IntPolynomial([-1, 1]), m_plus)
     g = divide_out(g, IntPolynomial([1, 1]), m_minus)
     return g * IntPolynomial([-1, 1]) * IntPolynomial([1, 1])
@@ -374,12 +366,9 @@ def annihilator_recurrence(r: int) -> LinearRecurrence:
         raise AssertionError("annihilator should be monic")
     length = poly.degree()
     coeffs = tuple([-poly.coeffs[length - j] for j in range(1, length + 1)])
-    if r % 2:
-        _, phi_sym = sym_quotient(r)
-        m0 = _root_power(charpoly(phi_sym), 0)
-        n0 = m0 + 1
-    else:
-        n0 = 1
+    # the characteristic polynomial has degree sym_dimension(r), so for odd r
+    # the power of x divided out is the degree the annihilator lost
+    n0 = sym_dimension(r) - length + 1 if r % 2 else 1
     return LinearRecurrence(length, coeffs, n0)
 
 

@@ -13,6 +13,22 @@ characteristic polynomial, and the two diagonalizability witnesses are the
 integer symmetry identity a!(r-a)! M[a][b] == b!(r-b)! M[b][a] and
 squarefreeness of the minimal polynomials.
 
+The spectral work runs on two blocks of about half the size of the transfer
+matrix.  The swap J: f(x, y) -> f(y, x) commutes with it, because
+J sigma J = tau, so the symmetric and the antisymmetric forms are both
+invariant and the transfer matrix acts on each.  The symmetric block is its
+matrix on the quotient by the antisymmetric forms (sym_quotient: the
+quotient operator whose multiplicities are predicted as well), the
+antisymmetric block its matrix on the quotient by the symmetric forms
+(anti_quotient).  So the characteristic polynomial of the transfer matrix is
+the product of the blocks' ones, its minimal polynomial is the lcm of
+theirs (squarefree iff both are), and each of its multiplicities is the sum
+of the blocks' multiplicities.  The split is certified, not assumed:
+spectral_context checks phi[r-a][r-b] == phi[a][b] entrywise, which is
+J phi J == phi, and raises ArithmeticError naming the degree when it fails.
+verify_single builds that context once per degree, and every check reads
+phi, the blocks, their polynomials and the twist kernel from it.
+
 A composition subtlety drives the eigenspace computations.  With row-vector
 substitution the operators compose covariantly, so the operator that the
 transfer matrix factors through is tau^-1 @ sigma (RHO_TWIST), not
@@ -27,18 +43,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .forms import (
     IOTA,
     RHO_TWIST,
+    anti_quotient,
     operator_matrix,
     phi_matrix,
     project_span_dim,
     sym_quotient,
 )
 from .linalg import (
+    IntPolynomial,
     RationalMatrix,
+    charpoly,
     eigen_multiplicity,
     is_squarefree,
     kernel_basis,
@@ -131,7 +151,7 @@ def _dim_value(fn: PeriodicFn, r: int) -> int:
     """Evaluate a formula that represents a dimension; must be an integer >= 0."""
     v = periodic_eval(fn, r)
     if not isinstance(v, int) or v < 0:
-        raise AssertionError(f"dimension formula produced {v} at r={r}")
+        raise ValueError(f"dimension formula produced {v} at r={r}")
     return v
 
 
@@ -158,14 +178,111 @@ def predicted_bounds(r: int) -> dict:
     }
 
 
-def _twist_matrix(r: int) -> RationalMatrix:
-    return operator_matrix(RHO_TWIST, r)
+@dataclass(frozen=True)
+class SwapBlock:
+    """The transfer matrix on one swap quotient, with its two polynomials.
+
+    Each polynomial is computed on first use and kept, so a context built
+    for a check that needs neither (odd_case_dims, say) does not pay for
+    them, and verify_single computes each once.
+    """
+
+    matrix: RationalMatrix
+
+    @cached_property
+    def charpoly(self) -> IntPolynomial:
+        return charpoly(self.matrix)
+
+    @cached_property
+    def minpoly(self) -> IntPolynomial:
+        return minpoly(self.matrix)
+
+    def multiplicity(self, lam: Rational) -> tuple[int, int]:
+        """(geometric, algebraic) multiplicity of lam on this block."""
+        return eigen_multiplicity(self.matrix, lam, self.charpoly)
 
 
-def _order3_part_matrix(twist: RationalMatrix) -> RationalMatrix:
-    """twist^2 + twist + identity; its kernel is the subspace called X."""
-    n = twist.nrows
-    return twist @ twist + twist + RationalMatrix.identity(n)
+@dataclass(frozen=True)
+class SpectralContext:
+    """What the checks for one degree share; built once by spectral_context.
+
+    sym and anti are the transfer matrix's blocks on the two swap quotients
+    (anti is None for r = 0, which has no antisymmetric form), and
+    projection is sym_quotient's.  twist_part is twist + 1 for odd r and
+    twist^2 + twist + 1 for even r; twist_kernel is an integer basis of its
+    kernel (the space W, respectively X): each canonical kernel vector
+    scaled by the lcm of its denominators.  iota, the quarter-turn
+    substitution, is only needed for even r and is None for odd r.
+    """
+
+    r: int
+    phi: RationalMatrix
+    projection: RationalMatrix
+    sym: SwapBlock
+    anti: SwapBlock | None
+    twist_part: RationalMatrix
+    twist_kernel: tuple
+    iota: RationalMatrix | None
+
+    @property
+    def blocks(self) -> tuple:
+        return (self.sym,) if self.anti is None else (self.sym, self.anti)
+
+
+def _integer_basis(basis: list) -> tuple:
+    """Kernel vectors scaled by the lcm of their denominators, as int tuples."""
+    out = []
+    for v in basis:
+        scale = math.lcm(*(x.denominator for x in v))
+        out.append(tuple([int(x * scale) for x in v]))
+    return tuple(out)
+
+
+def spectral_context(r: int) -> SpectralContext:
+    """The per-degree context, after certifying that phi commutes with the swap.
+
+    Raises ArithmeticError naming r and a witness entry when
+    phi[r-a][r-b] != phi[a][b] somewhere, because the block split would
+    then be unsound.
+    """
+    if r < 0:
+        raise ValueError("degree must be nonnegative")
+    phi = phi_matrix(r)
+    rows = phi.rows
+    n = r + 1
+    witness = next(
+        ((a, b) for a in range(n) for b in range(n) if rows[r - a][r - b] != rows[a][b]),
+        None,
+    )
+    if witness is not None:
+        a, b = witness
+        raise ArithmeticError(
+            f"r={r}: phi does not commute with the swap f(x, y) -> f(y, x): "
+            f"phi[{r - a}][{r - b}] = {rows[r - a][r - b]} "
+            f"but phi[{a}][{b}] = {rows[a][b]}"
+        )
+    projection, phi_sym = sym_quotient(r, phi)
+    twist = operator_matrix(RHO_TWIST, r)
+    ident = RationalMatrix.identity(n)
+    twist_part = twist + ident if r % 2 else twist @ twist + twist + ident
+    return SpectralContext(
+        r=r,
+        phi=phi,
+        projection=projection,
+        sym=SwapBlock(phi_sym),
+        anti=SwapBlock(anti_quotient(r, phi)[1]) if r else None,
+        twist_part=twist_part,
+        twist_kernel=_integer_basis(kernel_basis(twist_part)),
+        iota=None if r % 2 else operator_matrix(IOTA, r),
+    )
+
+
+def _context(r: int, ctx: SpectralContext | None) -> SpectralContext:
+    if ctx is None:
+        return spectral_context(r)
+    if ctx.r != r:
+        raise ValueError(f"the spectral context is for degree {ctx.r}, not {r}")
+    return ctx
 
 
 def _span_sum_dim(vecs_a: list, vecs_b: list) -> int:
@@ -175,7 +292,7 @@ def _span_sum_dim(vecs_a: list, vecs_b: list) -> int:
     return rank(RationalMatrix(list(vecs_a) + list(vecs_b)))
 
 
-def eigenspace_dims(r: int) -> dict:
+def eigenspace_dims(r: int, ctx: SpectralContext | None = None) -> dict:
     """Formula and computed dimensions of X, Y+-, their quotient images, and
     the pairwise intersections, for even degree.
 
@@ -183,20 +300,19 @@ def eigenspace_dims(r: int) -> dict:
     are the +-1 eigenspaces of the quarter-turn substitution, and the _sym
     entries are dimensions of the images under the quotient projection.
     Each entry carries the formula (or inclusion-exclusion bound) next to
-    the exactly computed value.
+    the exactly computed value.  ctx, when given, is spectral_context(r).
     """
     if r < 2 or r % 2:
         raise ValueError("even degree at least 2 required")
-    n = r + 1
-    ident = RationalMatrix.identity(n)
-    twist = _twist_matrix(r)
-    x_mat = _order3_part_matrix(twist)
-    iota_m = operator_matrix(IOTA, r)
-    projection, _ = sym_quotient(r)
+    ctx = _context(r, ctx)
+    ident = RationalMatrix.identity(r + 1)
+    x_mat = ctx.twist_part
+    iota_m = ctx.iota
+    projection = ctx.projection
 
-    x_basis = kernel_basis(x_mat)
-    y_plus_basis = kernel_basis(iota_m - ident)
-    y_minus_basis = kernel_basis(iota_m + ident)
+    x_basis = ctx.twist_kernel
+    y_plus_basis = _integer_basis(kernel_basis(iota_m - ident))
+    y_minus_basis = _integer_basis(kernel_basis(iota_m + ident))
 
     def joint_dim(mat_a, mat_b):
         return len(kernel_basis(RationalMatrix.vstack([mat_a, mat_b])))
@@ -251,77 +367,64 @@ def eigenspace_dims(r: int) -> dict:
     }
 
 
-def odd_case_dims(r: int) -> dict:
+def odd_case_dims(r: int, ctx: SpectralContext | None = None) -> dict:
     """Residue count versus kernel dimension for odd degree.
 
     Counts x powers a in 0..r with 2a == r + 3 (mod 6), plain and modulo the
-    pairing a ~ r - a; computes the minus-one eigenspace W of the twist
-    substitution and its image in the quotient; asserts count == dim W and
-    paired count == dim W_sym.
+    pairing a ~ r - a, and computes the minus-one eigenspace W of the twist
+    substitution and its image in the quotient.  The counts should equal
+    dim W and dim W_sym; verify_single reports a mismatch as a failed
+    check.  ctx, when given, is spectral_context(r).
     """
     if r % 2 == 0:
         raise ValueError("odd degree required")
+    ctx = _context(r, ctx)
     hits = [a for a in range(r + 1) if (2 * a - (r + 3)) % 6 == 0]
-    count = len(hits)
     paired = {frozenset((a, r - a)) for a in hits}
-    count_sym = len(paired)
-
-    n = r + 1
-    twist = _twist_matrix(r)
-    w_basis = kernel_basis(twist + RationalMatrix.identity(n))
-    projection, _ = sym_quotient(r)
-    dim_w = len(w_basis)
-    dim_w_sym = project_span_dim(projection, w_basis)
-
-    if count != dim_w:
-        raise AssertionError(f"r={r}: residue count {count} != dim W {dim_w}")
-    if count_sym != dim_w_sym:
-        raise AssertionError(
-            f"r={r}: paired count {count_sym} != dim W_sym {dim_w_sym}"
-        )
     return {
-        "count": count,
-        "count_sym": count_sym,
-        "dim_W": dim_w,
-        "dim_W_sym": dim_w_sym,
+        "count": len(hits),
+        "count_sym": len(paired),
+        "dim_W": len(ctx.twist_kernel),
+        "dim_W_sym": project_span_dim(ctx.projection, ctx.twist_kernel),
         "formula": _dim_value(COUNT_W, r),
         "formula_sym": _dim_value(COUNT_W_SYM, r),
     }
 
 
-def check_annihilation_identities(r: int) -> dict:
+def check_annihilation_identities(r: int, ctx: SpectralContext | None = None) -> dict:
     """Structural identities behind the multiplicity bounds.
 
     Odd r: the transfer matrix kills every kernel vector of (twist + 1).
     Even r: (transfer + quarter-turn) kills every kernel vector of
     twist^2 + twist + 1.  Vacuously true when the eigenspace is zero.
+    ctx, when given, is spectral_context(r).
     """
     if r < 1:
         raise ValueError("degree must be at least 1")
-    n = r + 1
-    phi = phi_matrix(r)
-    twist = _twist_matrix(r)
+    ctx = _context(r, ctx)
+    basis = ctx.twist_kernel
     if r % 2:
-        basis = kernel_basis(twist + RationalMatrix.identity(n))
-        ok = all(not any(phi.mat_vec(v)) for v in basis)
+        ok = all(not any(ctx.phi.mat_vec(v)) for v in basis)
         return {"phi_kills_W": ok, "space_dim": len(basis)}
-    basis = kernel_basis(_order3_part_matrix(twist))
-    combo = phi + operator_matrix(IOTA, r)
+    combo = ctx.phi + ctx.iota
     ok = all(not any(combo.mat_vec(v)) for v in basis)
     return {"phi_plus_iota_kills_X": ok, "space_dim": len(basis)}
 
 
-def check_diagonalizability(r: int) -> tuple:
+def check_diagonalizability(r: int, ctx: SpectralContext | None = None) -> tuple:
     """(symmetry_identity, minpoly_squarefree) witnesses for degree r.
 
     The first checks a!(r-a)! M[a][b] == b!(r-b)! M[b][a] for every entry of
     the transfer matrix (the integer form of conjugating by the diagonal of
     square roots of k!(r-k)!).  The second checks squarefreeness of the
-    minimal polynomials of the transfer matrix and its quotient.
+    minimal polynomials of both swap blocks: their lcm is the minimal
+    polynomial of the transfer matrix, and the symmetric block is its
+    quotient.  ctx, when given, is spectral_context(r).
     """
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    phi = phi_matrix(r)
+    ctx = _context(r, ctx)
+    phi = ctx.phi
     fact = [math.factorial(k) for k in range(r + 1)]
     weights = [fact[a] * fact[r - a] for a in range(r + 1)]
     symmetric = all(
@@ -329,8 +432,7 @@ def check_diagonalizability(r: int) -> tuple:
         for a in range(r + 1)
         for b in range(a + 1, r + 1)
     )
-    _, phi_sym = sym_quotient(r)
-    squarefree = is_squarefree(minpoly(phi)) and is_squarefree(minpoly(phi_sym))
+    squarefree = all(is_squarefree(block.minpoly) for block in ctx.blocks)
     return symmetric, squarefree
 
 
@@ -377,9 +479,10 @@ class VerificationReport:
         sums = all(c["computed"] >= c["predicted"] for c in self.sum_checks.values())
         dims_ok = True
         for entry in self.dims.values():
-            target = entry.get("formula")
-            if target is not None and entry["computed"] != target:
-                dims_ok = False
+            for key in ("formula", "residue_count"):
+                target = entry.get(key)
+                if target is not None and entry["computed"] != target:
+                    dims_ok = False
             bound = entry.get("bound")
             if bound is not None and entry["computed"] < bound:
                 dims_ok = False
@@ -421,21 +524,30 @@ class VerificationReport:
 
 
 def verify_single(r: int) -> VerificationReport:
-    """Run every check for one degree."""
+    """Run every check for one degree, on one spectral context."""
     if r < 1:
         raise ValueError("degree must be at least 1")
-    phi = phi_matrix(r)
-    _, phi_sym = sym_quotient(r)
+    ctx = spectral_context(r)
     preds = predicted_bounds(r)
 
+    # phi's multiplicities are the sums over its two swap blocks; phi_sym is
+    # the symmetric block alone.
+    names = {0: "0", 1: "plus1", -1: "minus1"}
+    lams = (0,) if r % 2 else (1, -1)
+    sym = {lam: ctx.sym.multiplicity(lam) for lam in lams}
+    anti = {lam: ctx.anti.multiplicity(lam) for lam in lams}
     mults = {}
+    for lam in lams:
+        key = f"m_phi_{names[lam]}"
+        (sym_geo, sym_alg), (anti_geo, anti_alg) = sym[lam], anti[lam]
+        mults[key] = MultiplicityCheck(preds[key], sym_geo + anti_geo, sym_alg + anti_alg)
+    for lam in lams:
+        key = f"m_phi_sym_{names[lam]}"
+        mults[key] = MultiplicityCheck(preds[key], *sym[lam])
+
     sums = {}
     if r % 2:
-        geo, alg = eigen_multiplicity(phi, 0)
-        mults["m_phi_0"] = MultiplicityCheck(preds["m_phi_0"], geo, alg)
-        geo, alg = eigen_multiplicity(phi_sym, 0)
-        mults["m_phi_sym_0"] = MultiplicityCheck(preds["m_phi_sym_0"], geo, alg)
-        od = odd_case_dims(r)
+        od = odd_case_dims(r, ctx)
         dims = {
             "dim_W": {
                 "formula": od["formula"],
@@ -449,15 +561,6 @@ def verify_single(r: int) -> VerificationReport:
             },
         }
     else:
-        pairs = [
-            ("m_phi_plus1", phi, 1),
-            ("m_phi_minus1", phi, -1),
-            ("m_phi_sym_plus1", phi_sym, 1),
-            ("m_phi_sym_minus1", phi_sym, -1),
-        ]
-        for key, mat, lam in pairs:
-            geo, alg = eigen_multiplicity(mat, lam)
-            mults[key] = MultiplicityCheck(preds[key], geo, alg)
         sums["m_phi_pm_sum"] = {
             "predicted": preds["m_phi_pm_sum"],
             "computed": mults["m_phi_plus1"].geometric
@@ -468,10 +571,10 @@ def verify_single(r: int) -> VerificationReport:
             "computed": mults["m_phi_sym_plus1"].geometric
             + mults["m_phi_sym_minus1"].geometric,
         }
-        dims = eigenspace_dims(r)
+        dims = eigenspace_dims(r, ctx)
 
-    symmetric, squarefree = check_diagonalizability(r)
-    annihilation = check_annihilation_identities(r)
+    symmetric, squarefree = check_diagonalizability(r, ctx)
+    annihilation = check_annihilation_identities(r, ctx)
 
     return VerificationReport(
         r=r,

@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+import sternsums.cli as cli_mod
+import sternsums.spectra as spectra
 from sternsums.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    EXIT_VERIFICATION_FAILED,
     MINE_MAX_DEGREE,
     MINE_MAX_TERMS,
+    PHI_MAX_DEGREE,
+    VERIFY_MAX_DEGREE,
     decode_rational,
     encode_rational,
     main,
@@ -142,6 +147,19 @@ def test_phi_text(capsys):
     assert out.strip() == "2"
 
 
+def _no_matrix(*args, **kwargs):
+    raise AssertionError("a matrix was built past the cap")
+
+
+def test_phi_degree_cap(monkeypatch, capsys):
+    monkeypatch.setattr(cli_mod, "phi_matrix", _no_matrix)
+    monkeypatch.setattr(cli_mod, "sym_quotient", _no_matrix)
+    for extra in ([], ["--sym"], ["--json"]):
+        code, out, err = run(capsys, "phi", str(PHI_MAX_DEGREE + 1), *extra)
+        assert code == EXIT_RESOURCE and out == ""
+        assert f"PHI_MAX_DEGREE={PHI_MAX_DEGREE}" in err
+
+
 def test_phi_json(capsys):
     code, out, _ = run(capsys, "phi", "2", "--json")
     doc = json.loads(out)
@@ -172,6 +190,34 @@ def test_verify_json_payload(capsys):
     rep3 = reports[1]
     assert rep3["multiplicities"]["m_phi_0"]["predicted"] == "2"
     assert rep3["passed"] is True
+
+
+def test_verify_degree_cap(monkeypatch, capsys):
+    monkeypatch.setattr(cli_mod, "verify_range", _no_matrix)
+    monkeypatch.setattr(spectra, "spectral_context", _no_matrix)
+    for r_min in (1, VERIFY_MAX_DEGREE + 1):
+        code, out, err = run(capsys, "verify", str(r_min), str(VERIFY_MAX_DEGREE + 1))
+        assert code == EXIT_RESOURCE and out == ""
+        assert f"VERIFY_MAX_DEGREE={VERIFY_MAX_DEGREE}" in err
+
+
+def test_verify_residue_count_mismatch_is_a_failed_check(monkeypatch, capsys):
+    # a residue count that disagrees with dim W is reported, not raised
+    real = spectra.odd_case_dims
+
+    def miscounted(r, ctx=None):
+        dims = real(r, ctx)
+        return {**dims, "count": dims["count"] + 1}
+
+    monkeypatch.setattr(spectra, "odd_case_dims", miscounted)
+    code, out, _ = run(capsys, "verify", "3", "3")
+    assert code == EXIT_VERIFICATION_FAILED
+    assert "FAIL" in out and "CHECKS FAILED" in out
+    code, out, _ = run(capsys, "verify", "3", "3", "--json")
+    assert code == EXIT_VERIFICATION_FAILED
+    rep3 = json.loads(out)["results"]["reports"][0]
+    assert rep3["dims"]["dim_W"]["residue_count"] == "3"
+    assert rep3["passed"] is False
 
 
 def test_verify_bad_range(capsys):

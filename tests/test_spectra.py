@@ -16,6 +16,7 @@ from sternsums.spectra import (
     DIM_Y_MINUS,
     DIM_Y_PLUS,
     PeriodicFn,
+    _dim_value,
     check_annihilation_identities,
     check_diagonalizability,
     eigenspace_dims,
@@ -81,6 +82,13 @@ def test_odd_case_dims_goldens():
     assert odd_case_dims(9)["count"] == 4  # a in {0, 3, 6, 9}
     with pytest.raises(ValueError):
         odd_case_dims(4)
+
+
+def test_dim_value_rejects_a_non_dimension():
+    with pytest.raises(ValueError, match="r=1"):
+        _dim_value(PeriodicFn((F(1, 2),), ODD), 1)
+    with pytest.raises(ValueError):
+        _dim_value(PeriodicFn((F(-1),), ODD), 1)
 
 
 def test_odd_counts_match_formulas_up_to_60():

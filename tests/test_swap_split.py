@@ -1,0 +1,285 @@
+"""The swap-block split of the transfer matrix against the full-matrix route.
+
+verify_single computes every spectral quantity on the two swap blocks of
+phi, reading them from one spectral context per degree.  The oracle here is
+the route it replaced: every multiplicity on the full (r+1)-wide matrix,
+each check rebuilding what it needs, and the eigenspace kernels used as the
+Fraction vectors kernel_basis returns.
+"""
+
+import math
+from collections import Counter
+
+import pytest
+
+import sternsums.forms as forms
+import sternsums.linalg as linalg
+import sternsums.spectra as spectra
+from sternsums.cli import EXIT_VERIFICATION_FAILED, main
+from sternsums.forms import (
+    IOTA,
+    RHO_TWIST,
+    anti_quotient,
+    operator_matrix,
+    phi_matrix,
+    project_span_dim,
+    sym_quotient,
+)
+from sternsums.linalg import (
+    RationalMatrix,
+    charpoly,
+    divide_out,
+    eigen_multiplicity,
+    is_squarefree,
+    kernel_basis,
+    minpoly,
+    polynomial_gcd,
+    rank,
+)
+from sternsums.spectra import (
+    COUNT_W,
+    COUNT_W_SYM,
+    DIM_X,
+    DIM_X_CAP_Y_MINUS,
+    DIM_X_CAP_Y_MINUS_SYM,
+    DIM_X_CAP_Y_PLUS,
+    DIM_X_CAP_Y_PLUS_SYM,
+    DIM_X_SYM,
+    DIM_Y_MINUS,
+    DIM_Y_MINUS_SYM,
+    DIM_Y_PLUS,
+    DIM_Y_PLUS_SYM,
+    EVEN,
+    ODD,
+    MultiplicityCheck,
+    VerificationReport,
+    periodic_eval,
+    predicted_bounds,
+    spectral_context,
+    verify_single,
+)
+
+
+# -- the full-matrix oracle ---------------------------------------------------
+
+
+def _full_eigenspace_dims(r: int) -> dict:
+    n = r + 1
+    ident = RationalMatrix.identity(n)
+    twist = operator_matrix(RHO_TWIST, r)
+    x_mat = twist @ twist + twist + ident
+    iota_m = operator_matrix(IOTA, r)
+    projection, _ = sym_quotient(r)
+    x_basis = kernel_basis(x_mat)
+    yp_basis = kernel_basis(iota_m - ident)
+    ym_basis = kernel_basis(iota_m + ident)
+
+    def joint_dim(mat_a, mat_b):
+        return len(kernel_basis(RationalMatrix.vstack([mat_a, mat_b])))
+
+    def span_sum_dim(vecs_a, vecs_b):
+        vecs = [projection.mat_vec(v) for v in list(vecs_a) + list(vecs_b)]
+        return rank(RationalMatrix(vecs)) if vecs else 0
+
+    dim_x_sym = project_span_dim(projection, x_basis)
+    dim_yp_sym = project_span_dim(projection, yp_basis)
+    dim_ym_sym = project_span_dim(projection, ym_basis)
+
+    def formula(fn, computed):
+        return {"formula": periodic_eval(fn, r), "computed": computed}
+
+    def bound(fn, computed):
+        return {"bound": periodic_eval(fn, r), "computed": computed}
+
+    return {
+        "dim_X": formula(DIM_X, len(x_basis)),
+        "dim_Y_plus": formula(DIM_Y_PLUS, len(yp_basis)),
+        "dim_Y_minus": formula(DIM_Y_MINUS, len(ym_basis)),
+        "dim_X_sym": formula(DIM_X_SYM, dim_x_sym),
+        "dim_Y_plus_sym": formula(DIM_Y_PLUS_SYM, dim_yp_sym),
+        "dim_Y_minus_sym": formula(DIM_Y_MINUS_SYM, dim_ym_sym),
+        "dim_X_cap_Y_plus": bound(DIM_X_CAP_Y_PLUS, joint_dim(x_mat, iota_m - ident)),
+        "dim_X_cap_Y_minus": bound(DIM_X_CAP_Y_MINUS, joint_dim(x_mat, iota_m + ident)),
+        "dim_X_cap_Y_plus_sym": bound(
+            DIM_X_CAP_Y_PLUS_SYM,
+            dim_x_sym + dim_yp_sym - span_sum_dim(x_basis, yp_basis),
+        ),
+        "dim_X_cap_Y_minus_sym": bound(
+            DIM_X_CAP_Y_MINUS_SYM,
+            dim_x_sym + dim_ym_sym - span_sum_dim(x_basis, ym_basis),
+        ),
+    }
+
+
+def full_matrix_report(r: int) -> VerificationReport:
+    """verify_single on the full transfer matrix, without the swap split."""
+    n = r + 1
+    phi = phi_matrix(r)
+    projection, phi_sym = sym_quotient(r)
+    preds = predicted_bounds(r)
+    twist = operator_matrix(RHO_TWIST, r)
+    ident = RationalMatrix.identity(n)
+    if r % 2:
+        pairs = [("m_phi_0", phi, 0), ("m_phi_sym_0", phi_sym, 0)]
+    else:
+        pairs = [
+            ("m_phi_plus1", phi, 1),
+            ("m_phi_minus1", phi, -1),
+            ("m_phi_sym_plus1", phi_sym, 1),
+            ("m_phi_sym_minus1", phi_sym, -1),
+        ]
+    mults = {
+        key: MultiplicityCheck(preds[key], *eigen_multiplicity(mat, lam))
+        for key, mat, lam in pairs
+    }
+    sums = {}
+    if r % 2:
+        w_basis = kernel_basis(twist + ident)
+        hits = [a for a in range(n) if (2 * a - (r + 3)) % 6 == 0]
+        dims = {
+            "dim_W": {
+                "formula": periodic_eval(COUNT_W, r),
+                "computed": len(w_basis),
+                "residue_count": len(hits),
+            },
+            "dim_W_sym": {
+                "formula": periodic_eval(COUNT_W_SYM, r),
+                "computed": project_span_dim(projection, w_basis),
+                "residue_count": len({frozenset((a, r - a)) for a in hits}),
+            },
+        }
+        annihilation = {
+            "phi_kills_W": all(not any(phi.mat_vec(v)) for v in w_basis),
+            "space_dim": len(w_basis),
+        }
+    else:
+        for key, plus, minus in (
+            ("m_phi_pm_sum", "m_phi_plus1", "m_phi_minus1"),
+            ("m_phi_sym_pm_sum", "m_phi_sym_plus1", "m_phi_sym_minus1"),
+        ):
+            sums[key] = {
+                "predicted": preds[key],
+                "computed": mults[plus].geometric + mults[minus].geometric,
+            }
+        dims = _full_eigenspace_dims(r)
+        x_basis = kernel_basis(twist @ twist + twist + ident)
+        combo = phi + operator_matrix(IOTA, r)
+        annihilation = {
+            "phi_plus_iota_kills_X": all(not any(combo.mat_vec(v)) for v in x_basis),
+            "space_dim": len(x_basis),
+        }
+    fact = [math.factorial(k) for k in range(n)]
+    symmetric = all(
+        fact[a] * fact[r - a] * phi.rows[a][b] == fact[b] * fact[r - b] * phi.rows[b][a]
+        for a in range(n)
+        for b in range(a + 1, n)
+    )
+    squarefree = is_squarefree(minpoly(phi)) and is_squarefree(minpoly(phi_sym))
+    return VerificationReport(
+        r=r,
+        parity=ODD if r % 2 else EVEN,
+        multiplicities=mults,
+        sum_checks=sums,
+        symmetry_identity=symmetric,
+        minpoly_squarefree=squarefree,
+        dims=dims,
+        annihilation=annihilation,
+    )
+
+
+def _lcm(p, q):
+    return divide_out(p * q, polynomial_gcd(p, q), 1)
+
+
+# -- the block route against the oracle ----------------------------------------
+
+
+def test_block_route_reports_equal_the_full_matrix_route():
+    for r in range(1, 21):
+        assert verify_single(r).to_json_dict() == full_matrix_report(r).to_json_dict(), r
+
+
+def test_blocks_split_the_spectrum_of_phi():
+    for r in range(1, 21):
+        phi = phi_matrix(r)
+        _, sym = sym_quotient(r)
+        q, anti = anti_quotient(r)
+        assert q @ phi == anti @ q, r
+        assert sym.nrows + anti.nrows == r + 1, r
+        assert charpoly(phi) == charpoly(sym) * charpoly(anti), r
+        assert minpoly(phi) == _lcm(minpoly(sym), minpoly(anti)), r
+
+
+def test_anti_quotient_goldens():
+    # by hand at r = 3: the rows of Q @ phi are phi[3] - phi[0] and phi[2] - phi[1]
+    q, anti = anti_quotient(3)
+    assert q.to_lists() == [[-1, 0, 0, 1], [0, -1, 1, 0]]
+    assert anti.to_lists() == [[1, 0], [0, 0]]
+    assert anti_quotient(1)[1].to_lists() == [[1]]
+    with pytest.raises(ValueError):
+        anti_quotient(0)
+
+
+def test_context_holds_one_block_per_swap_class():
+    ctx = spectral_context(6)
+    assert [b.matrix.nrows for b in ctx.blocks] == [4, 3]
+    assert ctx.sym.charpoly == charpoly(ctx.sym.matrix)
+    assert ctx.anti.minpoly == minpoly(ctx.anti.matrix)
+    assert all(isinstance(x, int) for v in ctx.twist_kernel for x in v)
+    assert spectral_context(0).blocks == (spectral_context(0).sym,)
+    with pytest.raises(ValueError):
+        spectra.odd_case_dims(5, ctx)
+
+
+# -- the certificate of the split -------------------------------------------------
+
+
+def _skewed_phi(r):
+    rows = forms.phi_matrix(r).to_lists()
+    rows[0][1] += 1
+    return RationalMatrix(rows)
+
+
+def test_context_rejects_a_phi_that_does_not_commute_with_the_swap(monkeypatch):
+    monkeypatch.setattr(spectra, "phi_matrix", _skewed_phi)
+    with pytest.raises(ArithmeticError, match=r"r=5: phi does not commute"):
+        spectral_context(5)
+
+
+def test_verify_exits_1_naming_the_degree_when_the_swap_certificate_fails(
+    monkeypatch, capsys
+):
+    monkeypatch.setattr(spectra, "phi_matrix", _skewed_phi)
+    code = main(["verify", "4", "4", "--json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFICATION_FAILED
+    assert captured.out == ""
+    assert "r=4" in captured.err and "swap" in captured.err
+
+
+# -- redundancy ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [11, 12])
+def test_verify_single_builds_each_object_once(monkeypatch, r):
+    calls = Counter()
+    minpoly_widths = []
+    modules = (forms, linalg, spectra)
+    for name in ("phi_matrix", "sym_quotient", "charpoly", "minpoly"):
+        original = getattr(forms if name in ("phi_matrix", "sym_quotient") else linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            if _name == "minpoly":
+                minpoly_widths.append(args[0].ncols)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if module.__dict__.get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    verify_single(r)
+    assert calls["phi_matrix"] <= 2
+    assert calls["sym_quotient"] <= 1
+    assert calls["charpoly"] == 2
+    assert calls["minpoly"] == 2
+    assert max(minpoly_widths) <= (r + 2) // 2
