@@ -58,6 +58,13 @@ MINE_MAX_TERMS = 200
 # at 120; `verify 61 100` about 8 min.
 PHI_MAX_DEGREE = 400
 VERIFY_MAX_DEGREE = 100
+# Caps on `sums`: the form's degree and n_max; past either one it exits
+# EXIT_RESOURCE.  On the same core an integer form takes 0.9 s at degree 40
+# and n_max 600, 36 s at degree 100 and n_max 800, and 60 s at degree 100
+# and n_max 1000; a rational form of degree 100 takes 25 s at n_max 200 and
+# 78 s at 400.
+SUMS_MAX_DEGREE = 100
+SUMS_MAX_TERMS = 800
 
 
 def encode_rational(x) -> str:
@@ -71,14 +78,6 @@ def encode_rational(x) -> str:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
     raise TypeError(f"cannot encode {type(x).__name__} as a rational")
-
-
-def decode_rational(s: str):
-    """Inverse of encode_rational."""
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return int(s)
 
 
 def encode_payload(value):
@@ -187,6 +186,18 @@ def cmd_sums(args) -> int:
     if args.n_max < 1:
         print("error: n_max must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    if f.degree > SUMS_MAX_DEGREE:
+        print(
+            f"error: degree {f.degree} is above the cap SUMS_MAX_DEGREE={SUMS_MAX_DEGREE}",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
+    if args.n_max > SUMS_MAX_TERMS:
+        print(
+            f"error: n_max {args.n_max} is above the cap SUMS_MAX_TERMS={SUMS_MAX_TERMS}",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
     mode = args.mode
     values = None
     agree = None
@@ -365,6 +376,11 @@ def cmd_mine(args) -> int:
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        # an exact check of the mining failed (the certificate of a mined
+        # recurrence on its window, or an exact division)
+        print(f"error: r={args.r}: mining failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
     ok = all(res.within_bound and res.annihilator_validates for res in results)
     ok = ok and all(
         res.affine_within_bound is not False for res in results
@@ -427,9 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sums = sub.add_parser("sums", help="power sums S_1..S_n of a form")
     p_sums.add_argument(
         "fspec",
-        help="form: monomial like x^3, x^2y, x^2*y, or coeffs=[c0,c1,...]",
+        help=(
+            "form: monomial like x^3, x^2y, x^2*y, or coeffs=[c0,c1,...]; "
+            f"degree at most {SUMS_MAX_DEGREE}"
+        ),
     )
-    p_sums.add_argument("n_max", type=int, help="number of terms")
+    p_sums.add_argument(
+        "n_max", type=int, help=f"number of terms (at most {SUMS_MAX_TERMS})"
+    )
     mode = p_sums.add_mutually_exclusive_group()
     mode.add_argument(
         "--direct", action="store_const", const="direct", dest="mode",

@@ -21,17 +21,9 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Union
 
-from .linalg import RationalMatrix, rank
+from .linalg import RationalMatrix, _normalize_entry, rank
 
 Rational = Union[int, Fraction]
-
-
-def _normalize_coeff(x: Rational) -> Rational:
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"exact rational coefficient required, got {type(x).__name__}")
 
 
 class HomogPoly:
@@ -40,7 +32,7 @@ class HomogPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational]):
-        cs = tuple([_normalize_coeff(c) for c in coeffs])  # see RationalMatrix
+        cs = tuple([_normalize_entry(c) for c in coeffs])  # see RationalMatrix
         if not cs:
             raise ValueError("a form needs at least the degree-0 coefficient")
         self.coeffs = cs
@@ -59,14 +51,17 @@ class HomogPoly:
         return cls(coeffs)
 
     def __call__(self, x: Rational, y: Rational) -> Rational:
-        r = self.degree
+        coeffs = self.coeffs
+        r = len(coeffs) - 1
         # Horner in x, with the matching y power folded into each addend.
-        acc = self.coeffs[r]
-        ypows = [1]
-        for _ in range(r):
-            ypows.append(ypows[-1] * y)
+        acc = coeffs[r]
+        yp = 1
+        ypows = [1] * (r + 1)
+        for i in range(1, r + 1):
+            yp *= y
+            ypows[i] = yp
         for a in range(r - 1, -1, -1):
-            c = self.coeffs[a]
+            c = coeffs[a]
             acc = acc * x + (c * ypows[r - a] if c else 0)
         return acc
 
@@ -96,18 +91,6 @@ class HomogPoly:
     def swap(self) -> "HomogPoly":
         """f(y, x): reverses the coefficient vector."""
         return HomogPoly(self.coeffs[::-1])
-
-    def int_coeffs(self) -> list | None:
-        """Coefficients as plain ints when the form is integral, else None."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, int):
-                out.append(c)
-            elif c.denominator == 1:
-                out.append(int(c))
-            else:
-                return None
-        return out
 
     def __repr__(self):
         return f"HomogPoly({list(self.coeffs)!r})"
@@ -162,13 +145,6 @@ class Mat2:
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
-
-    def inverse(self) -> "Mat2":
-        """Integer inverse; only determinant +-1 matrices have one."""
-        det = self.det()
-        if det not in (1, -1):
-            raise ValueError(f"matrix with determinant {det} has no integer inverse")
-        return Mat2(self.d * det, -self.b * det, -self.c * det, self.a * det)
 
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -237,20 +213,9 @@ def phi_matrix(r: int) -> RationalMatrix:
     )
 
 
-def swap_matrix(r: int) -> RationalMatrix:
-    """Matrix of f(x, y) -> f(y, x): the anti-diagonal permutation."""
-    n = r + 1
-    return RationalMatrix([[1 if i + j == r else 0 for j in range(n)] for i in range(n)])
-
-
 def sym_dimension(r: int) -> int:
     """Dimension of the swap-symmetric quotient: ceil((r+1)/2)."""
     return (r + 2) // 2
-
-
-def sym_class_labels(r: int) -> list:
-    """Representative monomial names for the quotient basis, x^r downward."""
-    return [monomial_name(r - i, r) for i in range(sym_dimension(r))]
 
 
 def sym_quotient(

@@ -133,23 +133,6 @@ class RationalMatrix:
             raise ValueError("vector length differs from column count")
         return [_dot(row, vec) for row in self.rows]
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.rows)))
-
-    def power(self, k: int) -> "RationalMatrix":
-        if self.nrows != self.ncols:
-            raise NonSquareMatrixError("matrix power needs a square matrix")
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = RationalMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return out
-
     def is_zero(self) -> bool:
         return all(not x for row in self.rows for x in row)
 
@@ -206,21 +189,12 @@ class IntPolynomial:
     def x(cls) -> "IntPolynomial":
         return cls([0, 1])
 
-    @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls([c])
-
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -265,12 +239,6 @@ class IntPolynomial:
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x: Rational) -> Rational:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def at_matrix(self, m: RationalMatrix) -> RationalMatrix:
         """Evaluate at a square matrix (Horner)."""
@@ -324,14 +292,15 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows_rowwise(m: RationalMatrix) -> list:
-    """Integer copy of m obtained by scaling each row.
+def _integer_rows(rows: Iterable[Sequence[Rational]]) -> list:
+    """Integer copy of the rows, each scaled by the lcm of its denominators.
 
     Row scaling preserves rank and right kernel, which is all the elimination
-    routines need.
+    routines need.  A row's factor is the least positive integer that clears
+    its denominators.
     """
     out = []
-    for row in m.rows:
+    for row in rows:
         dens = [x.denominator for x in row if isinstance(x, Fraction)]
         if dens:
             l = math.lcm(*dens)
@@ -397,7 +366,7 @@ def _bareiss_echelon(rows: list) -> tuple[list, list]:
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank via fraction-free elimination."""
-    _, piv = _bareiss_echelon(_integer_rows_rowwise(m))
+    _, piv = _bareiss_echelon(_integer_rows(m.rows))
     return len(piv)
 
 
@@ -413,7 +382,7 @@ def kernel_basis(m: RationalMatrix) -> list:
     the reduced-echelon kernel basis, so the output is deterministic
     regardless of pivoting order.
     """
-    ech, piv_cols = _bareiss_echelon(_integer_rows_rowwise(m))
+    ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows))
     nc = m.ncols
     piv_set = set(piv_cols)
     basis = []
@@ -528,7 +497,9 @@ def _berkowitz(rows: list) -> list:
     return poly
 
 
-def _rescale_poly_coeffs(coeffs_low_first: list, den: int, label: str) -> list:
+def _rescale_poly_coeffs(
+    coeffs_low_first: Sequence[int], den: int, label: str
+) -> list:
     """Map p(x) for d*M to the polynomial for M: coeff k scales by d**(k-deg)."""
     deg = len(coeffs_low_first) - 1
     out = []
@@ -623,17 +594,7 @@ def _vector_minpoly(rows: list, v: list) -> list:
         basis.append((pivot, ints, combo))
         raw = [_dot(row, raw) for row in rows]
         d += 1
-    raise AssertionError("no Krylov dependence by degree n; unreachable")
-
-
-def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+    raise ArithmeticError("no Krylov dependence by degree n")
 
 
 def minpoly(m: RationalMatrix) -> IntPolynomial:
@@ -647,17 +608,16 @@ def minpoly(m: RationalMatrix) -> IntPolynomial:
     _require_square(m)
     n = m.nrows
     rows, den = _integer_rows_uniform(m)
-    p = [1]
+    p = IntPolynomial([1])
     for i in range(n):
-        w = _poly_apply_to_unit(p, rows, i)
+        w = _poly_apply_to_unit(p.coeffs, rows, i)
         if any(w):
-            q = _vector_minpoly(rows, w)
-            p = _poly_mul_int(p, q)
-            if len(p) == n + 1:
+            p = p * IntPolynomial(_vector_minpoly(rows, w))
+            if p.degree() == n:
                 break
-    if den != 1:
-        p = _rescale_poly_coeffs(p, den, "minimal polynomial")
-    return IntPolynomial(p)
+    if den == 1:
+        return p
+    return IntPolynomial(_rescale_poly_coeffs(p.coeffs, den, "minimal polynomial"))
 
 
 # ---------------------------------------------------------------------------

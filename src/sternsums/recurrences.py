@@ -327,7 +327,7 @@ def corollary_bound(r: int, variant: str = HOMOGENEOUS) -> int:
         fn = LENGTH_BOUND_EVEN_HOMOGENEOUS
     value = periodic_eval(fn, r)
     if not isinstance(value, int) or value < 0:
-        raise AssertionError(f"length bound is not a nonnegative integer: {value}")
+        raise ValueError(f"length bound is not a nonnegative integer: {value}")
     return value
 
 
@@ -363,7 +363,7 @@ def annihilator_recurrence(r: int) -> LinearRecurrence:
     """
     poly = shortened_annihilator(r)
     if not poly.is_monic():
-        raise AssertionError("annihilator should be monic")
+        raise ArithmeticError(f"r={r}: the annihilator {poly} is not monic")
     length = poly.degree()
     coeffs = tuple([-poly.coeffs[length - j] for j in range(1, length + 1)])
     # the characteristic polynomial has degree sym_dimension(r), so for odd r

@@ -58,6 +58,7 @@ from .forms import (
 from .linalg import (
     IntPolynomial,
     RationalMatrix,
+    _integer_rows,
     charpoly,
     eigen_multiplicity,
     is_squarefree,
@@ -229,13 +230,9 @@ class SpectralContext:
         return (self.sym,) if self.anti is None else (self.sym, self.anti)
 
 
-def _integer_basis(basis: list) -> tuple:
-    """Kernel vectors scaled by the lcm of their denominators, as int tuples."""
-    out = []
-    for v in basis:
-        scale = math.lcm(*(x.denominator for x in v))
-        out.append(tuple([int(x * scale) for x in v]))
-    return tuple(out)
+def _integer_kernel(m: RationalMatrix) -> tuple:
+    """kernel_basis(m), each vector times the lcm of its denominators."""
+    return tuple(map(tuple, _integer_rows(kernel_basis(m))))
 
 
 def spectral_context(r: int) -> SpectralContext:
@@ -272,17 +269,9 @@ def spectral_context(r: int) -> SpectralContext:
         sym=SwapBlock(phi_sym),
         anti=SwapBlock(anti_quotient(r, phi)[1]) if r else None,
         twist_part=twist_part,
-        twist_kernel=_integer_basis(kernel_basis(twist_part)),
+        twist_kernel=_integer_kernel(twist_part),
         iota=None if r % 2 else operator_matrix(IOTA, r),
     )
-
-
-def _context(r: int, ctx: SpectralContext | None) -> SpectralContext:
-    if ctx is None:
-        return spectral_context(r)
-    if ctx.r != r:
-        raise ValueError(f"the spectral context is for degree {ctx.r}, not {r}")
-    return ctx
 
 
 def _span_sum_dim(vecs_a: list, vecs_b: list) -> int:
@@ -292,7 +281,7 @@ def _span_sum_dim(vecs_a: list, vecs_b: list) -> int:
     return rank(RationalMatrix(list(vecs_a) + list(vecs_b)))
 
 
-def eigenspace_dims(r: int, ctx: SpectralContext | None = None) -> dict:
+def eigenspace_dims(ctx: SpectralContext) -> dict:
     """Formula and computed dimensions of X, Y+-, their quotient images, and
     the pairwise intersections, for even degree.
 
@@ -300,19 +289,19 @@ def eigenspace_dims(r: int, ctx: SpectralContext | None = None) -> dict:
     are the +-1 eigenspaces of the quarter-turn substitution, and the _sym
     entries are dimensions of the images under the quotient projection.
     Each entry carries the formula (or inclusion-exclusion bound) next to
-    the exactly computed value.  ctx, when given, is spectral_context(r).
+    the exactly computed value.  The degree is ctx.r.
     """
+    r = ctx.r
     if r < 2 or r % 2:
         raise ValueError("even degree at least 2 required")
-    ctx = _context(r, ctx)
     ident = RationalMatrix.identity(r + 1)
     x_mat = ctx.twist_part
     iota_m = ctx.iota
     projection = ctx.projection
 
     x_basis = ctx.twist_kernel
-    y_plus_basis = _integer_basis(kernel_basis(iota_m - ident))
-    y_minus_basis = _integer_basis(kernel_basis(iota_m + ident))
+    y_plus_basis = _integer_kernel(iota_m - ident)
+    y_minus_basis = _integer_kernel(iota_m + ident)
 
     def joint_dim(mat_a, mat_b):
         return len(kernel_basis(RationalMatrix.vstack([mat_a, mat_b])))
@@ -367,18 +356,18 @@ def eigenspace_dims(r: int, ctx: SpectralContext | None = None) -> dict:
     }
 
 
-def odd_case_dims(r: int, ctx: SpectralContext | None = None) -> dict:
+def odd_case_dims(ctx: SpectralContext) -> dict:
     """Residue count versus kernel dimension for odd degree.
 
     Counts x powers a in 0..r with 2a == r + 3 (mod 6), plain and modulo the
     pairing a ~ r - a, and computes the minus-one eigenspace W of the twist
     substitution and its image in the quotient.  The counts should equal
     dim W and dim W_sym; verify_single reports a mismatch as a failed
-    check.  ctx, when given, is spectral_context(r).
+    check.  The degree is ctx.r.
     """
+    r = ctx.r
     if r % 2 == 0:
         raise ValueError("odd degree required")
-    ctx = _context(r, ctx)
     hits = [a for a in range(r + 1) if (2 * a - (r + 3)) % 6 == 0]
     paired = {frozenset((a, r - a)) for a in hits}
     return {
@@ -391,19 +380,18 @@ def odd_case_dims(r: int, ctx: SpectralContext | None = None) -> dict:
     }
 
 
-def check_annihilation_identities(r: int, ctx: SpectralContext | None = None) -> dict:
+def check_annihilation_identities(ctx: SpectralContext) -> dict:
     """Structural identities behind the multiplicity bounds.
 
     Odd r: the transfer matrix kills every kernel vector of (twist + 1).
     Even r: (transfer + quarter-turn) kills every kernel vector of
     twist^2 + twist + 1.  Vacuously true when the eigenspace is zero.
-    ctx, when given, is spectral_context(r).
+    The degree is ctx.r.
     """
-    if r < 1:
+    if ctx.r < 1:
         raise ValueError("degree must be at least 1")
-    ctx = _context(r, ctx)
     basis = ctx.twist_kernel
-    if r % 2:
+    if ctx.r % 2:
         ok = all(not any(ctx.phi.mat_vec(v)) for v in basis)
         return {"phi_kills_W": ok, "space_dim": len(basis)}
     combo = ctx.phi + ctx.iota
@@ -411,19 +399,17 @@ def check_annihilation_identities(r: int, ctx: SpectralContext | None = None) ->
     return {"phi_plus_iota_kills_X": ok, "space_dim": len(basis)}
 
 
-def check_diagonalizability(r: int, ctx: SpectralContext | None = None) -> tuple:
-    """(symmetry_identity, minpoly_squarefree) witnesses for degree r.
+def check_diagonalizability(ctx: SpectralContext) -> tuple:
+    """(symmetry_identity, minpoly_squarefree) witnesses for degree ctx.r.
 
     The first checks a!(r-a)! M[a][b] == b!(r-b)! M[b][a] for every entry of
     the transfer matrix (the integer form of conjugating by the diagonal of
     square roots of k!(r-k)!).  The second checks squarefreeness of the
     minimal polynomials of both swap blocks: their lcm is the minimal
     polynomial of the transfer matrix, and the symmetric block is its
-    quotient.  ctx, when given, is spectral_context(r).
+    quotient.
     """
-    if r < 0:
-        raise ValueError("degree must be nonnegative")
-    ctx = _context(r, ctx)
+    r = ctx.r
     phi = ctx.phi
     fact = [math.factorial(k) for k in range(r + 1)]
     weights = [fact[a] * fact[r - a] for a in range(r + 1)]
@@ -547,7 +533,7 @@ def verify_single(r: int) -> VerificationReport:
 
     sums = {}
     if r % 2:
-        od = odd_case_dims(r, ctx)
+        od = odd_case_dims(ctx)
         dims = {
             "dim_W": {
                 "formula": od["formula"],
@@ -571,10 +557,10 @@ def verify_single(r: int) -> VerificationReport:
             "computed": mults["m_phi_sym_plus1"].geometric
             + mults["m_phi_sym_minus1"].geometric,
         }
-        dims = eigenspace_dims(r, ctx)
+        dims = eigenspace_dims(ctx)
 
-    symmetric, squarefree = check_diagonalizability(r, ctx)
-    annihilation = check_annihilation_identities(r, ctx)
+    symmetric, squarefree = check_diagonalizability(ctx)
+    annihilation = check_annihilation_identities(ctx)
 
     return VerificationReport(
         r=r,

@@ -25,11 +25,11 @@ from sternsums.spectra import (
     check_annihilation_identities,
     eigenspace_dims,
     odd_case_dims,
+    spectral_context,
     verify_range,
 )
 from sternsums.stern import (
     power_sum_direct,
-    power_sum_fast,
     power_sum_sequence,
     stern_row,
 )
@@ -68,18 +68,16 @@ def test_criterion_2_dual_path_oracle():
         for a in range(r + 1):
             f = HomogPoly.monomial(a, r)
             phi = phi_matrix(r)
+            fast = power_sum_sequence(f, 16, phi=phi)
             for n in range(1, 17):
-                assert power_sum_direct(n, f) == power_sum_fast(n, f, phi=phi), (
-                    r,
-                    a,
-                    n,
-                )
+                assert power_sum_direct(n, f) == fast[n - 1], (r, a, n)
                 checked += 1
     # spot checks at larger n for the cubic monomials
-    for n in (18, 20, 22):
-        for a in range(4):
-            f = HomogPoly.monomial(a, 3)
-            assert power_sum_direct(n, f) == power_sum_fast(n, f), (a, n)
+    for a in range(4):
+        f = HomogPoly.monomial(a, 3)
+        fast = power_sum_sequence(f, 22)
+        for n in (18, 20, 22):
+            assert power_sum_direct(n, f) == fast[n - 1], (a, n)
             checked += 1
     _report(
         "2 dual-path oracle",
@@ -113,16 +111,18 @@ def test_criterion_4_structural_identities_r40():
     t0 = time.time()
     ok = True
     for r in range(1, 41, 2):
-        ann = check_annihilation_identities(r)
-        dims = odd_case_dims(r)
+        ctx = spectral_context(r)
+        ann = check_annihilation_identities(ctx)
+        dims = odd_case_dims(ctx)
         ok &= ann["phi_kills_W"]
         ok &= ann["space_dim"] == dims["dim_W"]
         ok &= dims["count"] == dims["dim_W"] == dims["formula"]
         ok &= dims["count_sym"] == dims["dim_W_sym"] == dims["formula_sym"]
     for r in range(2, 41, 2):
-        ann = check_annihilation_identities(r)
+        ctx = spectral_context(r)
+        ann = check_annihilation_identities(ctx)
         ok &= ann["phi_plus_iota_kills_X"]
-        dims = eigenspace_dims(r)
+        dims = eigenspace_dims(ctx)
         for key in (
             "dim_X",
             "dim_Y_plus",

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 import sternsums.cli as cli_mod
+import sternsums.recurrences as recurrences
 import sternsums.spectra as spectra
+import sternsums.stern as stern
 from sternsums.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -15,13 +17,15 @@ from sternsums.cli import (
     MINE_MAX_DEGREE,
     MINE_MAX_TERMS,
     PHI_MAX_DEGREE,
+    SUMS_MAX_DEGREE,
+    SUMS_MAX_TERMS,
     VERIFY_MAX_DEGREE,
-    decode_rational,
     encode_rational,
     main,
     parse_fspec,
 )
 from sternsums.forms import HomogPoly
+from sternsums.linalg import InexactDivisionError
 
 
 def run(capsys, *argv):
@@ -37,7 +41,7 @@ def test_rational_encoding_round_trips():
     cases = [0, 1, -7, 3 * 7**20, Fraction(1, 3), Fraction(-22, 7), Fraction(4, 2)]
     for x in cases:
         s = encode_rational(x)
-        assert decode_rational(s) == x
+        assert Fraction(s) == x
         assert "/1" not in s
     assert encode_rational(Fraction(4, 2)) == "2"
     assert encode_rational(Fraction(-1, 3)) == "-1/3"
@@ -134,6 +138,44 @@ def test_sums_bad_fspec(capsys):
     assert code == EXIT_USAGE
 
 
+def _no_sums(*args, **kwargs):
+    raise AssertionError("power sums were computed past the cap")
+
+
+def _block_sums(monkeypatch):
+    monkeypatch.setattr(cli_mod, "power_sum_sequence", _no_sums)
+    monkeypatch.setattr(cli_mod, "power_sum_direct", _no_sums)
+    monkeypatch.setattr(stern, "phi_matrix", _no_sums)
+
+
+def test_sums_degree_cap(monkeypatch, capsys):
+    code, out, _ = run(capsys, "sums", f"x^{SUMS_MAX_DEGREE}", "2", "--both", "--json")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert results["values"] == ["1", "3"] and results["paths_agree"] is True
+    _block_sums(monkeypatch)
+    past = SUMS_MAX_DEGREE + 1
+    dense = "coeffs=[" + ",".join(["1"] * (past + 1)) + "]"
+    for spec in (f"x^{past}", f"x^{past - 1}y", dense):
+        for mode in ("--fast", "--both", "--direct"):
+            code, out, err = run(capsys, "sums", spec, "2", mode)
+            assert code == EXIT_RESOURCE and out == ""
+            assert f"SUMS_MAX_DEGREE={SUMS_MAX_DEGREE}" in err
+
+
+def test_sums_terms_cap(monkeypatch, capsys):
+    # S_n(x) = 3^(n - 1)
+    code, out, _ = run(capsys, "sums", "x", str(SUMS_MAX_TERMS), "--json")
+    assert code == EXIT_OK
+    values = json.loads(out)["results"]["values"]
+    assert len(values) == SUMS_MAX_TERMS and values[-1] == str(3 ** (SUMS_MAX_TERMS - 1))
+    _block_sums(monkeypatch)
+    for mode in ("--fast", "--both", "--direct"):
+        code, out, err = run(capsys, "sums", "x", str(SUMS_MAX_TERMS + 1), mode)
+        assert code == EXIT_RESOURCE and out == ""
+        assert f"SUMS_MAX_TERMS={SUMS_MAX_TERMS}" in err
+
+
 # -- phi -----------------------------------------------------------------------
 
 
@@ -205,8 +247,8 @@ def test_verify_residue_count_mismatch_is_a_failed_check(monkeypatch, capsys):
     # a residue count that disagrees with dim W is reported, not raised
     real = spectra.odd_case_dims
 
-    def miscounted(r, ctx=None):
-        dims = real(r, ctx)
+    def miscounted(ctx):
+        dims = real(ctx)
         return {**dims, "count": dims["count"] + 1}
 
     monkeypatch.setattr(spectra, "odd_case_dims", miscounted)
@@ -280,6 +322,24 @@ def test_mine_terms_cap(capsys):
     code, out, err = run(capsys, "mine", "1", "--terms", str(MINE_MAX_TERMS + 1))
     assert code == EXIT_RESOURCE and out == ""
     assert f"MINE_MAX_TERMS={MINE_MAX_TERMS}" in err
+
+
+def test_mine_arithmetic_error_exits_1_naming_the_degree(monkeypatch, capsys):
+    # a mined recurrence that fails its exact check on the window
+    with monkeypatch.context() as patch:
+        patch.setattr(recurrences, "verify_recurrence", lambda seq, rec: False)
+        code, out, err = run(capsys, "mine", "4", "--json")
+    assert code == EXIT_VERIFICATION_FAILED and out == ""
+    assert "r=4" in err and "Berlekamp-Massey" in err
+
+    # a division that must be exact is not
+    def inexact(p, q, k):
+        raise InexactDivisionError(f"({p}) is not divisible by ({q})")
+
+    monkeypatch.setattr(recurrences, "divide_out", inexact)
+    code, out, err = run(capsys, "mine", "5", "--affine")
+    assert code == EXIT_VERIFICATION_FAILED and out == ""
+    assert "r=5" in err and "not divisible" in err
 
 
 def test_broken_pipe_is_not_an_error(monkeypatch):

@@ -296,9 +296,8 @@ def test_matrix_algebra_basics():
     assert (a @ b).to_lists() == [[2, 1], [4, 3]]
     assert (a + b - b) == a
     assert (a * 2).to_lists() == [[2, 4], [6, 8]]
-    assert a.transpose().to_lists() == [[1, 3], [2, 4]]
-    assert a.power(0) == RationalMatrix.identity(2)
-    assert a.power(3) == a @ a @ a
+    assert a @ RationalMatrix.identity(2) == a == RationalMatrix.identity(2) @ a
+    assert (a @ a @ a).to_lists() == [[37, 54], [81, 118]]
     assert a.mat_vec([1, 1]) == [3, 7]
     assert RationalMatrix.vstack([a, b]).nrows == 4
 

@@ -1,22 +1,119 @@
 """Rules the library source keeps.
 
 No invariant may rest on `assert`: `python -O` strips assert statements, so
-a broken invariant would pass silently.  Checks raise explicit errors.
+a broken invariant would pass silently.  Checks raise explicit errors, and
+none of them is an AssertionError, which reads as a failed assert.
+
+The public API is the list below.  Adding or removing a name is a deliberate
+change: edit the list and record it in CHANGES.md.
 """
 
 import ast
 from pathlib import Path
 
+import sternsums
+
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "sternsums"
+
+PUBLIC_API = [
+    "AFFINE_ALT",
+    "DEFAULT_ROW_CAP",
+    "EVEN",
+    "HOMOGENEOUS",
+    "HomogPoly",
+    "IDENTITY",
+    "IOTA",
+    "InexactDivisionError",
+    "InsufficientDataError",
+    "IntPolynomial",
+    "LinearRecurrence",
+    "Mat2",
+    "MiningResult",
+    "MultiplicityCheck",
+    "NonSquareMatrixError",
+    "ODD",
+    "PeriodicFn",
+    "RHO",
+    "RHO_TWIST",
+    "RationalMatrix",
+    "RowCapError",
+    "SIGMA",
+    "SpectralContext",
+    "SternRow",
+    "TAU",
+    "VerificationReport",
+    "annihilator_recurrence",
+    "anti_quotient",
+    "charpoly",
+    "check_annihilation_identities",
+    "check_diagonalizability",
+    "corollary_bound",
+    "divide_out",
+    "eigen_multiplicity",
+    "eigenspace_dims",
+    "fit_recurrence",
+    "is_squarefree",
+    "kernel_basis",
+    "min_affine_alt_recurrence",
+    "min_recurrence",
+    "mine_all_monomials",
+    "minpoly",
+    "monomial_name",
+    "nullity",
+    "odd_case_dims",
+    "operator_matrix",
+    "periodic_eval",
+    "phi_matrix",
+    "polynomial_gcd",
+    "power_sum_direct",
+    "power_sum_sequence",
+    "predicted_bounds",
+    "rank",
+    "root_power",
+    "shortened_annihilator",
+    "solve_linear",
+    "spectral_context",
+    "stern_row",
+    "substitute",
+    "sym_quotient",
+    "verify_range",
+    "verify_recurrence",
+    "verify_single",
+]
+
+
+def _nodes():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path, node
 
 
 def test_library_has_no_assert_statements():
-    modules = sorted(SOURCE.glob("*.py"))
-    assert modules
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        f"{path.name}:{node.lineno}" for path, node in _nodes() if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_raises_no_assertion_error():
+    def raised_name(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return exc.id if isinstance(exc, ast.Name) else None
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and raised_name(node) == "AssertionError"
+    ]
+    assert found == []
+
+
+def test_public_api_snapshot():
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert sternsums.__all__ == PUBLIC_API
+    missing = [name for name in PUBLIC_API if not hasattr(sternsums, name)]
+    assert missing == []

@@ -23,6 +23,7 @@ from sternsums.spectra import (
     odd_case_dims,
     periodic_eval,
     predicted_bounds,
+    spectral_context,
     verify_range,
     verify_single,
 )
@@ -74,14 +75,14 @@ def test_predicted_bounds_are_nonnegative_integers_up_to_100():
 
 
 def test_odd_case_dims_goldens():
-    d3 = odd_case_dims(3)
+    d3 = odd_case_dims(spectral_context(3))
     assert d3["count"] == 2  # a in {0, 3}
     assert d3["dim_W"] == 2
     assert d3["count_sym"] == 1 == d3["dim_W_sym"]
-    assert odd_case_dims(1)["count"] == 0
-    assert odd_case_dims(9)["count"] == 4  # a in {0, 3, 6, 9}
+    assert odd_case_dims(spectral_context(1))["count"] == 0
+    assert odd_case_dims(spectral_context(9))["count"] == 4  # a in {0, 3, 6, 9}
     with pytest.raises(ValueError):
-        odd_case_dims(4)
+        odd_case_dims(spectral_context(4))
 
 
 def test_dim_value_rejects_a_non_dimension():
@@ -93,13 +94,13 @@ def test_dim_value_rejects_a_non_dimension():
 
 def test_odd_counts_match_formulas_up_to_60():
     for r in range(1, 61, 2):
-        d = odd_case_dims(r)
+        d = odd_case_dims(spectral_context(r))
         assert d["count"] == d["formula"], r
         assert d["count_sym"] == d["formula_sym"], r
 
 
 def test_eigenspace_dims_r2_golden():
-    e2 = eigenspace_dims(2)
+    e2 = eigenspace_dims(spectral_context(2))
     assert e2["dim_X"] == {"formula": 2, "computed": 2}
     assert e2["dim_Y_plus"]["computed"] == 1
     assert e2["dim_Y_minus"]["computed"] == 2
@@ -109,9 +110,9 @@ def test_eigenspace_dims_r2_golden():
     assert e2["dim_Y_plus_sym"]["computed"] == 1
     assert e2["dim_Y_minus_sym"]["computed"] == 1
     with pytest.raises(ValueError):
-        eigenspace_dims(3)
+        eigenspace_dims(spectral_context(3))
     with pytest.raises(ValueError):
-        eigenspace_dims(0)
+        eigenspace_dims(spectral_context(0))
 
 
 def test_quarter_turn_eigenspaces_r2_by_hand():
@@ -155,15 +156,15 @@ def test_conjugate_twists_share_eigenspace_dimensions_odd():
         ident = RationalMatrix.identity(n)
         d_twist = len(kernel_basis(operator_matrix(RHO_TWIST, r) + ident))
         d_rho = len(kernel_basis(operator_matrix(RHO, r) + ident))
-        assert d_twist == d_rho == odd_case_dims(r)["dim_W"], r
+        assert d_twist == d_rho == odd_case_dims(spectral_context(r))["dim_W"], r
 
 
 def test_annihilation_identities():
-    a3 = check_annihilation_identities(3)
+    a3 = check_annihilation_identities(spectral_context(3))
     assert a3 == {"phi_kills_W": True, "space_dim": 2}
-    a2 = check_annihilation_identities(2)
+    a2 = check_annihilation_identities(spectral_context(2))
     assert a2 == {"phi_plus_iota_kills_X": True, "space_dim": 2}
-    a1 = check_annihilation_identities(1)
+    a1 = check_annihilation_identities(spectral_context(1))
     assert a1["phi_kills_W"] and a1["space_dim"] == 0  # vacuous
 
 
@@ -179,9 +180,9 @@ def test_transfer_factors_through_twist_plus_one():
 
 
 def test_diagonalizability_witnesses():
-    assert check_diagonalizability(0) == (True, True)
-    assert check_diagonalizability(3) == (True, True)
-    assert check_diagonalizability(20) == (True, True)
+    assert check_diagonalizability(spectral_context(0)) == (True, True)
+    assert check_diagonalizability(spectral_context(3)) == (True, True)
+    assert check_diagonalizability(spectral_context(20)) == (True, True)
 
 
 def test_symmetry_identity_spot_values():

@@ -8,8 +8,8 @@ from sternsums.stern import (
     DEFAULT_ROW_CAP,
     RowCapError,
     SternRow,
+    _pair_evaluator,
     power_sum_direct,
-    power_sum_fast,
     power_sum_sequence,
     stern_row,
 )
@@ -90,20 +90,21 @@ def test_power_sum_direct_honors_cap():
 
 
 def test_power_sum_fast_goldens():
-    assert power_sum_fast(4, X3) == 147
+    # the fast route: S_n is the last entry of the transfer-matrix sequence
+    assert power_sum_sequence(X3, 4)[-1] == 147
     for f in (X3, X2Y, HomogPoly([Fraction(1, 3), 2])):
-        assert power_sum_fast(1, f) == f(0, 1) + f(1, 0)
+        assert power_sum_sequence(f, 1) == [f(0, 1) + f(1, 0)]
     # the length-1 pattern with ratio 7 starts at S_2 = 3: S_n = 3 * 7^(n-2)
-    assert power_sum_fast(16, X3) == 3 * 7**14
+    assert power_sum_sequence(X3, 16)[-1] == 3 * 7**14
 
 
 def test_power_sum_fast_validates_operator_cache():
     phi3 = phi_matrix(3)
-    assert power_sum_fast(5, X3, phi=phi3) == power_sum_fast(5, X3)
+    assert power_sum_sequence(X3, 5, phi=phi3) == power_sum_sequence(X3, 5)
     with pytest.raises(ValueError):
-        power_sum_fast(5, HomogPoly.monomial(1, 2), phi=phi3)
+        power_sum_sequence(HomogPoly.monomial(1, 2), 5, phi=phi3)
     with pytest.raises(ValueError):
-        power_sum_fast(0, X3)
+        power_sum_sequence(X3, 0)
 
 
 def test_power_sum_sequence_goldens():
@@ -113,35 +114,46 @@ def test_power_sum_sequence_goldens():
 
 
 def test_power_sum_sequence_matches_pointwise_fast():
+    # every prefix is the sequence of the shorter horizon
     f = HomogPoly([2, -1, 0, 3, 1])
     seq = power_sum_sequence(f, 9)
     for n in range(1, 10):
-        assert seq[n - 1] == power_sum_fast(n, f)
+        assert seq[n - 1] == power_sum_sequence(f, n)[-1]
+
+
+# Single-term forms take the pow-based evaluator: x^a y^b at a = 0, a = r
+# and r = 0, with negative and with rational coefficients.
+SINGLE_TERMS = [
+    HomogPoly.monomial(a, r) * c
+    for r in range(0, 6)
+    for a in range(r + 1)
+    for c in (1, -3)
+] + [HomogPoly.monomial(2, 5) * Fraction(-5, 7), HomogPoly.monomial(4, 4) * Fraction(1, 2)]
 
 
 def test_dual_path_agreement_small():
-    for r in range(0, 5):
-        for a in range(r + 1):
-            f = HomogPoly.monomial(a, r)
-            for n in range(1, 9):
-                assert power_sum_direct(n, f) == power_sum_fast(n, f), (r, a, n)
+    pairs = [(0, 1), (1, 0), (0, 0), (2, 3), (-4, 5), (7, -1)]
+    for f in SINGLE_TERMS:
+        ev = _pair_evaluator(f)
+        for x, y in pairs:
+            assert ev(x, y) == f(x, y), (f, x, y)
+        direct = [power_sum_direct(n, f) for n in range(1, 11)]
+        assert direct == power_sum_sequence(f, 10), f
 
 
 def test_dual_path_agreement_rational_coefficients():
     f = HomogPoly([Fraction(1, 2), Fraction(-2, 3), 1])
-    for n in range(1, 8):
-        assert power_sum_direct(n, f) == power_sum_fast(n, f)
+    assert [power_sum_direct(n, f) for n in range(1, 8)] == power_sum_sequence(f, 7)
 
 
 def test_swap_symmetry_spot():
     f = HomogPoly([3, 1, 4, 1, 5])
-    for n in range(1, 8):
-        assert power_sum_fast(n, f) == power_sum_fast(n, f.swap())
+    assert power_sum_sequence(f, 7) == power_sum_sequence(f.swap(), 7)
 
 
 def test_linearity_spot():
     f, g = HomogPoly([1, 2, 3]), HomogPoly([0, -1, 5])
     a, b = Fraction(2, 3), Fraction(-7, 2)
-    for n in range(1, 8):
-        lhs = power_sum_fast(n, a * f + b * g)
-        assert lhs == a * power_sum_fast(n, f) + b * power_sum_fast(n, g)
+    lhs = power_sum_sequence(a * f + b * g, 7)
+    sf, sg = power_sum_sequence(f, 7), power_sum_sequence(g, 7)
+    assert lhs == [a * x + b * y for x, y in zip(sf, sg)]

@@ -228,7 +228,7 @@ def test_context_holds_one_block_per_swap_class():
     assert all(isinstance(x, int) for v in ctx.twist_kernel for x in v)
     assert spectral_context(0).blocks == (spectral_context(0).sym,)
     with pytest.raises(ValueError):
-        spectra.odd_case_dims(5, ctx)
+        spectra.odd_case_dims(ctx)
 
 
 # -- the certificate of the split -------------------------------------------------
