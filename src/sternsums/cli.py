@@ -9,8 +9,8 @@ fixed and kernel bases are canonical.
 
 Exit codes: 0 success (and, for verify/mine, every check passed);
 1 a verified bound or equality failed; 2 usage or input error;
-3 resource limit (a row index past the configured cap, or a degree or term
-count past the caps below).
+3 resource limit (a row index past the configured cap, a --cap above
+DEFAULT_ROW_CAP, or a degree or term count past the caps below).
 """
 
 from __future__ import annotations
@@ -156,7 +156,20 @@ def _matrix_payload(m) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _cap_too_high(cap: int) -> bool:
+    """Report a --cap above DEFAULT_ROW_CAP, which would allow rows too big to build."""
+    if cap <= DEFAULT_ROW_CAP:
+        return False
+    print(
+        f"error: --cap {cap} is above the limit DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_row(args) -> int:
+    if _cap_too_high(args.cap):
+        return EXIT_RESOURCE
     try:
         row = stern_row(args.n, args.cap)
     except RowCapError as exc:
@@ -198,29 +211,31 @@ def cmd_sums(args) -> int:
             file=sys.stderr,
         )
         return EXIT_RESOURCE
+    if _cap_too_high(args.cap):
+        return EXIT_RESOURCE
     mode = args.mode
+    if mode in ("direct", "both") and args.n_max > args.cap:
+        # the direct route needs rows 1..n_max; refuse before building any
+        print(f"error: {RowCapError(args.cap + 1, args.cap)}", file=sys.stderr)
+        return EXIT_RESOURCE
     values = None
     agree = None
-    try:
-        if mode in ("fast", "both"):
-            values = power_sum_sequence(f, args.n_max)
-        if mode in ("direct", "both"):
-            direct = [
-                power_sum_direct(n, f, args.cap) for n in range(1, args.n_max + 1)
-            ]
-            if mode == "both":
-                agree = direct == values
-                if not agree:
-                    print(
-                        "error: direct and fast power sums disagree",
-                        file=sys.stderr,
-                    )
-                    return EXIT_VERIFICATION_FAILED
-            else:
-                values = direct
-    except RowCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    if mode in ("fast", "both"):
+        values = power_sum_sequence(f, args.n_max)
+    if mode in ("direct", "both"):
+        direct = [
+            power_sum_direct(n, f, args.cap) for n in range(1, args.n_max + 1)
+        ]
+        if mode == "both":
+            agree = direct == values
+            if not agree:
+                print(
+                    "error: direct and fast power sums disagree",
+                    file=sys.stderr,
+                )
+                return EXIT_VERIFICATION_FAILED
+        else:
+            values = direct
     if args.format == "json":
         results = {"values": values, "mode": mode}
         if agree is not None:
@@ -435,7 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_row = sub.add_parser("row", help="print one row of the Stern array")
     p_row.add_argument("n", type=int, help="row index (1-based)")
     p_row.add_argument(
-        "--cap", type=int, default=DEFAULT_ROW_CAP, help="row generation cap"
+        "--cap",
+        type=int,
+        default=DEFAULT_ROW_CAP,
+        help=f"row generation cap (at most {DEFAULT_ROW_CAP})",
     )
     _add_format_args(p_row, csv=True)
     p_row.set_defaults(func=cmd_row)
@@ -466,7 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sums.set_defaults(mode="fast")
     p_sums.add_argument(
-        "--cap", type=int, default=DEFAULT_ROW_CAP, help="row cap for --direct/--both"
+        "--cap",
+        type=int,
+        default=DEFAULT_ROW_CAP,
+        help=f"row cap for --direct/--both (at most {DEFAULT_ROW_CAP})",
     )
     _add_format_args(p_sums, csv=True)
     p_sums.set_defaults(func=cmd_sums)

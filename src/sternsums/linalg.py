@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices with int/Fraction entries and integer-coefficient polynomials.
-Rank and kernels come from fraction-free (Bareiss) elimination, characteristic
-polynomials from the division-free Samuelson-Berkowitz recursion, and minimal
-polynomials from Krylov linear dependence with an explicit annihilation
-certificate.  No floating point anywhere.
+One fraction-free (Bareiss) elimination serves rank, kernels, linear solves
+and minimal polynomials: a minimal polynomial is the first Krylov linear
+dependence that elimination finds, with an annihilation certificate built
+into the cyclic-vector loop.  Characteristic polynomials come from the
+division-free Samuelson-Berkowitz recursion.  No floating point anywhere.
 
 All functions are pure; matrices and polynomials are immutable after
 construction and safe to share between threads.
@@ -288,7 +289,7 @@ class IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination: rank and kernels
+# fraction-free elimination: rank, kernels and linear solves
 # ---------------------------------------------------------------------------
 
 
@@ -374,6 +375,28 @@ def nullity(m: RationalMatrix) -> int:
     return m.ncols - rank(m)
 
 
+def _kernel_vector(ech: list, piv_cols: list, nc: int, f: int) -> list:
+    """Canonical kernel vector of an echelon form for the free column f.
+
+    Entry 1 at f, zeros at every other free column, and the pivot entries
+    solved for by back substitution.  Pivots right of f solve to zero, so
+    their rows are skipped.
+    """
+    v = [Fraction(0)] * nc
+    v[f] = Fraction(1)
+    for i in range(len(piv_cols) - 1, -1, -1):
+        p = piv_cols[i]
+        if p > f:
+            continue
+        row = ech[i]
+        s = Fraction(0)
+        for j in range(p + 1, f + 1):
+            if row[j] and v[j]:
+                s += row[j] * v[j]
+        v[p] = -s / row[p]
+    return v
+
+
 def kernel_basis(m: RationalMatrix) -> list:
     """Canonical basis of the right kernel.
 
@@ -383,62 +406,31 @@ def kernel_basis(m: RationalMatrix) -> list:
     regardless of pivoting order.
     """
     ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows))
-    nc = m.ncols
     piv_set = set(piv_cols)
-    basis = []
-    for f in range(nc):
-        if f in piv_set:
-            continue
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for i in range(len(piv_cols) - 1, -1, -1):
-            p = piv_cols[i]
-            row = ech[i]
-            s = Fraction(0)
-            for j in range(p + 1, nc):
-                if row[j] and v[j]:
-                    s += row[j] * v[j]
-            v[p] = -s / row[p]
-        basis.append(tuple(v))
-    return basis
+    return [
+        tuple(_kernel_vector(ech, piv_cols, m.ncols, f))
+        for f in range(m.ncols)
+        if f not in piv_set
+    ]
 
 
 def solve_linear(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]):
     """Exact solution of an (over)determined linear system, or None.
 
-    Plain Gauss-Jordan over Fraction; meant for the small systems that show
-    up in recurrence fitting.  Free variables are set to zero, so the output
-    is deterministic.  Returns None when the system is inconsistent.
+    Fraction-free elimination of the augmented matrix [A | b]: the system is
+    inconsistent exactly when the b column is a pivot, and otherwise the
+    kernel vector for that column, negated, solves A x = b.  Free variables
+    are set to zero, so the output is deterministic.
     """
-    nr = len(rows)
-    if nr == 0:
+    if not rows:
         return []
     nc = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if aug[i][nc]:
-            return None
-    sol = [Fraction(0)] * nc
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][nc]
-    return sol
+    ech, piv_cols = _bareiss_echelon(
+        _integer_rows([[*row, b] for row, b in zip(rows, rhs)])
+    )
+    if nc in piv_cols:
+        return None
+    return [-x for x in _kernel_vector(ech, piv_cols, nc + 1, nc)[:nc]]
 
 
 # ---------------------------------------------------------------------------
@@ -549,52 +541,27 @@ def _poly_apply_to_unit(coeffs: Sequence[int], rows: list, i: int) -> list:
 def _vector_minpoly(rows: list, v: list) -> list:
     """Monic minimal polynomial of the vector v under the integer matrix.
 
-    Krylov vectors are reduced incrementally against a growing echelon basis;
-    each stored vector is content-normalized so the integer arithmetic stays
-    small.  Returns integer coefficients, lowest degree first.
+    The Krylov vectors v, Av, ..., A^n v are the columns of an n x (n+1)
+    integer matrix.  Its first non-pivot column d is the degree, and the
+    canonical kernel vector for d holds the monic coefficients, lowest
+    degree first.
     """
     n = len(rows)
-    basis = []  # (pivot index, primitive int vector, combo over raw Krylov vecs)
-    raw = list(v)
-    d = 0
-    while d <= n:
-        w = [Fraction(x) for x in raw]
-        combo = [Fraction(0)] * d + [Fraction(1)]
-        for piv, bvec, bcombo in basis:
-            cw = w[piv]
-            if cw:
-                f = cw / bvec[piv]
-                for j in range(n):
-                    if bvec[j]:
-                        w[j] -= f * bvec[j]
-                for j in range(len(bcombo)):
-                    if bcombo[j]:
-                        combo[j] -= f * bcombo[j]
-        if not any(w):
-            if combo[-1] != 1:
-                raise ArithmeticError(
-                    "Krylov dependence lost its leading coefficient"
-                )
-            out = []
-            for c in combo:
-                if c.denominator != 1:
-                    raise InexactDivisionError(
-                        "minimal polynomial of this rational matrix is not integral"
-                    )
-                out.append(int(c))
-            return out
-        dens = [x.denominator for x in w]
-        l = math.lcm(*dens)
-        ints = [int(x * l) for x in w]
-        g = math.gcd(*ints)
-        ints = [x // g for x in ints]
-        factor = Fraction(l, g)
-        combo = [c * factor for c in combo]
-        pivot = next(j for j in range(n) if ints[j])
-        basis.append((pivot, ints, combo))
-        raw = [_dot(row, raw) for row in rows]
-        d += 1
-    raise ArithmeticError("no Krylov dependence by degree n")
+    krylov = [v]
+    for _ in range(n):
+        krylov.append([_dot(row, krylov[-1]) for row in rows])
+    ech, piv_cols = _bareiss_echelon([list(col) for col in zip(*krylov)])
+    # once A^d v depends on the vectors before it, so does every later one,
+    # so the pivots are exactly the columns 0..d-1
+    d = len(piv_cols)
+    out = []
+    for c in _kernel_vector(ech, piv_cols, n + 1, d)[: d + 1]:
+        if c.denominator != 1:
+            raise InexactDivisionError(
+                "minimal polynomial of this rational matrix is not integral"
+            )
+        out.append(int(c))
+    return out
 
 
 def minpoly(m: RationalMatrix) -> IntPolynomial:

@@ -64,6 +64,7 @@ from .linalg import (
     is_squarefree,
     kernel_basis,
     minpoly,
+    nullity,
     rank,
 )
 
@@ -304,7 +305,7 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
     y_minus_basis = _integer_kernel(iota_m + ident)
 
     def joint_dim(mat_a, mat_b):
-        return len(kernel_basis(RationalMatrix.vstack([mat_a, mat_b])))
+        return nullity(RationalMatrix.vstack([mat_a, mat_b]))
 
     dim_x = len(x_basis)
     dim_yp = len(y_plus_basis)

@@ -10,6 +10,7 @@ import sternsums.recurrences as recurrences
 import sternsums.spectra as spectra
 import sternsums.stern as stern
 from sternsums.cli import (
+    DEFAULT_ROW_CAP,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
@@ -101,6 +102,34 @@ def test_row_exit_codes(capsys):
     assert code == EXIT_RESOURCE
 
 
+def _no_rows(*args, **kwargs):
+    raise AssertionError("a row was built past the cap")
+
+
+def _block_rows(monkeypatch):
+    monkeypatch.setattr(stern, "stern_row", _no_rows)
+    monkeypatch.setattr(cli_mod, "stern_row", _no_rows)
+    monkeypatch.setattr(cli_mod, "power_sum_sequence", _no_rows)
+
+
+def test_cap_option_is_capped(monkeypatch, capsys):
+    at = str(DEFAULT_ROW_CAP)
+    code, out, _ = run(capsys, "row", "3", "--format", "csv", "--cap", at)
+    assert code == EXIT_OK and out.strip() == "1,1,2,1,2,1,1"
+    code, out, _ = run(capsys, "sums", "x^3", "4", "--both", "--cap", at)
+    assert code == EXIT_OK and out.strip() == "1 3 21 147 (paths agree)"
+    _block_rows(monkeypatch)
+    past = str(DEFAULT_ROW_CAP + 1)
+    code, out, err = run(capsys, "sums", "x", past, "--direct", "--cap", at)
+    assert code == EXIT_RESOURCE and out == ""
+    assert f"configured cap {DEFAULT_ROW_CAP}" in err
+    sums = [("sums", "x", "3", mode) for mode in ("--fast", "--both", "--direct")]
+    for argv in [("row", "3"), ("row", past), *sums]:
+        code, out, err = run(capsys, *argv, "--cap", past)
+        assert code == EXIT_RESOURCE and out == ""
+        assert f"DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in err
+
+
 # -- sums ----------------------------------------------------------------------
 
 
@@ -122,6 +151,14 @@ def test_sums_direct_respects_cap(capsys):
     assert code == EXIT_RESOURCE
     code, _, _ = run(capsys, "sums", "x^2", "7", "--fast", "--cap", "6")
     assert code == EXIT_OK
+
+
+def test_sums_past_row_cap_exits_before_any_row(monkeypatch, capsys):
+    _block_rows(monkeypatch)
+    for mode in ("--both", "--direct"):
+        code, out, err = run(capsys, "sums", "x", "30", mode, "--cap", "20")
+        assert code == EXIT_RESOURCE and out == ""
+        assert "row index 21" in err and "configured cap 20" in err
 
 
 def test_sums_json_and_csv(capsys):

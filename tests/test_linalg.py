@@ -2,7 +2,9 @@
 
 The fraction-free (Bareiss) route is cross-checked against a plain rational
 Gaussian eliminator written here, and the Berkowitz characteristic
-polynomial against a cofactor expansion over polynomial entries.
+polynomial against a cofactor expansion over polynomial entries.  Minimal
+polynomials and linear solves, which run on the same Bareiss elimination,
+are checked against their definitions.
 """
 
 import random
@@ -27,6 +29,7 @@ from sternsums.linalg import (
     rank,
     solve_linear,
 )
+from sternsums.spectra import spectral_context
 
 
 # -- oracles ----------------------------------------------------------------
@@ -146,6 +149,40 @@ def test_solve_linear_consistent_and_inconsistent():
     assert solve_linear([[1, 1, 0]], [5]) == [5, 0, 0]
 
 
+def test_solve_linear_against_its_definition():
+    # x solves A x = b with 0 at every non-pivot column of A, or the answer
+    # is None exactly when b raises the rank
+    rng = random.Random(515)
+    for trial in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = random_matrix(rng, max(nr, nc), -3, 3, rational=True).to_lists()
+        rows = [row[:nc] for row in rows[:nr]]
+        if trial % 4 == 0 and nr > 2:
+            rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+        if trial % 5 == 0:
+            for row in rows:
+                row[nc - 1] = 3 * row[0]
+        if trial % 2:
+            x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
+            rhs = RationalMatrix(rows).mat_vec(x0)
+        else:
+            rhs = [rng.randint(-5, 5) for _ in range(nr)]
+        a = RationalMatrix(rows)
+        sol = solve_linear(rows, rhs)
+        aug = RationalMatrix([row + [b] for row, b in zip(rows, rhs)])
+        if sol is None:
+            assert naive_rank(a) < naive_rank(aug)
+            continue
+        assert naive_rank(a) == naive_rank(aug)
+        assert a.mat_vec(sol) == list(rhs)
+        prefix_ranks = [0] + [
+            naive_rank(RationalMatrix([row[:k] for row in rows]))
+            for k in range(1, nc + 1)
+        ]
+        for j in range(nc):
+            assert prefix_ranks[j + 1] > prefix_ranks[j] or sol[j] == 0
+
+
 # -- characteristic polynomial ----------------------------------------------
 
 
@@ -220,6 +257,85 @@ def test_minpoly_divides_charpoly_and_annihilates():
         assert divide_out(cp, mp, 1) is not None  # raises if not divisible
         assert mp.at_matrix(m).is_zero()
         assert mp.is_monic()
+
+
+def _conjugate(rng, m: RationalMatrix) -> RationalMatrix:
+    """E m E^-1 for a product E of elementary matrices I + t e_ij."""
+    n = m.nrows
+    for _ in range(rng.randint(0, 3)):
+        if n == 1:
+            break
+        i, j = rng.sample(range(n), 2)
+        t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        e = [[int(a == b) for b in range(n)] for a in range(n)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = t, -t
+        m = RationalMatrix(e) @ m @ RationalMatrix(e_inv)
+    return m
+
+
+def _block_diag(blocks) -> RationalMatrix:
+    n = sum(b.nrows for b in blocks)
+    rows = []
+    off = 0
+    for b in blocks:
+        for row in b.rows:
+            rows.append([0] * off + list(row) + [0] * (n - off - b.ncols))
+        off += b.ncols
+    return RationalMatrix(rows)
+
+
+def _jordan(lam: int, k: int) -> RationalMatrix:
+    return RationalMatrix(
+        [[lam if i == j else int(j == i + 1) for j in range(k)] for i in range(k)]
+    )
+
+
+def _seeded_square_matrices():
+    """Integer, rational, derogatory, Jordan, nilpotent and scalar matrices.
+
+    The rational ones are conjugates of integer ones by rational elementary
+    matrices, so their minimal polynomials stay integral.
+    """
+    rng = random.Random(8128)
+    for trial in range(200):
+        kind = trial % 6
+        n = rng.randint(1, 5)
+        if kind == 0:
+            m = random_matrix(rng, n, -4, 4)
+        elif kind == 1:
+            m = _conjugate(rng, random_matrix(rng, n, -4, 4))
+        elif kind == 2:
+            b = random_matrix(rng, rng.randint(1, 2), -3, 3)
+            c = RationalMatrix([[rng.randint(-2, 2)]])
+            m = _conjugate(rng, _block_diag([b, b, c]))
+        elif kind == 3:
+            lam = rng.randint(-2, 2)
+            sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+            m = _conjugate(rng, _block_diag([_jordan(lam, k) for k in sizes]))
+        elif kind == 4:
+            upper = [[rng.randint(-3, 3) * (j > i) for j in range(n)] for i in range(n)]
+            m = _conjugate(rng, RationalMatrix(upper))
+        else:
+            m = RationalMatrix.identity(n) * rng.randint(-3, 3)
+        yield m
+
+
+def test_minpoly_against_its_definition():
+    # monic, annihilates A, and I, A, ..., A^(d-1) are independent
+    mats = [b.matrix for r in range(21) for b in spectral_context(r).blocks]
+    mats += list(_seeded_square_matrices())
+    for m in mats:
+        p = minpoly(m)
+        assert p.is_monic()
+        assert p.at_matrix(m).is_zero()
+        d = p.degree()
+        power = RationalMatrix.identity(m.nrows)
+        flat = []
+        for _ in range(d):
+            flat.append([x for row in power.rows for x in row])
+            power = power @ m
+        assert rank(RationalMatrix(flat)) == d
 
 
 def test_minpoly_minimality_on_projector():

@@ -6,14 +6,20 @@ none of them is an AssertionError, which reads as a failed assert.
 
 The public API is the list below.  Adding or removing a name is a deliberate
 change: edit the list and record it in CHANGES.md.
+
+The benchmark's tracer wraps the functions its LAYERS table names, so every
+one of them must still resolve in the package.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import sternsums
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "sternsums"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "sternsums"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 PUBLIC_API = [
     "AFFINE_ALT",
@@ -117,3 +123,22 @@ def test_public_api_snapshot():
     assert sternsums.__all__ == PUBLIC_API
     missing = [name for name in PUBLIC_API if not hasattr(sternsums, name)]
     assert missing == []
+
+
+def test_traced_layers_resolve():
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    )
+    missing = []
+    for mod, names in layers.items():
+        for name in names:
+            obj = importlib.import_module(f"sternsums.{mod}")
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{mod}.{name}")
+    assert layers and missing == []
