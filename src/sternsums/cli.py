@@ -53,16 +53,19 @@ MINE_MAX_DEGREE = 60
 MINE_MAX_TERMS = 200
 # Degree caps on `phi` and `verify`; past either one the command exits
 # EXIT_RESOURCE.  On the same core, `phi 400` takes 0.6 s for 9 MB of text
-# (as long with `--sym`), and `phi 800` 6 to 8 s for 74 MB.
-# `verify r r` takes 1.3 s at r = 60, 7 s at 80, 36 s at 100 and over 3 min
-# at 120; `verify 61 100` about 8 min.
+# (as long with `--sym`), and `phi 800` 6 to 8 s for 74 MB.  The verify cap
+# keeps its top degree no dearer than `verify 100 100` was while the
+# squarefree witness still computed minimal polynomials: 26 to 31 s on one
+# core of a 2-core Intel Xeon machine, where `verify r r` now takes 5.7 s at
+# r = 100, 14.5 s at 120, 12 to 18.5 s at 128..130 and 30 to 32 s at 140.
 PHI_MAX_DEGREE = 400
-VERIFY_MAX_DEGREE = 100
+VERIFY_MAX_DEGREE = 130
 # Caps on `sums`: the form's degree and n_max; past either one it exits
 # EXIT_RESOURCE.  On the same core an integer form takes 0.9 s at degree 40
 # and n_max 600, 36 s at degree 100 and n_max 800, and 60 s at degree 100
-# and n_max 1000; a rational form of degree 100 takes 25 s at n_max 200 and
-# 78 s at 400.
+# and n_max 1000.  A rational form runs the same integer loop on its
+# coefficients times their common denominator, so it costs about as much as
+# an integer form of the same shape.
 SUMS_MAX_DEGREE = 100
 SUMS_MAX_TERMS = 800
 

@@ -5,7 +5,11 @@ One fraction-free (Bareiss) elimination serves rank, kernels, linear solves
 and minimal polynomials: a minimal polynomial is the first Krylov linear
 dependence that elimination finds, with an annihilation certificate built
 into the cyclic-vector loop.  Characteristic polynomials come from the
-division-free Samuelson-Berkowitz recursion.  No floating point anywhere.
+division-free Samuelson-Berkowitz recursion.  Polynomial gcds come from
+Brown's modular algorithm, certified by exact division, and a polynomial is
+evaluated at a matrix by Paterson-Stockmeyer on integer rows.  No floating
+point anywhere; the modular steps only propose, and exact integer checks
+decide.
 
 All functions are pure; matrices and polynomials are immutable after
 construction and safe to share between threads.
@@ -124,10 +128,7 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
-        cols = list(zip(*other.rows))
-        return RationalMatrix(
-            [[_dot(row, col) for col in cols] for row in self.rows]
-        )
+        return RationalMatrix(_matmul_rows(self.rows, other.rows))
 
     def mat_vec(self, vec: Sequence[Rational]) -> list:
         if len(vec) != self.ncols:
@@ -154,6 +155,12 @@ def _dot(a, b):
         if x and y:
             s += x * y
     return s
+
+
+def _matmul_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
+    """Product of two matrices given as rows, as a list of lists."""
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +249,45 @@ class IntPolynomial:
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def at_matrix(self, m: RationalMatrix) -> RationalMatrix:
-        """Evaluate at a square matrix (Horner)."""
-        if m.nrows != m.ncols:
-            raise NonSquareMatrixError("polynomial evaluation needs a square matrix")
+        """Evaluate at a square matrix by Paterson-Stockmeyer.
+
+        With k = isqrt(deg), p is a polynomial in A^k whose coefficients are
+        polynomials in A of degree below k, so about 2*sqrt(deg) matrix
+        products replace Horner's deg.  The products run on integer rows: for
+        A = M / den, den**deg * p(x / den) has integer coefficients, is
+        evaluated at M, and the result is divided by den**deg.
+        """
+        _require_square(m)
         n = m.nrows
-        acc = RationalMatrix.zeros(n, n)
-        for c in reversed(self.coeffs):
-            acc = acc @ m
-            if c:
-                acc = acc + RationalMatrix.identity(n) * c
-        return acc
+        if self.is_zero():
+            return RationalMatrix.zeros(n, n)
+        rows, den = _integer_rows_uniform(m)
+        d = self.degree()
+        cs = [c * den ** (d - i) for i, c in enumerate(self.coeffs)]
+        k = max(1, math.isqrt(d))
+        powers = [None, rows]  # powers[i] = M^i for i >= 1
+        for _ in range(k - 1):
+            powers.append(_matmul_rows(powers[-1], rows))
+        top = d // k
+        acc = [[0] * n for _ in range(n)]
+        for j in range(top, -1, -1):
+            if j < top:
+                acc = _matmul_rows(acc, powers[k])
+            for i, c in enumerate(cs[j * k : j * k + k]):
+                if not c:
+                    continue
+                if i == 0:
+                    for t in range(n):
+                        acc[t][t] += c
+                else:
+                    acc = [
+                        [x + c * y for x, y in zip(ra, rp)]
+                        for ra, rp in zip(acc, powers[i])
+                    ]
+        if den == 1:
+            return RationalMatrix(acc)
+        scale = den**d
+        return RationalMatrix([[Fraction(x, scale) for x in row] for row in acc])
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -624,30 +660,88 @@ def eigen_multiplicity(
     return nullity(shifted), root_power(charpoly(m) if cp is None else cp, lam)
 
 
-def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list:
-    """Pseudo-remainder of integer coefficient lists (lowest first)."""
-    a = [c for c in a]
-    while a and a[-1] == 0:
-        a.pop()
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list | None:
+    """a / b over Z[x] for coefficient lists (lowest first, b nonzero), or None.
+
+    Long division in which every quotient coefficient must be an exact integer
+    quotient by b's leading coefficient, so None means that b does not divide
+    a in Z[x].
+    """
+    rem = list(a)
     db = len(b) - 1
     lb = b[-1]
-    while len(a) - 1 >= db and a:
-        la = a[-1]
-        da = len(a) - 1
-        a = [lb * c for c in a]
-        off = da - db
-        for i, bc in enumerate(b):
-            a[off + i] -= la * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+    quot = [0] * max(len(rem) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        f, r = divmod(rem[k + db], lb)
+        if r:
+            return None
+        if f:
+            quot[k] = f
+            for i, c in enumerate(b):
+                rem[k + i] -= f * c
+    return None if any(rem) else quot
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5, 7: exact for odd 7 < n < 3215031751."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _gcd_primes():
+    """The primes below 2**31, descending."""
+    for n in range(2**31 - 1, 7, -2):
+        if _is_prime(n):
+            yield n
+
+
+def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list:
+    """Monic gcd over GF(p) of coefficient lists (lowest first), by Euclid."""
+    a = [x % p for x in a]
+    b = [x % p for x in b]
+    for u in (a, b):
+        while u and not u[-1]:
+            u.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a[-1] * inv % p
+            off = len(a) - 1 - db
+            for i, c in enumerate(b):
+                a[off + i] = (a[off + i] - f * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
 
 
 def polynomial_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Gcd over Z[x] by the primitive polynomial remainder sequence.
+    """Gcd over Z[x] by Brown's modular algorithm, certified by exact division.
 
     Normalized primitive with positive leading coefficient (times the gcd of
-    the contents).
+    the contents).  For a prime that divides neither leading coefficient,
+    the gcd mod the prime has at least the degree of the true gcd; the images
+    of the smallest degree seen, scaled to the gcd of the leading
+    coefficients, are lifted by the Chinese remainder theorem.  Once the
+    lifted image stops changing, its primitive part is tried: if it divides
+    both inputs exactly it is a common divisor of at least the true gcd's
+    degree, hence the gcd.  No step is probabilistic (W. S. Brown, J. ACM 18,
+    1971).
     """
     if p.is_zero() and q.is_zero():
         return IntPolynomial()
@@ -656,14 +750,36 @@ def polynomial_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     if q.is_zero():
         return p.primitive() * p.content()
     c = math.gcd(p.content(), q.content())
-    a = list(p.primitive().coeffs)
-    b = list(q.primitive().coeffs)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = IntPolynomial(_pseudo_rem(a, b)).primitive()
-        a, b = b, list(r.coeffs)
-    return IntPolynomial(a).primitive() * c
+    a = p.primitive().coeffs
+    b = q.primitive().coeffs
+    lc = math.gcd(a[-1], b[-1])
+    size = None  # length of the images being lifted
+    for prime in _gcd_primes():
+        if not a[-1] % prime or not b[-1] % prime:
+            continue
+        image = _gcd_mod(a, b, prime)
+        if len(image) == 1:
+            return IntPolynomial([c])
+        if size is not None and len(image) > size:
+            continue  # the prime divides a resultant: its image is too large
+        if size is None or len(image) < size:
+            size, modulus, lifted, candidate = len(image), 1, [0] * len(image), None
+        step = pow(modulus, -1, prime)
+        lifted = [
+            u + modulus * ((v * lc - u) * step % prime) for u, v in zip(lifted, image)
+        ]
+        modulus *= prime
+        half = modulus // 2
+        previous = candidate
+        candidate = [x - modulus if x > half else x for x in lifted]
+        if candidate == previous:
+            g = IntPolynomial(candidate).primitive()
+            if (
+                _exact_quotient(a, g.coeffs) is not None
+                and _exact_quotient(b, g.coeffs) is not None
+            ):
+                return g * c
+    raise ArithmeticError("polynomial_gcd ran out of primes below 2**31")
 
 
 def is_squarefree(p: IntPolynomial) -> bool:
@@ -675,35 +791,6 @@ def is_squarefree(p: IntPolynomial) -> bool:
     return polynomial_gcd(p, p.derivative()).degree() == 0
 
 
-def _divmod_exact(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """p / q when the division is exact over Z[x]; raises otherwise."""
-    if q.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p.coeffs]
-    qc = q.coeffs
-    dq = len(qc) - 1
-    lq = qc[-1]
-    quot = [Fraction(0)] * max(len(rem) - dq, 0)
-    while len(rem) - 1 >= dq and any(rem):
-        while rem and not rem[-1]:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        k = len(rem) - 1 - dq
-        f = rem[-1] / lq
-        quot[k] = f
-        for i, c in enumerate(qc):
-            rem[k + i] -= f * c
-    if any(rem):
-        raise InexactDivisionError(f"({p}) is not divisible by ({q})")
-    try:
-        return IntPolynomial(quot)
-    except ValueError as exc:
-        raise InexactDivisionError(
-            f"({p}) / ({q}) has non-integer coefficients"
-        ) from exc
-
-
 def divide_out(p: IntPolynomial, q: IntPolynomial, k: int) -> IntPolynomial:
     """p / q**k with an exactness check at every step.
 
@@ -712,7 +799,11 @@ def divide_out(p: IntPolynomial, q: IntPolynomial, k: int) -> IntPolynomial:
     """
     if k < 0:
         raise ValueError("negative powers cannot be divided out")
-    out = p
+    if k and q.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    out = p.coeffs
     for _ in range(k):
-        out = _divmod_exact(out, q)
-    return out
+        out = _exact_quotient(out, q.coeffs)
+        if out is None:
+            raise InexactDivisionError(f"({p}) is not divisible by ({q})^{k} in Z[x]")
+    return IntPolynomial(out)

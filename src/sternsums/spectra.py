@@ -11,7 +11,11 @@ Verification is entirely rational.  Geometric multiplicities are kernel
 dimensions, algebraic ones come from repeated exact division of the
 characteristic polynomial, and the two diagonalizability witnesses are the
 integer symmetry identity a!(r-a)! M[a][b] == b!(r-b)! M[b][a] and
-squarefreeness of the minimal polynomials.
+squarefreeness of the minimal polynomials.  The second is certified from the
+characteristic polynomial cp without computing a minimal polynomial: the
+radical cp / gcd(cp, cp') must annihilate the matrix (see
+SwapBlock.minpoly_squarefree).  The Krylov minimal polynomial is the tests'
+oracle for it.
 
 The spectral work runs on two blocks of about half the size of the transfer
 matrix.  The swap J: f(x, y) -> f(y, x) commutes with it, because
@@ -60,11 +64,11 @@ from .linalg import (
     RationalMatrix,
     _integer_rows,
     charpoly,
+    divide_out,
     eigen_multiplicity,
-    is_squarefree,
     kernel_basis,
-    minpoly,
     nullity,
+    polynomial_gcd,
     rank,
 )
 
@@ -182,11 +186,12 @@ def predicted_bounds(r: int) -> dict:
 
 @dataclass(frozen=True)
 class SwapBlock:
-    """The transfer matrix on one swap quotient, with its two polynomials.
+    """The transfer matrix on one swap quotient, with its spectral data.
 
-    Each polynomial is computed on first use and kept, so a context built
-    for a check that needs neither (odd_case_dims, say) does not pay for
-    them, and verify_single computes each once.
+    The charpoly and the squarefreeness of the minimal polynomial are
+    computed on first use and kept, so a context built for a check that
+    needs neither (odd_case_dims, say) does not pay for them, and
+    verify_single computes each once.
     """
 
     matrix: RationalMatrix
@@ -196,8 +201,19 @@ class SwapBlock:
         return charpoly(self.matrix)
 
     @cached_property
-    def minpoly(self) -> IntPolynomial:
-        return minpoly(self.matrix)
+    def minpoly_squarefree(self) -> bool:
+        """Whether the minimal polynomial is squarefree, without computing it.
+
+        The minimal polynomial has the charpoly's irreducible factors and
+        divides every annihilating polynomial, so it is squarefree iff the
+        radical q = cp / gcd(cp, cp') annihilates the block.  A squarefree cp
+        is its own radical and annihilates by Cayley-Hamilton.
+        """
+        cp = self.charpoly
+        g = polynomial_gcd(cp, cp.derivative())
+        if g.degree() == 0:
+            return True
+        return divide_out(cp, g, 1).at_matrix(self.matrix).is_zero()
 
     def multiplicity(self, lam: Rational) -> tuple[int, int]:
         """(geometric, algebraic) multiplicity of lam on this block."""
@@ -406,9 +422,9 @@ def check_diagonalizability(ctx: SpectralContext) -> tuple:
     The first checks a!(r-a)! M[a][b] == b!(r-b)! M[b][a] for every entry of
     the transfer matrix (the integer form of conjugating by the diagonal of
     square roots of k!(r-k)!).  The second checks squarefreeness of the
-    minimal polynomials of both swap blocks: their lcm is the minimal
+    minimal polynomials of both swap blocks (their lcm is the minimal
     polynomial of the transfer matrix, and the symmetric block is its
-    quotient.
+    quotient) by the radical certificate of SwapBlock.minpoly_squarefree.
     """
     r = ctx.r
     phi = ctx.phi
@@ -419,7 +435,7 @@ def check_diagonalizability(ctx: SpectralContext) -> tuple:
         for a in range(r + 1)
         for b in range(a + 1, r + 1)
     )
-    squarefree = all(is_squarefree(block.minpoly) for block in ctx.blocks)
+    squarefree = all(block.minpoly_squarefree for block in ctx.blocks)
     return symmetric, squarefree
 
 

@@ -17,6 +17,7 @@ Their agreement is a core test invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -124,7 +125,9 @@ def power_sum_sequence(
     No row is generated: the cost is polynomial in the degree and linear in
     n_max, so large n is cheap.  A caller that needs only S_n takes the last
     entry.  A precomputed transfer matrix may be passed as phi to amortize
-    repeated calls.
+    repeated calls.  S_n is linear in f, so a rational form is iterated on
+    integers as d*f, for the lcm d of its denominators, and each sum is
+    divided by d at the end.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -137,9 +140,10 @@ def power_sum_sequence(
             f"degree {r}; expected {r + 1}x{r + 1}"
         )
     rows = phi.rows
-    v = list(f.coeffs)
+    d = math.lcm(*[c.denominator for c in f.coeffs if isinstance(c, Fraction)])
+    v = [int(c * d) for c in f.coeffs]
     out = [v[0] + v[-1]]
     for _ in range(n_max - 1):
         v = [sum(c * x for c, x in zip(row, v) if c) for row in rows]
         out.append(v[0] + v[-1])
-    return out
+    return out if d == 1 else [Fraction(s, d) for s in out]

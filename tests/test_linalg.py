@@ -4,9 +4,12 @@ The fraction-free (Bareiss) route is cross-checked against a plain rational
 Gaussian eliminator written here, and the Berkowitz characteristic
 polynomial against a cofactor expansion over polynomial entries.  Minimal
 polynomials and linear solves, which run on the same Bareiss elimination,
-are checked against their definitions.
+are checked against their definitions.  The modular polynomial gcd is checked
+against the primitive polynomial remainder sequence, and Paterson-Stockmeyer
+evaluation at a matrix against Horner's rule.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -82,6 +85,59 @@ def cofactor_charpoly(m: RationalMatrix) -> IntPolynomial:
         return total
 
     return det(entries)
+
+
+def _pseudo_rem(a, b) -> list:
+    """Pseudo-remainder of integer coefficient lists (lowest first)."""
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    db = len(b) - 1
+    lb = b[-1]
+    while len(a) - 1 >= db and a:
+        la = a[-1]
+        da = len(a) - 1
+        a = [lb * c for c in a]
+        off = da - db
+        for i, bc in enumerate(b):
+            a[off + i] -= la * bc
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def prs_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """Gcd over Z[x] by the primitive polynomial remainder sequence.
+
+    Normalized as polynomial_gcd: primitive with positive leading coefficient,
+    times the gcd of the contents.
+    """
+    if p.is_zero() and q.is_zero():
+        return IntPolynomial()
+    if p.is_zero():
+        return q.primitive() * q.content()
+    if q.is_zero():
+        return p.primitive() * p.content()
+    c = math.gcd(p.content(), q.content())
+    a = list(p.primitive().coeffs)
+    b = list(q.primitive().coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = IntPolynomial(_pseudo_rem(a, b)).primitive()
+        a, b = b, list(r.coeffs)
+    return IntPolynomial(a).primitive() * c
+
+
+def horner_at_matrix(p: IntPolynomial, m: RationalMatrix) -> RationalMatrix:
+    """p(m) by Horner's rule on RationalMatrix arithmetic."""
+    n = m.nrows
+    acc = RationalMatrix.zeros(n, n)
+    for c in reversed(p.coeffs):
+        acc = acc @ m
+        if c:
+            acc = acc + RationalMatrix.identity(n) * c
+    return acc
 
 
 def random_matrix(rng, n, lo=-6, hi=6, rational=False):
@@ -385,6 +441,97 @@ def test_polynomial_gcd():
     assert polynomial_gcd(a, b) == IntPolynomial([2, 2])
 
 
+def _random_poly(rng, deg, lo=-9, hi=9) -> IntPolynomial:
+    coeffs = [rng.randint(lo, hi) for _ in range(deg)]
+    return IntPolynomial(coeffs + [rng.choice([c for c in range(lo, hi + 1) if c])])
+
+
+def _seeded_gcd_pairs():
+    """Pairs with a planted common factor: non-monic, negative leading
+    coefficients, non-trivial content, repeated factors, constants, zero."""
+    rng = random.Random(7919)
+    for trial in range(240):
+        kind = trial % 6
+        g = _random_poly(rng, rng.randint(0, 4))
+        if kind == 1:
+            g = g * g * _random_poly(rng, 1)  # repeated factors
+        elif kind == 2:
+            g = g * rng.choice([-6, -2, 3, 10])  # content and sign
+        u = _random_poly(rng, rng.randint(0, 5)) * rng.choice([1, -1, 2, -4])
+        v = _random_poly(rng, rng.randint(0, 5)) * rng.choice([1, -3, 5])
+        a, b = g * u, g * v
+        if kind == 3:
+            b = IntPolynomial([rng.choice([-12, -1, 1, 8])])  # a constant
+        elif kind == 4:
+            a = IntPolynomial() if trial % 12 == 4 else a * a  # zero or a square
+        elif kind == 5:
+            b = a.derivative() * rng.choice([1, -2])
+        yield a, b
+
+
+def _largest_primes_below_2_31(k: int) -> list:
+    out = []
+    n = 2**31 - 1
+    while len(out) < k:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            out.append(n)
+        n -= 2
+    return out
+
+
+def _adversarial_prime_pairs():
+    """Pairs that mislead the modular gcd on the first primes it tries."""
+    p1, p2 = _largest_primes_below_2_31(2)
+    x = IntPolynomial.x()
+    g = x + IntPolynomial([p1 * p2])
+    h = IntPolynomial([1, p1])  # 1 + p1*x is the constant 1 mod the first prime
+    return [
+        # the first prime is unlucky: its image is dropped for a smaller one
+        (x * (x - IntPolynomial([1])), x * (x - IntPolynomial([1 + p1]))),
+        (x - IntPolynomial([1]), x - IntPolynomial([1 + p1])),
+        # the second prime is unlucky: its image is skipped
+        (x * (x - IntPolynomial([p2])), x * x),
+        # the lift reads x after both primes, so only exact division rejects it
+        (g * (x + IntPolynomial([1])), g * (x + IntPolynomial([2]))),
+        # the first prime divides both leading coefficients and must be passed over
+        (h * (x + IntPolynomial([1])), h * (x + IntPolynomial([2]))),
+    ]
+
+
+def test_polynomial_gcd_against_prs_oracle():
+    pairs = list(_seeded_gcd_pairs()) + _adversarial_prime_pairs()
+    zero = IntPolynomial()
+    pairs += [(zero, zero), (IntPolynomial([0, 0, 6]), zero)]
+    big = IntPolynomial([3**90, -(2**101), 7**40 + 1])  # lifted over several primes
+    pairs.append((big * IntPolynomial([5, 1]), big * IntPolynomial([-2, 3, 4])))
+    degrees = set()
+    for a, b in pairs:
+        g = polynomial_gcd(a, b)
+        assert g == prs_gcd(a, b) == polynomial_gcd(b, a), (a, b)
+        degrees.add(g.degree())
+    # the draws reach constant, zero and non-trivial gcds
+    assert {-1, 0, 1, 2, 3}.issubset(degrees)
+
+
+def test_polynomial_gcd_of_swap_block_charpolys():
+    for r in range(41):
+        for block in spectral_context(r).blocks:
+            cp = block.charpoly
+            assert polynomial_gcd(cp, cp.derivative()) == prs_gcd(cp, cp.derivative()), r
+
+
+def test_at_matrix_against_horner():
+    rng = random.Random(1973)
+    for trial in range(60):
+        n = rng.randint(1, 5)
+        m = random_matrix(rng, n, -3, 3, rational=trial % 2 == 1)
+        for d in (-1, 0, 1, 2, 3, rng.randint(4, 30), 30):
+            p = IntPolynomial() if d < 0 else _random_poly(rng, d, -5, 5)
+            assert p.at_matrix(m) == horner_at_matrix(p, m), (p, m)
+    with pytest.raises(NonSquareMatrixError):
+        IntPolynomial([1, 1]).at_matrix(RationalMatrix([[1, 2]]))
+
+
 def test_divide_out_goldens():
     assert divide_out(IntPolynomial([0, -7, 1]), IntPolynomial.x(), 1) == (
         IntPolynomial([-7, 1])
@@ -401,6 +548,9 @@ def test_divide_out_reports_contract_violation():
         divide_out(IntPolynomial([1, 1]), IntPolynomial.x(), 1)
     with pytest.raises(InexactDivisionError):
         divide_out(IntPolynomial([0, -7, 1]), IntPolynomial.x(), 2)
+    # divisible over Q, but the quotient 1/2 is not integral
+    with pytest.raises(InexactDivisionError):
+        divide_out(IntPolynomial([1, 1]), IntPolynomial([2, 2]), 1)
 
 
 # -- matrix plumbing ----------------------------------------------------------

@@ -1,7 +1,9 @@
 """Stern rows and the two power-sum routes."""
 
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from sternsums.forms import HomogPoly, phi_matrix
 from sternsums.stern import (
@@ -144,6 +146,31 @@ def test_dual_path_agreement_small():
 def test_dual_path_agreement_rational_coefficients():
     f = HomogPoly([Fraction(1, 2), Fraction(-2, 3), 1])
     assert [power_sum_direct(n, f) for n in range(1, 8)] == power_sum_sequence(f, 7)
+
+
+def fraction_power_sums(f: HomogPoly, n_max: int) -> list:
+    """The transfer iteration run on the form's own (Fraction) coefficients."""
+    rows = phi_matrix(f.degree).rows
+    v = list(f.coeffs)
+    out = [v[0] + v[-1]]
+    for _ in range(n_max - 1):
+        v = [sum(c * x for c, x in zip(row, v) if c) for row in rows]
+        out.append(v[0] + v[-1])
+    return out
+
+
+def test_rational_forms_against_the_fraction_iteration():
+    rng = random.Random(2718)
+    for trial in range(40):
+        d = rng.randint(0, 20)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(d + 1)]
+        if trial % 4 == 0:
+            coeffs = [Fraction(c.numerator, 6) for c in coeffs]  # sums may be integral
+        f = HomogPoly(coeffs)
+        n_max = rng.randint(1, 30)
+        seq = power_sum_sequence(f, n_max)
+        assert seq == fraction_power_sums(f, n_max), f
+        assert all(isinstance(s, (int, Fraction)) for s in seq)
 
 
 def test_swap_symmetry_spot():

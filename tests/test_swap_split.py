@@ -4,10 +4,14 @@ verify_single computes every spectral quantity on the two swap blocks of
 phi, reading them from one spectral context per degree.  The oracle here is
 the route it replaced: every multiplicity on the full (r+1)-wide matrix,
 each check rebuilding what it needs, and the eigenspace kernels used as the
-Fraction vectors kernel_basis returns.
+Fraction vectors kernel_basis returns.  The squarefree witness of each
+block, certified from its charpoly's radical, is checked against the
+squarefreeness of the Krylov minimal polynomial.
 """
 
+import json
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -55,9 +59,11 @@ from sternsums.spectra import (
     VerificationReport,
     periodic_eval,
     predicted_bounds,
+    SwapBlock,
     spectral_context,
     verify_single,
 )
+from test_linalg import _block_diag, _conjugate, _jordan
 
 
 # -- the full-matrix oracle ---------------------------------------------------
@@ -224,11 +230,61 @@ def test_context_holds_one_block_per_swap_class():
     ctx = spectral_context(6)
     assert [b.matrix.nrows for b in ctx.blocks] == [4, 3]
     assert ctx.sym.charpoly == charpoly(ctx.sym.matrix)
-    assert ctx.anti.minpoly == minpoly(ctx.anti.matrix)
+    assert ctx.anti.minpoly_squarefree == is_squarefree(minpoly(ctx.anti.matrix))
     assert all(isinstance(x, int) for v in ctx.twist_kernel for x in v)
     assert spectral_context(0).blocks == (spectral_context(0).sym,)
     with pytest.raises(ValueError):
         spectra.odd_case_dims(ctx)
+
+
+# -- the squarefree witness -----------------------------------------------------
+
+
+def test_minpoly_squarefree_against_the_minpoly_oracle():
+    for r in range(1, 41):
+        for block in spectral_context(r).blocks:
+            assert block.minpoly_squarefree == is_squarefree(minpoly(block.matrix)), r
+
+
+def _seeded_witness_cases():
+    """(matrix, expected witness): Jordan and nilpotent matrices are not
+    diagonalizable; derogatory diagonalizable ones repeat an eigenvalue."""
+    rng = random.Random(1971)
+    for trial in range(90):
+        kind = trial % 3
+        if kind == 0:
+            lam = rng.randint(-3, 3)
+            blocks = [_jordan(lam, rng.randint(2, 3))]
+            blocks += [_jordan(rng.randint(-3, 3), 1) for _ in range(rng.randint(0, 2))]
+            yield _conjugate(rng, _block_diag(blocks)), False
+        elif kind == 1:
+            n = rng.randint(2, 5)
+            upper = [[rng.randint(-3, 3) * (j > i) for j in range(n)] for i in range(n)]
+            upper[0][n - 1] = rng.choice([-2, -1, 1, 2])  # nonzero, so not 0
+            yield _conjugate(rng, RationalMatrix(upper)), False
+        else:
+            eigenvalues = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+            diag = eigenvalues + [rng.choice(eigenvalues)]  # one value repeats
+            blocks = [_jordan(lam, 1) for lam in diag]
+            yield _conjugate(rng, _block_diag(blocks)), True
+
+
+def test_minpoly_squarefree_on_seeded_matrices():
+    for m, expected in _seeded_witness_cases():
+        assert SwapBlock(m).minpoly_squarefree is expected, m
+        assert is_squarefree(minpoly(m)) is expected, m
+
+
+def test_verify_fails_when_a_block_has_a_jordan_block(monkeypatch, capsys):
+    # r = 4 has the anti block diag(1, -1); a 2x2 Jordan block at 1 in its
+    # place has no squarefree minimal polynomial
+    jordan = RationalMatrix([[1, 1], [0, 1]])
+    monkeypatch.setattr(spectra, "anti_quotient", lambda r, phi=None: (None, jordan))
+    code = main(["verify", "4", "4", "--json"])
+    report = json.loads(capsys.readouterr().out)["results"]["reports"][0]
+    assert code == EXIT_VERIFICATION_FAILED
+    assert report["minpoly_squarefree"] is False
+    assert report["passed"] is False
 
 
 # -- the certificate of the split -------------------------------------------------
@@ -263,15 +319,15 @@ def test_verify_exits_1_naming_the_degree_when_the_swap_certificate_fails(
 @pytest.mark.parametrize("r", [11, 12])
 def test_verify_single_builds_each_object_once(monkeypatch, r):
     calls = Counter()
-    minpoly_widths = []
+    charpoly_widths = []
     modules = (forms, linalg, spectra)
-    for name in ("phi_matrix", "sym_quotient", "charpoly", "minpoly"):
+    for name in ("phi_matrix", "sym_quotient", "charpoly", "minpoly", "is_squarefree"):
         original = getattr(forms if name in ("phi_matrix", "sym_quotient") else linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            if _name == "minpoly":
-                minpoly_widths.append(args[0].ncols)
+            if _name == "charpoly":
+                charpoly_widths.append(args[0].ncols)
             return _original(*args, **kwargs)
 
         for module in modules:
@@ -281,5 +337,6 @@ def test_verify_single_builds_each_object_once(monkeypatch, r):
     assert calls["phi_matrix"] <= 2
     assert calls["sym_quotient"] <= 1
     assert calls["charpoly"] == 2
-    assert calls["minpoly"] == 2
-    assert max(minpoly_widths) <= (r + 2) // 2
+    assert calls["minpoly"] == 0
+    assert calls["is_squarefree"] == 0
+    assert max(charpoly_widths) <= (r + 2) // 2
