@@ -47,9 +47,13 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 # Cost caps on `mine`; past either one it exits EXIT_RESOURCE.  On one core
-# of an Intel Xeon, `mine 60 --affine` takes about 6 s (80: 40 s; 100:
-# over 3 min), and 200 terms at degree 60 about 20 s.
-MINE_MAX_DEGREE = 60
+# of a 2-core Intel Xeon machine, `mine r --affine` takes 3.8 s at r = 60,
+# 4.6 to 5.4 s at 65, 8 s at 66, 9.7 s at 70 and 33 s at 80, nearly all of
+# it Berlekamp-Massey; with 200 terms it takes 5.3 s at degree 60 and 6.2
+# to 6.5 s at 65.  The degree cap keeps its top degree no dearer than
+# `mine 60 --affine` was while every class iterated the full transfer
+# matrix on its own (4.2 to 6.2 s, median 5.5 s, on that core).
+MINE_MAX_DEGREE = 65
 MINE_MAX_TERMS = 200
 # Degree caps on `phi` and `verify`; past either one the command exits
 # EXIT_RESOURCE.  On the same core, `phi 400` takes 0.6 s for 9 MB of text

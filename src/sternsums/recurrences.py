@@ -31,15 +31,22 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence, Union
 
-from .forms import HomogPoly, monomial_name, phi_matrix, sym_dimension, sym_quotient
-from .linalg import IntPolynomial, charpoly, divide_out, root_power, solve_linear
+from .forms import monomial_name, sym_dimension, sym_quotient
+from .linalg import (
+    IntPolynomial,
+    RationalMatrix,
+    charpoly,
+    divide_out,
+    root_power,
+    solve_linear,
+)
 from .spectra import (
     LENGTH_BOUND_EVEN_AFFINE_ALT,
     LENGTH_BOUND_EVEN_HOMOGENEOUS,
     LENGTH_BOUND_ODD,
     periodic_eval,
 )
-from .stern import power_sum_sequence
+from .stern import power_sum_table
 
 Rational = Union[int, Fraction]
 
@@ -331,17 +338,22 @@ def corollary_bound(r: int, variant: str = HOMOGENEOUS) -> int:
     return value
 
 
-def shortened_annihilator(r: int) -> IntPolynomial:
+def shortened_annihilator(
+    r: int, phi_sym: RationalMatrix | None = None
+) -> IntPolynomial:
     """Annihilating polynomial of the quotient transfer matrix, shortened.
 
     Odd r: the characteristic polynomial with the full power of x divided
     out.  Even r: all (x-1) and (x+1) factors divided out, then one of each
     multiplied back in.  Read as a recurrence this annihilates S_n(f) for
-    every degree-r form f from the valid start onward.
+    every degree-r form f from the valid start onward.  A caller that
+    already holds the quotient matrix of sym_quotient(r) passes it as
+    phi_sym.
     """
     if r < 1:
         raise ValueError("degree must be at least 1")
-    _, phi_sym = sym_quotient(r)
+    if phi_sym is None:
+        _, phi_sym = sym_quotient(r)
     cp = charpoly(phi_sym)
     if r % 2:
         m0 = root_power(cp, 0)
@@ -353,15 +365,17 @@ def shortened_annihilator(r: int) -> IntPolynomial:
     return g * IntPolynomial([-1, 1]) * IntPolynomial([1, 1])
 
 
-def annihilator_recurrence(r: int) -> LinearRecurrence:
-    """shortened_annihilator(r) read as a homogeneous recurrence.
+def annihilator_recurrence(
+    r: int, phi_sym: RationalMatrix | None = None
+) -> LinearRecurrence:
+    """shortened_annihilator(r, phi_sym) read as a homogeneous recurrence.
 
     For odd r the x-power divided out shifts the guaranteed start: with m
     the multiplicity of 0, the recurrence holds once every referenced term
     has index above m, so n0 = m + 1.  For even r nothing was removed that
     the quotient matrix does not satisfy outright, and n0 = 1.
     """
-    poly = shortened_annihilator(r)
+    poly = shortened_annihilator(r, phi_sym)
     if not poly.is_monic():
         raise ArithmeticError(f"r={r}: the annihilator {poly} is not monic")
     length = poly.degree()
@@ -418,10 +432,13 @@ def mine_all_monomials(
     """Minimal recurrences for every monomial class of degree r.
 
     One result per class x^a y^(r-a) with a from ceil(r/2) to r (the swap
-    symmetry makes the rest redundant).  Each mined length is compared with
-    the guaranteed bound, and the annihilator recurrence is validated
-    against every sequence.  The horizon defaults to twice the homogeneous
-    bound plus eight.
+    symmetry makes the rest redundant).  Every class reads its sequence from
+    one shared table, power_sum_table, which iterates the boundary
+    functional once on the swap-symmetric quotient; the quotient matrix it
+    runs on also gives the annihilator, so the degree builds phi once.
+    Each mined length is compared with the guaranteed bound, and the
+    annihilator recurrence is validated against every sequence.  The
+    horizon defaults to twice the homogeneous bound plus eight.
     """
     bound = corollary_bound(r, HOMOGENEOUS)
     minimum = 2 * bound + 8
@@ -435,13 +452,13 @@ def mine_all_monomials(
         )
     if include_affine is None:
         include_affine = r % 2 == 0
-    phi = phi_matrix(r)
-    ann = annihilator_recurrence(r)
+    _, phi_sym = sym_quotient(r)
+    table = power_sum_table(r, n_terms, phi_sym)
+    ann = annihilator_recurrence(r, phi_sym)
     affine_bound = corollary_bound(r, AFFINE_ALT) if include_affine else None
     results = []
     for a in range((r + 1) // 2, r + 1):
-        f = HomogPoly.monomial(a, r)
-        seq = power_sum_sequence(f, n_terms, phi=phi)
+        seq = table[r - a]
         annihilator = _suffix_annihilator(seq, 2)
         rec = _min_recurrence_impl(seq, 2, HOMOGENEOUS, annihilator)
         affine = None

@@ -13,6 +13,11 @@ Two independent evaluation routes are provided: direct summation over a
 generated row, and iteration of the transfer matrix on the coefficient
 vector followed by the boundary-evaluation functional g -> g(0,1) + g(1,0).
 Their agreement is a core test invariant.
+
+A third route serves every monomial at once: the boundary functional is
+iterated as a row vector instead, on the swap-symmetric quotient, and
+step n holds S_n of every monomial class (power_sum_table).  The
+per-form iteration is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
-from .forms import HomogPoly, phi_matrix
+from .forms import HomogPoly, phi_matrix, sym_dimension
 from .linalg import RationalMatrix
 
 Rational = Union[int, Fraction]
@@ -147,3 +153,32 @@ def power_sum_sequence(
         v = [sum(c * x for c, x in zip(row, v) if c) for row in rows]
         out.append(v[0] + v[-1])
     return out if d == 1 else [Fraction(s, d) for s in out]
+
+
+def power_sum_table(r: int, n_max: int, phi_sym: RationalMatrix) -> list:
+    """[S_1, ..., S_n_max] of x^(r-i) y^i for every swap class i at once.
+
+    S_n(f) = l . phi^(n-1) . f with l = e_0 + e_r, so the row vector
+    w_n = l . phi^(n-1) holds S_n of every monomial.  The swap fixes l and
+    commutes with phi, so w_n is swap-symmetric, w_n = u_n @ projection for
+    the projection of sym_quotient(r), and u_(n+1) = u_n @ phi_sym, with
+    phi_sym the induced matrix of sym_quotient(r), runs ceil((r+1)/2) wide
+    on integers.  The start is u_1 = e_0, or [2] for r = 0, where l = 2 e_0.
+    Entry i of the result is the sequence of class i, which holds
+    x^(r-i) y^i and its swap x^i y^(r-i).
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    m = sym_dimension(r)
+    if phi_sym.nrows != m or phi_sym.ncols != m:
+        raise ValueError(
+            f"quotient matrix is {phi_sym.nrows}x{phi_sym.ncols} but degree "
+            f"{r} needs {m}x{m}"
+        )
+    cols = list(zip(*phi_sym.rows))
+    u = [2 if r == 0 else 1] + [0] * (m - 1)
+    steps = [u]
+    for _ in range(n_max - 1):
+        u = [sum(map(mul, col, u)) for col in cols]
+        steps.append(u)
+    return [list(seq) for seq in zip(*steps)]

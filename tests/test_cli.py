@@ -1,7 +1,9 @@
 """Command-line interface: output shapes, exit codes, and determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +361,20 @@ def test_mine_terms_cap(capsys):
     code, out, err = run(capsys, "mine", "1", "--terms", str(MINE_MAX_TERMS + 1))
     assert code == EXIT_RESOURCE and out == ""
     assert f"MINE_MAX_TERMS={MINE_MAX_TERMS}" in err
+
+
+MINE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+
+def test_mine_affine_json_matches_the_recorded_digests(capsys):
+    # sha256 of the stdout of `mine r --affine --json`, r = 1..24, as the
+    # benchmark's mine-band workload recorded it
+    recorded = json.loads(MINE_DIGESTS.read_text())["mine-band"]
+    assert sorted(recorded, key=int) == [str(r) for r in range(1, 25)]
+    for r in range(1, 25):
+        code, out, err = run(capsys, "mine", str(r), "--affine", "--json")
+        assert code == EXIT_OK and err == "", r
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded[str(r)], r
 
 
 def test_mine_arithmetic_error_exits_1_naming_the_degree(monkeypatch, capsys):

@@ -6,11 +6,15 @@ sequences; test_recurrence_oracle.py compares it with the Hankel fitter.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from sternsums.forms import HomogPoly
+import sternsums.forms as forms
+import sternsums.recurrences as recurrences
+import sternsums.stern as stern
+from sternsums.forms import HomogPoly, sym_quotient
 from sternsums.linalg import IntPolynomial
 from sternsums.recurrences import (
     AFFINE_ALT,
@@ -256,6 +260,34 @@ def test_mine_all_monomials_r6_within_bounds():
 def test_mine_all_monomials_rejects_short_horizon():
     with pytest.raises(InsufficientDataError):
         mine_all_monomials(3, n_terms=5)
+
+
+@pytest.mark.parametrize("r", [1, 6, 11, 12])
+def test_mine_all_monomials_builds_each_object_once(monkeypatch, r):
+    calls = Counter()
+    for module, name in (
+        (forms, "phi_matrix"),
+        (forms, "sym_quotient"),
+        (stern, "power_sum_sequence"),
+    ):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for owner in (forms, stern, recurrences):
+            if owner.__dict__.get(name) is original:
+                monkeypatch.setattr(owner, name, counted)
+    mine_all_monomials(r, include_affine=True)
+    assert calls["phi_matrix"] == 1
+    assert calls["sym_quotient"] == 1
+    assert calls["power_sum_sequence"] == 0
+
+
+def test_annihilator_takes_the_quotient_matrix():
+    for r in range(1, 13):
+        assert annihilator_recurrence(r, sym_quotient(r)[1]) == annihilator_recurrence(r)
 
 
 def test_mined_length_never_exceeds_annihilator_length():

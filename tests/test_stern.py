@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sternsums.forms import HomogPoly, phi_matrix
+from sternsums.forms import HomogPoly, phi_matrix, sym_dimension, sym_quotient
 from sternsums.stern import (
     DEFAULT_ROW_CAP,
     RowCapError,
@@ -13,6 +13,7 @@ from sternsums.stern import (
     _pair_evaluator,
     power_sum_direct,
     power_sum_sequence,
+    power_sum_table,
     stern_row,
 )
 
@@ -184,3 +185,31 @@ def test_linearity_spot():
     lhs = power_sum_sequence(a * f + b * g, 7)
     sf, sg = power_sum_sequence(f, 7), power_sum_sequence(g, 7)
     assert lhs == [a * x + b * y for x, y in zip(sf, sg)]
+
+
+# -- the shared table on the swap-symmetric quotient ---------------------------
+
+
+def test_power_sum_table_against_the_per_form_iteration():
+    # r = 0 starts from [2], r = 1 from [1]; odd and even r have a self-paired
+    # middle class or not; every a in 0..r reads class min(a, r - a).  The
+    # oracle costs (r + 1)^3 per step over all a, so the horizon shrinks from
+    # 60 as r grows.
+    for r in range(0, 41):
+        phi = phi_matrix(r)
+        _, phi_sym = sym_quotient(r, phi)
+        for n_max in (1, 2, max(8, 60 - 2 * r)):
+            table = power_sum_table(r, n_max, phi_sym)
+            assert len(table) == sym_dimension(r)
+            for a in range(r + 1):
+                expected = power_sum_sequence(HomogPoly.monomial(a, r), n_max, phi=phi)
+                assert table[min(a, r - a)] == expected, (r, a, n_max)
+
+
+def test_power_sum_table_goldens_and_validation():
+    assert power_sum_table(0, 3, sym_quotient(0)[1]) == [[2, 4, 8]]
+    assert power_sum_table(3, 4, sym_quotient(3)[1]) == [[1, 3, 21, 147], [0, 2, 14, 98]]
+    with pytest.raises(ValueError):
+        power_sum_table(4, 5, sym_quotient(3)[1])
+    with pytest.raises(ValueError):
+        power_sum_table(3, 0, sym_quotient(3)[1])
