@@ -35,6 +35,7 @@ from .forms import monomial_name, sym_dimension, sym_quotient
 from .linalg import (
     IntPolynomial,
     RationalMatrix,
+    _normalize_entry,
     charpoly,
     divide_out,
     root_power,
@@ -60,12 +61,6 @@ class InsufficientDataError(ValueError):
     def __init__(self, message: str, required_terms: int):
         self.required_terms = required_terms
         super().__init__(message)
-
-
-def _norm(x: Rational) -> Rational:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 @dataclass(frozen=True)
@@ -103,10 +98,10 @@ class LinearRecurrence:
     def to_json_dict(self) -> dict:
         return {
             "length": self.length,
-            "coefficients": [str(_norm(c)) for c in self.coefficients],
+            "coefficients": [str(_normalize_entry(c)) for c in self.coefficients],
             "n0": self.n0,
-            "affine_b": str(_norm(self.affine_b)),
-            "alternating_c": str(_norm(self.alternating_c)),
+            "affine_b": str(_normalize_entry(self.affine_b)),
+            "alternating_c": str(_normalize_entry(self.alternating_c)),
         }
 
 
@@ -172,9 +167,9 @@ def fit_recurrence(
             sol = solve_linear(rows, rhs) if rows else []
         if sol is None:
             continue
-        coeffs = tuple(_norm(c) for c in sol[:length])
-        b = _norm(sol[length]) if use_b else 0
-        c = _norm(sol[-1]) if use_c else 0
+        coeffs = tuple(_normalize_entry(c) for c in sol[:length])
+        b = _normalize_entry(sol[length]) if use_b else 0
+        c = _normalize_entry(sol[-1]) if use_c else 0
         rec = LinearRecurrence(length, coeffs, n0, b, c)
         if verify_recurrence(seq, rec):
             return rec
@@ -298,15 +293,15 @@ def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence
             f"needs at least {needed} terms",
             needed,
         )
-    coeffs = tuple([_norm(Fraction(-x, conn[0])) for x in conn[1:]])
+    coeffs = tuple([_normalize_entry(Fraction(-x, conn[0])) for x in conn[1:]])
     b = c = 0
     if variant == AFFINE_ALT:
         # residuals at n and n + 1 are b + c*(-1)^n and b - c*(-1)^n
         first = n0 + length
         homogeneous = LinearRecurrence(length, coeffs, n0)
         r1, r2 = (seq[n - 1] - homogeneous.rhs(seq, n) for n in (first, first + 1))
-        b = _norm(Fraction(r1 + r2, 2))
-        c = _norm(Fraction(r1 - r2, 2) * (-1) ** first)
+        b = _normalize_entry(Fraction(r1 + r2, 2))
+        c = _normalize_entry(Fraction(r1 - r2, 2) * (-1) ** first)
     rec = LinearRecurrence(length, coeffs, n0, b, c)
     if not verify_recurrence(seq, rec):
         raise ArithmeticError(

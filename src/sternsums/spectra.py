@@ -63,6 +63,7 @@ from .linalg import (
     IntPolynomial,
     RationalMatrix,
     _integer_rows,
+    _normalize_entry,
     charpoly,
     divide_out,
     eigen_multiplicity,
@@ -104,7 +105,7 @@ def periodic_eval(fn: PeriodicFn, r: int) -> Rational:
     p = len(fn.values)
     idx = ((r - 1) // 2) % p if fn.parity == ODD else (r // 2) % p
     val = fn.linear_slope * r + fn.values[idx]
-    return int(val) if isinstance(val, Fraction) and val.denominator == 1 else val
+    return _normalize_entry(val)
 
 
 def _pf(slope, values, parity) -> PeriodicFn:
@@ -291,11 +292,10 @@ def spectral_context(r: int) -> SpectralContext:
     )
 
 
-def _span_sum_dim(vecs_a: list, vecs_b: list) -> int:
-    """Dimension of the sum of two spans (rows are generators)."""
-    if not vecs_a and not vecs_b:
-        return 0
-    return rank(RationalMatrix(list(vecs_a) + list(vecs_b)))
+def _span_dim(*spans: list) -> int:
+    """Dimension of the sum of the spans (rows are generators)."""
+    rows = [v for span in spans for v in span]
+    return rank(RationalMatrix(rows)) if rows else 0
 
 
 def eigenspace_dims(ctx: SpectralContext) -> dict:
@@ -328,18 +328,18 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
     dim_ym = len(y_minus_basis)
 
     # Quotient-side dimensions: images of the subspaces under the projection.
-    dim_x_sym = project_span_dim(projection, x_basis)
-    dim_yp_sym = project_span_dim(projection, y_plus_basis)
-    dim_ym_sym = project_span_dim(projection, y_minus_basis)
+    proj_x = [projection.mat_vec(v) for v in x_basis]
+    proj_yp = [projection.mat_vec(v) for v in y_plus_basis]
+    proj_ym = [projection.mat_vec(v) for v in y_minus_basis]
+    dim_x_sym = _span_dim(proj_x)
+    dim_yp_sym = _span_dim(proj_yp)
+    dim_ym_sym = _span_dim(proj_ym)
 
     # Exact intersections; on the quotient side via dim(A) + dim(B) - dim(A+B).
     dim_x_yp = joint_dim(x_mat, iota_m - ident)
     dim_x_ym = joint_dim(x_mat, iota_m + ident)
-    proj_x = [projection.mat_vec(v) for v in x_basis]
-    proj_yp = [projection.mat_vec(v) for v in y_plus_basis]
-    proj_ym = [projection.mat_vec(v) for v in y_minus_basis]
-    dim_x_yp_sym = dim_x_sym + dim_yp_sym - _span_sum_dim(proj_x, proj_yp)
-    dim_x_ym_sym = dim_x_sym + dim_ym_sym - _span_sum_dim(proj_x, proj_ym)
+    dim_x_yp_sym = dim_x_sym + dim_yp_sym - _span_dim(proj_x, proj_yp)
+    dim_x_ym_sym = dim_x_sym + dim_ym_sym - _span_dim(proj_x, proj_ym)
 
     return {
         "dim_X": {"formula": _dim_value(DIM_X, r), "computed": dim_x},

@@ -10,14 +10,14 @@ where s(n, 0) = s(n, 2^n) = 0, so the boundary pairs (0, 1) and (1, 0) are
 included; for n = 1 the sum is f(0, 1) + f(1, 0).
 
 Two independent evaluation routes are provided: direct summation over a
-generated row, and iteration of the transfer matrix on the coefficient
-vector followed by the boundary-evaluation functional g -> g(0,1) + g(1,0).
-Their agreement is a core test invariant.
-
-A third route serves every monomial at once: the boundary functional is
-iterated as a row vector instead, on the swap-symmetric quotient, and
-step n holds S_n of every monomial class (power_sum_table).  The
-per-form iteration is its oracle in the tests.
+generated row, and the transfer route, which iterates the boundary
+functional g -> g(0,1) + g(1,0) as a row vector through the transfer
+matrix on the swap-symmetric quotient.  Step n of that iteration holds
+S_n of every monomial class at once (power_sum_table), and
+power_sum_sequence contracts each step with the form's coefficients
+folded onto the swap classes.  The agreement of the two routes is a core
+test invariant; the per-form iteration of the full transfer matrix is the
+transfer route's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Union
 
-from .forms import HomogPoly, phi_matrix, sym_dimension
+from .forms import HomogPoly, sym_dimension, sym_quotient
 from .linalg import RationalMatrix
 
 Rational = Union[int, Fraction]
@@ -123,49 +123,53 @@ def power_sum_direct(n: int, f: HomogPoly, cap: int = DEFAULT_ROW_CAP) -> Ration
     return total
 
 
-def power_sum_sequence(
-    f: HomogPoly, n_max: int, phi: RationalMatrix | None = None
-) -> list:
-    """[S_1(f), ..., S_n_max(f)] by n_max - 1 transfer-matrix applications.
+def _boundary_steps(r: int, n_max: int, phi_sym: RationalMatrix):
+    """Yield u_1 .. u_n_max, the boundary functional's steps on the quotient.
+
+    S_n(f) = l . phi^(n-1) . f with l = e_0 + e_r.  The swap fixes l and
+    commutes with phi, so l . phi^(n-1) = u_n @ projection for the
+    projection of sym_quotient(r), and u_(n+1) = u_n @ phi_sym runs
+    ceil((r+1)/2) wide on integers.  The start is u_1 = e_0, or [2] for
+    r = 0, where l = 2 e_0.
+    """
+    cols = list(zip(*phi_sym.rows))
+    u = [2 if r == 0 else 1] + [0] * (len(cols) - 1)
+    yield u
+    for _ in range(n_max - 1):
+        u = [sum(map(mul, col, u)) for col in cols]
+        yield u
+
+
+def power_sum_sequence(f: HomogPoly, n_max: int) -> list:
+    """[S_1(f), ..., S_n_max(f)] from n_max - 1 steps on the swap quotient.
 
     No row is generated: the cost is polynomial in the degree and linear in
     n_max, so large n is cheap.  A caller that needs only S_n takes the last
-    entry.  A precomputed transfer matrix may be passed as phi to amortize
-    repeated calls.  S_n is linear in f, so a rational form is iterated on
-    integers as d*f, for the lcm d of its denominators, and each sum is
-    divided by d at the end.
+    entry.  S_n(f) = u_n . (projection @ f) for the steps u_n of the
+    boundary functional (see _boundary_steps): the projection folds each
+    coefficient onto its swap class, and each step is contracted as it is
+    produced, so no table is held.  S_n is linear in f, so a rational form
+    is contracted on integers as d*f, for the lcm d of its denominators,
+    and each sum is divided by d at the end.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     r = f.degree
-    if phi is None:
-        phi = phi_matrix(r)
-    elif phi.nrows != r + 1 or phi.ncols != r + 1:
-        raise ValueError(
-            f"operator cache is {phi.nrows}x{phi.ncols} but the form has "
-            f"degree {r}; expected {r + 1}x{r + 1}"
-        )
-    rows = phi.rows
+    projection, phi_sym = sym_quotient(r)
     d = math.lcm(*[c.denominator for c in f.coeffs if isinstance(c, Fraction)])
-    v = [int(c * d) for c in f.coeffs]
-    out = [v[0] + v[-1]]
-    for _ in range(n_max - 1):
-        v = [sum(c * x for c, x in zip(row, v) if c) for row in rows]
-        out.append(v[0] + v[-1])
+    g = projection.mat_vec([int(c * d) for c in f.coeffs])
+    out = [sum(map(mul, u, g)) for u in _boundary_steps(r, n_max, phi_sym)]
     return out if d == 1 else [Fraction(s, d) for s in out]
 
 
 def power_sum_table(r: int, n_max: int, phi_sym: RationalMatrix) -> list:
     """[S_1, ..., S_n_max] of x^(r-i) y^i for every swap class i at once.
 
-    S_n(f) = l . phi^(n-1) . f with l = e_0 + e_r, so the row vector
-    w_n = l . phi^(n-1) holds S_n of every monomial.  The swap fixes l and
-    commutes with phi, so w_n is swap-symmetric, w_n = u_n @ projection for
-    the projection of sym_quotient(r), and u_(n+1) = u_n @ phi_sym, with
-    phi_sym the induced matrix of sym_quotient(r), runs ceil((r+1)/2) wide
-    on integers.  The start is u_1 = e_0, or [2] for r = 0, where l = 2 e_0.
-    Entry i of the result is the sequence of class i, which holds
-    x^(r-i) y^i and its swap x^i y^(r-i).
+    Step n of the boundary functional (see _boundary_steps) holds S_n of
+    every monomial class: entry i of u_n is S_n(x^(r-i) y^i), as the
+    projection maps that monomial to the basis vector of class i.  phi_sym
+    is the induced matrix of sym_quotient(r).  Entry i of the result is the
+    sequence of class i, which holds x^(r-i) y^i and its swap x^i y^(r-i).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -175,10 +179,4 @@ def power_sum_table(r: int, n_max: int, phi_sym: RationalMatrix) -> list:
             f"quotient matrix is {phi_sym.nrows}x{phi_sym.ncols} but degree "
             f"{r} needs {m}x{m}"
         )
-    cols = list(zip(*phi_sym.rows))
-    u = [2 if r == 0 else 1] + [0] * (m - 1)
-    steps = [u]
-    for _ in range(n_max - 1):
-        u = [sum(map(mul, col, u)) for col in cols]
-        steps.append(u)
-    return [list(seq) for seq in zip(*steps)]
+    return [list(seq) for seq in zip(*_boundary_steps(r, n_max, phi_sym))]

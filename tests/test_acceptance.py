@@ -67,8 +67,7 @@ def test_criterion_2_dual_path_oracle():
     for r in range(0, 9):
         for a in range(r + 1):
             f = HomogPoly.monomial(a, r)
-            phi = phi_matrix(r)
-            fast = power_sum_sequence(f, 16, phi=phi)
+            fast = power_sum_sequence(f, 16)
             for n in range(1, 17):
                 assert power_sum_direct(n, f) == fast[n - 1], (r, a, n)
                 checked += 1
@@ -160,10 +159,9 @@ def test_criterion_5_corollary_bounds_r30():
         # annihilator recurrence validates on random integer forms
         rec = annihilator_recurrence(r)
         horizon = 2 * corollary_bound(r, HOMOGENEOUS) + 8
-        phi = phi_matrix(r)
         for _ in range(20):
             f = HomogPoly([rng.randint(-20, 20) for _ in range(r + 1)])
-            seq = power_sum_sequence(f, horizon, phi=phi)
+            seq = power_sum_sequence(f, horizon)
             ok &= verify_recurrence(seq, rec)
             validated += 1
     _report(

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sternsums.cli as cli_mod
+import sternsums.forms as forms
 import sternsums.recurrences as recurrences
 import sternsums.spectra as spectra
 import sternsums.stern as stern
@@ -184,7 +186,7 @@ def _no_sums(*args, **kwargs):
 def _block_sums(monkeypatch):
     monkeypatch.setattr(cli_mod, "power_sum_sequence", _no_sums)
     monkeypatch.setattr(cli_mod, "power_sum_direct", _no_sums)
-    monkeypatch.setattr(stern, "phi_matrix", _no_sums)
+    monkeypatch.setattr(stern, "sym_quotient", _no_sums)
 
 
 def test_sums_degree_cap(monkeypatch, capsys):
@@ -213,6 +215,57 @@ def test_sums_terms_cap(monkeypatch, capsys):
         code, out, err = run(capsys, "sums", "x", str(SUMS_MAX_TERMS + 1), mode)
         assert code == EXIT_RESOURCE and out == ""
         assert f"SUMS_MAX_TERMS={SUMS_MAX_TERMS}" in err
+
+
+def _coeffs_spec(kind, d):
+    """A degree-d form with mixed signs: integer, or with denominators 2..8."""
+    num = [(-1) ** i * (1 + (7 if kind == "dense" else 5) * i % 9) for i in range(d + 1)]
+    terms = [str(c) if kind == "dense" else f"{c}/{2 + i % 7}" for i, c in enumerate(num)]
+    return "coeffs=[" + ",".join(terms) + "]"
+
+
+# sha256 of the stdout of `sums <form> <n_max> --json` on the transfer route,
+# recorded before the route moved onto the swap quotient; every value stays
+# under the 4300-digit rendering limit (the largest, degree 40, has 2498).
+SUMS_DIGESTS = [
+    ("dense", 12, 300, "076cec583cbd358ef39f6bcfbfe337bbb494d7aa06e117b674e7480b585a837a"),
+    ("dense", 20, 300, "0cc37edd5f9b7e211cbe0189ec7ab453579770ea3634652705dffca4049642cf"),
+    ("dense", 30, 300, "ff1eba5d7bc146c6263b260632b2a494c87d8e636e9b07189f7dc0670ed556b8"),
+    ("dense", 40, 300, "814ff8eb6e0a8024b18304a82d29d17aff1b0f199165cbac26d32241d3391ef7"),
+    ("rational", 12, 300, "37e6a6871fd22368a05f883656838968910aa1f937073ec919fb0508b52d5790"),
+    ("rational", 20, 200, "054f4853da07d29a7a49d105e3b4e87d8aefc37cce3901125e919783586a33b9"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, d, n_max, digest", SUMS_DIGESTS, ids=[f"{k}{d}-{n}" for k, d, n, _ in SUMS_DIGESTS]
+)
+def test_sums_json_matches_the_recorded_digests(capsys, kind, d, n_max, digest):
+    code, out, _ = run(capsys, "sums", _coeffs_spec(kind, d), str(n_max), "--json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["x^7", "x^3y^9", _coeffs_spec("dense", 13), _coeffs_spec("rational", 13)],
+    ids=["x^7", "x^3y^9", "dense13", "rational13"],
+)
+def test_sums_builds_each_matrix_once(monkeypatch, capsys, spec):
+    calls = Counter()
+    for name in ("phi_matrix", "sym_quotient"):
+        original = getattr(forms, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for owner in (forms, stern, cli_mod):
+            if owner.__dict__.get(name) is original:
+                monkeypatch.setattr(owner, name, counted)
+    code, _, _ = run(capsys, "sums", spec, "40")
+    assert code == EXIT_OK
+    assert calls == {"phi_matrix": 1, "sym_quotient": 1}
 
 
 # -- phi -----------------------------------------------------------------------
