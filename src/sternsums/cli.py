@@ -34,7 +34,7 @@ from .spectra import verify_range
 from .stern import (
     DEFAULT_ROW_CAP,
     RowCapError,
-    power_sum_direct,
+    power_sum_direct_sequence,
     power_sum_sequence,
     stern_row,
 )
@@ -65,10 +65,11 @@ MINE_MAX_TERMS = 200
 PHI_MAX_DEGREE = 400
 VERIFY_MAX_DEGREE = 130
 # Caps on `sums`: the form's degree and n_max; past either one it exits
-# EXIT_RESOURCE.  On the same core a dense integer form takes 0.12 s at
-# degree 40 and n_max 600, 3.9 s at degree 100 and n_max 800, and 6.2 s at
-# 100 and 1000; a rational form, run on integers over its common
-# denominator, 4.1 s at 100 and 800.  A higher term cap would only admit
+# EXIT_RESOURCE.  On the same core the transfer route takes 0.04 s for a
+# dense integer form at degree 40 and n_max 600, 1.7 s at degree 100 and
+# n_max 800, and 1.8 s at 100 and 1000, about 0.8 s of it the charpoly
+# behind the recurrence; a rational form, run on integers over its common
+# denominator, 1.7 s at 100 and 800.  A higher term cap would only admit
 # more outputs past the 4300 digits that Python renders.
 SUMS_MAX_DEGREE = 100
 SUMS_MAX_TERMS = 800
@@ -228,11 +229,15 @@ def cmd_sums(args) -> int:
     values = None
     agree = None
     if mode in ("fast", "both"):
-        values = power_sum_sequence(f, args.n_max)
+        try:
+            values = power_sum_sequence(f, args.n_max)
+        except ArithmeticError as exc:
+            # the recurrence that extends the sums failed its exact
+            # certificate; the message names r
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VERIFICATION_FAILED
     if mode in ("direct", "both"):
-        direct = [
-            power_sum_direct(n, f, args.cap) for n in range(1, args.n_max + 1)
-        ]
+        direct = power_sum_direct_sequence(f, args.n_max, args.cap)
         if mode == "both":
             agree = direct == values
             if not agree:

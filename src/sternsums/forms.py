@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Union
 
-from .linalg import RationalMatrix, _normalize_entry, rank
+from .linalg import RationalMatrix, _normalize_entry
 
 Rational = Union[int, Fraction]
 
@@ -278,9 +278,3 @@ def _swap_quotient(r: int, sign: int, phi: RationalMatrix | None) -> tuple:
     ]
     return RationalMatrix(proj_rows), RationalMatrix(induced)
 
-
-def project_span_dim(projection: RationalMatrix, vectors: list) -> int:
-    """Dimension of the image of span(vectors) under the quotient projection."""
-    if not vectors:
-        return 0
-    return rank(RationalMatrix([projection.mat_vec(v) for v in vectors]))

@@ -56,7 +56,6 @@ from .forms import (
     anti_quotient,
     operator_matrix,
     phi_matrix,
-    project_span_dim,
     sym_quotient,
 )
 from .linalg import (
@@ -387,11 +386,12 @@ def odd_case_dims(ctx: SpectralContext) -> dict:
         raise ValueError("odd degree required")
     hits = [a for a in range(r + 1) if (2 * a - (r + 3)) % 6 == 0]
     paired = {frozenset((a, r - a)) for a in hits}
+    proj_w = [ctx.projection.mat_vec(v) for v in ctx.twist_kernel]
     return {
         "count": len(hits),
         "count_sym": len(paired),
         "dim_W": len(ctx.twist_kernel),
-        "dim_W_sym": project_span_dim(ctx.projection, ctx.twist_kernel),
+        "dim_W_sym": _span_dim(proj_w),
         "formula": _dim_value(COUNT_W, r),
         "formula_sym": _dim_value(COUNT_W_SYM, r),
     }

@@ -9,14 +9,17 @@ padding the outside).  The power sum of a form f over row n is
 where s(n, 0) = s(n, 2^n) = 0, so the boundary pairs (0, 1) and (1, 0) are
 included; for n = 1 the sum is f(0, 1) + f(1, 0).
 
-Two independent evaluation routes are provided: direct summation over a
-generated row, and the transfer route, which iterates the boundary
+Two independent evaluation routes are provided: direct summation over
+generated rows, and the transfer route, which iterates the boundary
 functional g -> g(0,1) + g(1,0) as a row vector through the transfer
 matrix on the swap-symmetric quotient.  Step n of that iteration holds
-S_n of every monomial class at once (power_sum_table), and
-power_sum_sequence contracts each step with the form's coefficients
-folded onto the swap classes.  The agreement of the two routes is a core
-test invariant; the per-form iteration of the full transfer matrix is the
+S_n of every monomial class at once (power_sum_table).  power_sum_sequence
+contracts each step with the form's coefficients folded onto the swap
+classes, but only over a short head: it then extends the sums by the
+degree's shortened annihilator, the paper's recurrence of length about
+r/3, once an exact certificate on the head proves that the recurrence
+holds for every later n.  The agreement of the two routes is a core test
+invariant; the per-form iteration of the full transfer matrix is the
 transfer route's oracle in the tests.
 """
 
@@ -25,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import Union
 
 from .forms import HomogPoly, sym_dimension, sym_quotient
@@ -68,17 +72,9 @@ class SternRow:
 
 def _expand(prev: list) -> list:
     """One insertion step: copy the row and insert pairwise sums."""
-    m = len(prev)
-    out = [0] * (2 * m + 1)
-    for i in range(2 * m + 1):
-        if i & 1:
-            out[i] = prev[(i - 1) >> 1]
-        else:
-            k = i >> 1
-            v = prev[k - 1] if k >= 1 else 0
-            if k < m:
-                v += prev[k]
-            out[i] = v
+    out = [0] * (2 * len(prev) + 1)
+    out[1::2] = prev
+    out[0::2] = map(add, [0, *prev], [*prev, 0])
     return out
 
 
@@ -96,31 +92,46 @@ def stern_row(n: int, cap: int = DEFAULT_ROW_CAP) -> SternRow:
     return SternRow(n, tuple(row))
 
 
-def _pair_evaluator(f: HomogPoly):
-    """Callable (x, y) -> f(x, y) for row-pair evaluation.
+def _row_power_sum(row: list, f: HomogPoly) -> Rational:
+    """S_n(f) over the entries of row n, boundary pairs included.
 
-    A single-term form gets a pow-based path, which sums an integer monomial
-    over a row three to four times faster than Horner does; every other
-    form uses f itself.
+    The row is padded with s(n, 0) = s(n, 2^n) = 0, and each term
+    c x^a y^(r-a) of f is summed over the consecutive pairs at C level.
     """
-    terms = [(a, c) for a, c in enumerate(f.coeffs) if c]
-    if len(terms) == 1:
-        a, c = terms[0]
-        b = f.degree - a
-        return lambda x, y: c * x**a * y**b
-    return f.__call__
+    padded = [0, *row, 0]
+    xs, ys = padded[:-1], padded[1:]
+    r = f.degree
+    total = 0
+    for a, c in enumerate(f.coeffs):
+        if c:
+            total += c * sum(map(mul, map(pow, xs, repeat(a)), map(pow, ys, repeat(r - a))))
+    return total
 
 
 def power_sum_direct(n: int, f: HomogPoly, cap: int = DEFAULT_ROW_CAP) -> Rational:
     """S_n(f) by brute force over the generated row, boundary pairs included."""
-    row = stern_row(n, cap).entries
-    ev = _pair_evaluator(f)
-    total = ev(0, row[0]) + ev(row[-1], 0)
-    prev = row[0]
-    for cur in row[1:]:
-        total += ev(prev, cur)
-        prev = cur
-    return total
+    return _row_power_sum(stern_row(n, cap).entries, f)
+
+
+def power_sum_direct_sequence(
+    f: HomogPoly, n_max: int, cap: int = DEFAULT_ROW_CAP
+) -> list:
+    """[S_1(f), ..., S_n_max(f)] by brute force over rows 1 .. n_max.
+
+    Each row is built from the one before by one insertion step, so the walk
+    costs about what generating row n_max alone does.  Raises RowCapError
+    naming the first row past the cap when n_max > cap.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if n_max > cap:
+        raise RowCapError(cap + 1, cap)
+    row = [1]
+    out = [_row_power_sum(row, f)]
+    for _ in range(n_max - 1):
+        row = _expand(row)
+        out.append(_row_power_sum(row, f))
+    return out
 
 
 def _boundary_steps(r: int, n_max: int, phi_sym: RationalMatrix):
@@ -140,25 +151,78 @@ def _boundary_steps(r: int, n_max: int, phi_sym: RationalMatrix):
         yield u
 
 
+def _extend_certified(head: list, rec, n_max: int, r: int) -> list:
+    """head, the sums S_1 .. S_W, extended to S_1 .. S_n_max by rec.
+
+    One expression both checks and extends: rec must reproduce every sum of
+    head from rec.first_checked_index on before it produces a new one.
+    power_sum_sequence sizes head so that the check covers sym_dimension(r)
+    consecutive indices, which proves rec for every later n.  Raises
+    ArithmeticError naming r when the check fails.
+    """
+    length = rec.length
+    coeffs = rec.coefficients[::-1]
+    out = list(head)
+    for n in range(rec.first_checked_index, n_max + 1):
+        value = sum(map(mul, coeffs, out[n - 1 - length:n - 1]))
+        if n > len(head):
+            out.append(value)
+        elif value != out[n - 1]:
+            raise ArithmeticError(
+                f"r={r}: the annihilator recurrence of length {length} fails "
+                f"its certificate at S_{n}"
+            )
+    return out
+
+
 def power_sum_sequence(f: HomogPoly, n_max: int) -> list:
-    """[S_1(f), ..., S_n_max(f)] from n_max - 1 steps on the swap quotient.
+    """[S_1(f), ..., S_n_max(f)]: a head of quotient steps, then a certified
+    recurrence.
 
     No row is generated: the cost is polynomial in the degree and linear in
     n_max, so large n is cheap.  A caller that needs only S_n takes the last
     entry.  S_n(f) = u_n . (projection @ f) for the steps u_n of the
     boundary functional (see _boundary_steps): the projection folds each
-    coefficient onto its swap class, and each step is contracted as it is
-    produced, so no table is held.  S_n is linear in f, so a rational form
-    is contracted on integers as d*f, for the lcm d of its denominators,
-    and each sum is divided by d at the end.
+    coefficient onto its swap class.  S_n is linear in f, so a rational
+    form is contracted on integers as d*f, for the lcm d of its
+    denominators, and each sum is divided by d at the end.
+
+    Past the head, each sum is a combination of the last L sums, for the
+    recurrence rec = annihilator_recurrence(r) of length L and offset n0:
+    L multiplications per term instead of the m^2 of a step, m =
+    ceil((r+1)/2).  The head holds W = n0 + L + m - 1 steps, and rec is
+    checked exactly on its last m indices n0 + L .. W.  That check proves
+    rec for every later n: the residual b_n = S_n - (a_1 S_(n-1) + ... +
+    a_L S_(n-L)) is u_1 . A^(n-L-1) . q(A) . g for the quotient matrix A,
+    rec's polynomial q and the folded form g, so by Cayley-Hamilton it
+    satisfies the charpoly of A, of degree m, and m consecutive zeros force
+    every later b_n to vanish.  For odd r rec holds by Cayley-Hamilton
+    anyway; for even r it rests on the paper's semisimplicity at +-1, which
+    the check certifies for this query.  A failed check raises
+    ArithmeticError naming r.
+
+    r = 0, and any n_max <= 2m, stay on the iteration alone: for odd r the
+    head is 2m steps anyway, and the charpoly costs about as much as 2m
+    steps or more (measured at r = 10 .. 100), so the recurrence cannot pay
+    for itself there.
     """
+    # recurrences imports this module, so the name is read at call time
+    from .recurrences import annihilator_recurrence
+
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     r = f.degree
     projection, phi_sym = sym_quotient(r)
     d = math.lcm(*[c.denominator for c in f.coeffs if isinstance(c, Fraction)])
     g = projection.mat_vec([int(c * d) for c in f.coeffs])
-    out = [sum(map(mul, u, g)) for u in _boundary_steps(r, n_max, phi_sym)]
+    m = len(g)
+    window = n_max
+    if r and n_max > 2 * m:
+        rec = annihilator_recurrence(r, phi_sym)
+        window = min(n_max, rec.first_checked_index + m - 1)
+    out = [sum(map(mul, u, g)) for u in _boundary_steps(r, window, phi_sym)]
+    if window < n_max:
+        out = _extend_certified(out, rec, n_max, r)
     return out if d == 1 else [Fraction(s, d) for s in out]
 
 

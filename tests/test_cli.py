@@ -112,6 +112,7 @@ def _no_rows(*args, **kwargs):
 
 def _block_rows(monkeypatch):
     monkeypatch.setattr(stern, "stern_row", _no_rows)
+    monkeypatch.setattr(stern, "_expand", _no_rows)
     monkeypatch.setattr(cli_mod, "stern_row", _no_rows)
     monkeypatch.setattr(cli_mod, "power_sum_sequence", _no_rows)
 
@@ -174,6 +175,22 @@ def test_sums_json_and_csv(capsys):
     assert out.splitlines() == ["n,value", "1,1", "2,3", "3,21"]
 
 
+def test_sums_exits_1_naming_the_degree_when_the_certificate_fails(monkeypatch, capsys):
+    # a recurrence that does not hold on the head must not extend the sums
+    real = recurrences.annihilator_recurrence
+
+    def skewed(r, phi_sym=None):
+        rec = real(r, phi_sym)
+        coeffs = (rec.coefficients[0] + 1,) + rec.coefficients[1:]
+        return recurrences.LinearRecurrence(rec.length, coeffs, rec.n0)
+
+    monkeypatch.setattr(recurrences, "annihilator_recurrence", skewed)
+    for mode in ("--fast", "--both"):
+        code, out, err = run(capsys, "sums", "x^4y^3", "20", mode)
+        assert code == EXIT_VERIFICATION_FAILED and out == ""
+        assert "r=7" in err and "certificate" in err
+
+
 def test_sums_bad_fspec(capsys):
     code, _, err = run(capsys, "sums", "q^3", "4")
     assert code == EXIT_USAGE
@@ -185,7 +202,7 @@ def _no_sums(*args, **kwargs):
 
 def _block_sums(monkeypatch):
     monkeypatch.setattr(cli_mod, "power_sum_sequence", _no_sums)
-    monkeypatch.setattr(cli_mod, "power_sum_direct", _no_sums)
+    monkeypatch.setattr(cli_mod, "power_sum_direct_sequence", _no_sums)
     monkeypatch.setattr(stern, "sym_quotient", _no_sums)
 
 

@@ -5,13 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+import sternsums.recurrences as recurrences
+import sternsums.stern as stern
 from sternsums.forms import HomogPoly, phi_matrix, sym_dimension, sym_quotient
+from sternsums.recurrences import LinearRecurrence, annihilator_recurrence
 from sternsums.stern import (
     DEFAULT_ROW_CAP,
     RowCapError,
     SternRow,
-    _pair_evaluator,
+    _extend_certified,
+    _row_power_sum,
     power_sum_direct,
+    power_sum_direct_sequence,
     power_sum_sequence,
     power_sum_table,
     stern_row,
@@ -117,8 +122,8 @@ def test_power_sum_sequence_matches_pointwise_fast():
         assert seq[n - 1] == power_sum_sequence(f, n)[-1]
 
 
-# Single-term forms take the pow-based evaluator: x^a y^b at a = 0, a = r
-# and r = 0, with negative and with rational coefficients.
+# Single-term forms: x^a y^b at a = 0, a = r and r = 0, with negative and
+# with rational coefficients.
 SINGLE_TERMS = [
     HomogPoly.monomial(a, r) * c
     for r in range(0, 6)
@@ -128,13 +133,27 @@ SINGLE_TERMS = [
 
 
 def test_dual_path_agreement_small():
-    pairs = [(0, 1), (1, 0), (0, 0), (2, 3), (-4, 5), (7, -1)]
-    for f in SINGLE_TERMS:
-        ev = _pair_evaluator(f)
-        for x, y in pairs:
-            assert ev(x, y) == f(x, y), (f, x, y)
+    # the termwise row sum against f evaluated pair by pair, on rows with
+    # zeros and negative entries as well as on Stern rows
+    rows = [[1], [0], [2, 3], [-4, 5, 0, 7, -1]]
+    dense = [HomogPoly([2, -1, 0, 3]), HomogPoly([Fraction(1, 2), 0, Fraction(-2, 3)])]
+    for f in SINGLE_TERMS + dense:
+        for row in rows:
+            padded = [0, *row, 0]
+            expected = sum(f(x, y) for x, y in zip(padded, padded[1:]))
+            assert _row_power_sum(row, f) == expected, (f, row)
         direct = [power_sum_direct(n, f) for n in range(1, 11)]
         assert direct == power_sum_sequence(f, 10), f
+        assert power_sum_direct_sequence(f, 10) == direct, f
+
+
+def test_power_sum_direct_sequence_validates_its_horizon():
+    assert power_sum_direct_sequence(X3, 6, cap=6) == power_sum_sequence(X3, 6)
+    with pytest.raises(RowCapError) as err:
+        power_sum_direct_sequence(X3, 7, cap=6)
+    assert "row index 7" in str(err.value) and "configured cap 6" in str(err.value)
+    with pytest.raises(ValueError):
+        power_sum_direct_sequence(X3, 0)
 
 
 def test_dual_path_agreement_rational_coefficients():
@@ -198,6 +217,85 @@ def test_power_sum_sequence_against_the_per_form_iteration():
             for n_max in (1, 2, 120):
                 expected = per_form_power_sums(f, n_max, phi)
                 assert power_sum_sequence(f, n_max) == expected, (f, n_max)
+
+
+# -- the certified recurrence past the head ------------------------------------
+
+
+def _window(r: int) -> int:
+    """W = n0 + L + m - 1: the head that certifies the degree's recurrence."""
+    rec = annihilator_recurrence(r)
+    return rec.first_checked_index + sym_dimension(r) - 1
+
+
+def test_power_sum_sequence_around_the_recurrence_window():
+    # Horizons below, at and past the window W, and past 2m, where the
+    # recurrence takes over, for every monomial class plus one dense and one
+    # rational form per degree.  Odd r has n0 > 1, from the power of x
+    # divided out of the charpoly.
+    rng = random.Random(1729)
+    for r in range(0, 31):
+        m = sym_dimension(r)
+        phi = phi_matrix(r)
+        w = _window(r) if r else 1
+        horizons = sorted({n for n in (w - 1, w, w + 1, 2 * m + 1, 2 * m + 12) if n >= 1})
+        forms = [HomogPoly.monomial(r - i, r) for i in range(m)]
+        forms.append(HomogPoly([rng.randint(-9, 9) for _ in range(r + 1)]))
+        fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(r + 1)]
+        forms.append(HomogPoly(fractions))
+        for f in forms:
+            expected = per_form_power_sums(f, horizons[-1], phi)
+            for n_max in horizons:
+                assert power_sum_sequence(f, n_max) == expected[:n_max], (f, n_max)
+
+
+@pytest.mark.parametrize("r", [1, 8, 21, 40])
+def test_power_sum_sequence_steps_only_the_head(monkeypatch, r):
+    heads = []
+    steps = stern._boundary_steps
+
+    def counted(r_, n_max, phi_sym):
+        heads.append(n_max)
+        return steps(r_, n_max, phi_sym)
+
+    monkeypatch.setattr(stern, "_boundary_steps", counted)
+    f = HomogPoly([1 + i % 5 for i in range(r + 1)])
+    assert power_sum_sequence(f, 300) == per_form_power_sums(f, 300)
+    assert heads == [_window(r)]
+    m = sym_dimension(r)
+    if r % 2:
+        assert heads == [2 * m]
+
+
+def test_extension_certifies_the_recurrence_first():
+    for r in (5, 12):
+        f = HomogPoly([3 - i for i in range(r + 1)])
+        rec = annihilator_recurrence(r)
+        w = _window(r)
+        head = power_sum_sequence(f, w)
+        assert _extend_certified(head, rec, 90, r) == per_form_power_sums(f, 90)
+        # one wrong coefficient, or one coefficient dropped, fails the check
+        # before any term is produced
+        wrong = LinearRecurrence(
+            rec.length, rec.coefficients[:-1] + (rec.coefficients[-1] + 1,), rec.n0
+        )
+        short = LinearRecurrence(rec.length - 1, rec.coefficients[:-1], rec.n0)
+        for bad in (wrong, short):
+            with pytest.raises(ArithmeticError, match=f"r={r}:"):
+                _extend_certified(head, bad, 90, r)
+
+
+def test_power_sum_sequence_raises_naming_r_when_the_certificate_fails(monkeypatch):
+    def skewed(r, phi_sym=None):
+        rec = annihilator_recurrence(r, phi_sym)
+        coeffs = (rec.coefficients[0] + 1,) + rec.coefficients[1:]
+        return LinearRecurrence(rec.length, coeffs, rec.n0)
+
+    monkeypatch.setattr(recurrences, "annihilator_recurrence", skewed)
+    with pytest.raises(ArithmeticError, match="r=9:"):
+        power_sum_sequence(HomogPoly.monomial(9, 9), 100)
+    # a horizon the head covers never reads the recurrence
+    assert power_sum_sequence(X3, 4) == [1, 3, 21, 147]
 
 
 # -- the shared table on the swap-symmetric quotient ---------------------------

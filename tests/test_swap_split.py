@@ -26,7 +26,6 @@ from sternsums.forms import (
     anti_quotient,
     operator_matrix,
     phi_matrix,
-    project_span_dim,
     sym_quotient,
 )
 from sternsums.linalg import (
@@ -67,6 +66,13 @@ from test_linalg import _block_diag, _conjugate, _jordan
 
 
 # -- the full-matrix oracle ---------------------------------------------------
+
+
+def project_span_dim(projection: RationalMatrix, vectors: list) -> int:
+    """Dimension of the image of span(vectors) under the quotient projection."""
+    if not vectors:
+        return 0
+    return rank(RationalMatrix([projection.mat_vec(v) for v in vectors]))
 
 
 def _full_eigenspace_dims(r: int) -> dict:
