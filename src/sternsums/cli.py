@@ -5,12 +5,15 @@ emits a ReportDocument: a JSON object with schema_version, command,
 parameters, and a command-specific results payload in which every integer
 and rational is rendered as a decimal string (rationals as "p/q" in lowest
 terms, integers without the "/1").  Output is deterministic: key order is
-fixed and kernel bases are canonical.
+fixed.
 
 Exit codes: 0 success (and, for verify/mine, every check passed);
-1 a verified bound or equality failed; 2 usage or input error;
+1 a verified bound or equality failed, an exact certificate or identity
+failed, or the two routes of `sums --both` disagree; 2 usage or input error;
 3 resource limit (a row index past the configured cap, a --cap above
-DEFAULT_ROW_CAP, or a degree or term count past the caps below).
+DEFAULT_ROW_CAP, or a degree or term count past the caps below).  Commands
+raise and `main` alone reports: `error: <message>` on stderr and the exit
+code of the exception's kind.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .forms import HomogPoly, phi_matrix, sym_quotient
 from .recurrences import (
     AFFINE_ALT,
     HOMOGENEOUS,
-    InsufficientDataError,
     corollary_bound,
     mine_all_monomials,
 )
@@ -114,14 +116,37 @@ def emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
+class _CapExceeded(Exception):
+    """An input past one of the cost caps; `main` exits EXIT_RESOURCE."""
+
+
+def _check_cap(what: str, value: int, name: str, limit: int, cap: str = "cap") -> None:
+    if value > limit:
+        raise _CapExceeded(f"{what} {value} is above the {cap} {name}={limit}")
+
+
 _FACTOR = re.compile(r"([xy])(?:\^(\d+))?")
+
+
+def _coefficient(entry: str) -> Fraction:
+    # exponent notation would let a short entry cost seconds to parse
+    if "e" in entry or "E" in entry:
+        raise ValueError(
+            f"coefficient {entry!r} is in exponent notation; write an integer, "
+            f"p/q or a decimal"
+        )
+    try:
+        return Fraction(entry)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {entry!r} has a zero denominator") from None
 
 
 def parse_fspec(spec: str) -> HomogPoly:
     """Parse a form: a monomial token like x^2*y or x^2y, or coeffs=[...].
 
     coeffs=[c0,c1,...,cr] lists the coefficient of x^a y^(r-a) at index a;
-    entries may be integers or fractions p/q.
+    entries may be integers, fractions p/q or decimals.  A degree above
+    SUMS_MAX_DEGREE is refused before any coefficient is built.
     """
     spec = spec.strip()
     if spec.startswith("coeffs="):
@@ -131,7 +156,8 @@ def parse_fspec(spec: str) -> HomogPoly:
         items = [p.strip() for p in body[1:-1].split(",") if p.strip()]
         if not items:
             raise ValueError("coefficient list is empty")
-        return HomogPoly([Fraction(p) for p in items])
+        _check_cap("degree", len(items) - 1, "SUMS_MAX_DEGREE", SUMS_MAX_DEGREE)
+        return HomogPoly([_coefficient(p) for p in items])
     pos = 0
     powers = {"x": 0, "y": 0}
     seen = False
@@ -152,11 +178,8 @@ def parse_fspec(spec: str) -> HomogPoly:
     if not seen:
         raise ValueError(f"cannot parse form {spec!r}")
     degree = powers["x"] + powers["y"]
+    _check_cap("degree", degree, "SUMS_MAX_DEGREE", SUMS_MAX_DEGREE)
     return HomogPoly.monomial(powers["x"], degree)
-
-
-def _matrix_payload(m) -> list:
-    return [list(row) for row in m.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -164,25 +187,9 @@ def _matrix_payload(m) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _cap_too_high(cap: int) -> bool:
-    """Report a --cap above DEFAULT_ROW_CAP, which would allow rows too big to build."""
-    if cap <= DEFAULT_ROW_CAP:
-        return False
-    print(
-        f"error: --cap {cap} is above the limit DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}",
-        file=sys.stderr,
-    )
-    return True
-
-
 def cmd_row(args) -> int:
-    if _cap_too_high(args.cap):
-        return EXIT_RESOURCE
-    try:
-        row = stern_row(args.n, args.cap)
-    except RowCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if args.n < 1 else EXIT_RESOURCE
+    _check_cap("--cap", args.cap, "DEFAULT_ROW_CAP", DEFAULT_ROW_CAP, "limit")
+    row = stern_row(args.n, args.cap)
     if args.format == "json":
         emit_json(
             report_document(
@@ -199,59 +206,32 @@ def cmd_row(args) -> int:
 
 
 def cmd_sums(args) -> int:
-    try:
-        f = parse_fspec(args.fspec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # n_max first: parse_fspec already refuses a degree past its cap, and
+    # usage errors come before resource limits
     if args.n_max < 1:
-        print("error: n_max must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if f.degree > SUMS_MAX_DEGREE:
-        print(
-            f"error: degree {f.degree} is above the cap SUMS_MAX_DEGREE={SUMS_MAX_DEGREE}",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
-    if args.n_max > SUMS_MAX_TERMS:
-        print(
-            f"error: n_max {args.n_max} is above the cap SUMS_MAX_TERMS={SUMS_MAX_TERMS}",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
-    if _cap_too_high(args.cap):
-        return EXIT_RESOURCE
+        raise ValueError("n_max must be at least 1")
+    f = parse_fspec(args.fspec)
+    _check_cap("n_max", args.n_max, "SUMS_MAX_TERMS", SUMS_MAX_TERMS)
+    _check_cap("--cap", args.cap, "DEFAULT_ROW_CAP", DEFAULT_ROW_CAP, "limit")
     mode = args.mode
-    if mode in ("direct", "both") and args.n_max > args.cap:
-        # the direct route needs rows 1..n_max; refuse before building any
-        print(f"error: {RowCapError(args.cap + 1, args.cap)}", file=sys.stderr)
-        return EXIT_RESOURCE
-    values = None
-    agree = None
-    if mode in ("fast", "both"):
-        try:
-            values = power_sum_sequence(f, args.n_max)
-        except ArithmeticError as exc:
-            # the recurrence that extends the sums failed its exact
-            # certificate; the message names r
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION_FAILED
-    if mode in ("direct", "both"):
+    if mode != "fast" and args.n_max > args.cap:
+        # the direct route needs rows 1..n_max; refuse before building any,
+        # as a resource limit even for a cap below 1
+        raise _CapExceeded(RowCapError(args.cap + 1, args.cap))
+    if mode != "direct":
+        # an ArithmeticError names r: the recurrence that extends the sums
+        # failed its exact certificate
+        values = power_sum_sequence(f, args.n_max)
+    if mode != "fast":
         direct = power_sum_direct_sequence(f, args.n_max, args.cap)
-        if mode == "both":
-            agree = direct == values
-            if not agree:
-                print(
-                    "error: direct and fast power sums disagree",
-                    file=sys.stderr,
-                )
-                return EXIT_VERIFICATION_FAILED
-        else:
+        if mode == "direct":
             values = direct
+        elif direct != values:
+            raise ArithmeticError("direct and fast power sums disagree")
     if args.format == "json":
         results = {"values": values, "mode": mode}
-        if agree is not None:
-            results["paths_agree"] = agree
+        if mode == "both":
+            results["paths_agree"] = True
         emit_json(
             report_document(
                 "sums",
@@ -265,7 +245,7 @@ def cmd_sums(args) -> int:
             print(f"{n},{encode_rational(v)}")
     else:
         line = " ".join(encode_rational(v) for v in values)
-        if agree:
+        if mode == "both":
             line += " (paths agree)"
         print(line)
     return EXIT_OK
@@ -273,24 +253,15 @@ def cmd_sums(args) -> int:
 
 def cmd_phi(args) -> int:
     if args.r < 0:
-        print("error: degree must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    if args.r > PHI_MAX_DEGREE:
-        print(
-            f"error: degree {args.r} is above the cap PHI_MAX_DEGREE={PHI_MAX_DEGREE}",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
-    if args.sym:
-        _, mat = sym_quotient(args.r)
-    else:
-        mat = phi_matrix(args.r)
+        raise ValueError("degree must be nonnegative")
+    _check_cap("degree", args.r, "PHI_MAX_DEGREE", PHI_MAX_DEGREE)
+    mat = sym_quotient(args.r)[1] if args.sym else phi_matrix(args.r)
     if args.format == "json":
         emit_json(
             report_document(
                 "phi",
                 {"r": args.r, "sym": args.sym},
-                {"matrix": _matrix_payload(mat)},
+                {"matrix": mat.to_lists()},
             )
         )
     else:
@@ -312,26 +283,15 @@ def _verify_text_line(rep) -> str:
 
 def cmd_verify(args) -> int:
     if not 1 <= args.r_min <= args.r_max:
-        print(
-            f"error: range must satisfy 1 <= r_min <= r_max, "
-            f"got {args.r_min}..{args.r_max}",
-            file=sys.stderr,
+        raise ValueError(
+            f"range must satisfy 1 <= r_min <= r_max, got {args.r_min}..{args.r_max}"
         )
-        return EXIT_USAGE
-    if args.r_max > VERIFY_MAX_DEGREE:
-        print(
-            f"error: degree {args.r_max} is above the verification cap "
-            f"VERIFY_MAX_DEGREE={VERIFY_MAX_DEGREE}",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
-    try:
-        reports = verify_range(args.r_min, args.r_max)
-    except ArithmeticError as exc:
-        # an exact identity the verification rests on failed (for example
-        # the swap certificate of the block split); the message names r
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILED
+    _check_cap(
+        "degree", args.r_max, "VERIFY_MAX_DEGREE", VERIFY_MAX_DEGREE, "verification cap"
+    )
+    # an ArithmeticError names r: an exact identity the verification rests
+    # on failed (for example the swap certificate of the block split)
+    reports = verify_range(args.r_min, args.r_max)
     all_ok = all(rep.passed for rep in reports)
     if args.format == "json":
         emit_json(
@@ -382,32 +342,16 @@ def _mine_text_lines(results, r, affine):
 
 def cmd_mine(args) -> int:
     if args.r < 1:
-        print("error: degree must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.r > MINE_MAX_DEGREE:
-        print(
-            f"error: degree {args.r} is above the mining cap "
-            f"MINE_MAX_DEGREE={MINE_MAX_DEGREE}",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
-    if args.terms is not None and args.terms > MINE_MAX_TERMS:
-        print(
-            f"error: --terms {args.terms} is above the mining cap "
-            f"MINE_MAX_TERMS={MINE_MAX_TERMS}",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
+        raise ValueError("degree must be at least 1")
+    _check_cap("degree", args.r, "MINE_MAX_DEGREE", MINE_MAX_DEGREE, "mining cap")
+    if args.terms is not None:
+        _check_cap("--terms", args.terms, "MINE_MAX_TERMS", MINE_MAX_TERMS, "mining cap")
     try:
         results = mine_all_monomials(args.r, args.terms, include_affine=args.affine)
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ArithmeticError as exc:
         # an exact check of the mining failed (the certificate of a mined
         # recurrence on its window, or an exact division)
-        print(f"error: r={args.r}: mining failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILED
+        raise ArithmeticError(f"r={args.r}: mining failed: {exc}") from exc
     ok = all(res.within_bound and res.annihilator_validates for res in results)
     ok = ok and all(
         res.affine_within_bound is not False for res in results
@@ -557,9 +501,13 @@ def main(argv=None) -> int:
         # the downstream consumer (head, less, ...) closed the pipe early
         _park_stdout_on_devnull()
         return EXIT_OK
-    except ValueError as exc:
+    except (ValueError, _CapExceeded, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, RowCapError):
+            return EXIT_USAGE if exc.n < 1 else EXIT_RESOURCE
+        if isinstance(exc, ValueError):
+            return EXIT_USAGE
+        return EXIT_RESOURCE if isinstance(exc, _CapExceeded) else EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

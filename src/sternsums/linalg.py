@@ -157,6 +157,19 @@ def _dot(a, b):
     return s
 
 
+def _poly_mul(a: Sequence, b: Sequence, size: int | None = None) -> list:
+    """Product of two coefficient lists, cut to its first size terms."""
+    full = len(a) + len(b) - 1
+    size = full if size is None else min(size, full)
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[: size - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
 def _matmul_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
     """Product of two matrices given as rows, as a list of lists."""
     cols = list(zip(*b))
@@ -233,15 +246,7 @@ class IntPolynomial:
             return IntPolynomial([c * other for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(_poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -498,30 +503,10 @@ def _berkowitz(rows: list) -> list:
         vec = [rows[i][k] for i in range(k)]
         toep = [1, -row_k[k]]
         for step in range(k):
-            s = 0
-            for j in range(k):
-                rj = row_k[j]
-                if rj and vec[j]:
-                    s += rj * vec[j]
-            toep.append(-s)
+            toep.append(-_dot(row_k, vec))
             if step < k - 1:
                 vec = [_dot(srow, vec) for srow in sub]
-        new = []
-        top = len(poly) - 1
-        for i in range(k + 2):
-            s = 0
-            lo = i - (len(toep) - 1)
-            if lo < 0:
-                lo = 0
-            hi = i if i < top else top
-            for j in range(lo, hi + 1):
-                t = toep[i - j]
-                if t:
-                    p = poly[j]
-                    if p:
-                        s += t * p
-            new.append(s)
-        poly = new
+        poly = _poly_mul(toep, poly, k + 2)
     return poly
 
 

@@ -28,13 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence, Union
 
 from .forms import monomial_name, sym_dimension, sym_quotient
 from .linalg import (
     IntPolynomial,
     RationalMatrix,
+    _exact_quotient,
     _normalize_entry,
     charpoly,
     divide_out,
@@ -248,10 +248,10 @@ def _divide_out_period_two(conn: list) -> list:
     Connection polynomials are reversed characteristic polynomials, so this
     is m / gcd(m, x^2 - 1) for the characteristic polynomial m.
     """
-    if sum(conn) == 0:  # c = (1 - x)q with q_k = c_0 + ... + c_k
-        conn = list(accumulate(conn[:-1]))
-    if sum(conn[::2]) == sum(conn[1::2]):  # c = (1 + x)q with q_k = c_k - q_(k-1)
-        conn = list(accumulate(conn[:-1], lambda q, x: x - q))
+    for factor in ([1, -1], [1, 1]):
+        quotient = _exact_quotient(conn, factor)
+        if quotient is not None:
+            conn = quotient
     return conn
 
 

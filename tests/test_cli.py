@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, and determinism."""
 
+import ast
 import hashlib
 import json
 from collections import Counter
@@ -68,12 +69,31 @@ def test_parse_fspec_monomials():
 def test_parse_fspec_coefficient_lists():
     assert parse_fspec("coeffs=[1,2,3]") == HomogPoly([1, 2, 3])
     assert parse_fspec("coeffs=[1/2, -3]") == HomogPoly([Fraction(1, 2), -3])
+    assert parse_fspec("coeffs=[0.5, -2, 0.75]") == HomogPoly([Fraction(1, 2), -2, Fraction(3, 4)])
 
 
 def test_parse_fspec_rejects_garbage():
     for bad in ("z^2", "x^", "coeffs=[]", "coeffs=1,2", ""):
         with pytest.raises(ValueError):
             parse_fspec(bad)
+
+
+def _no_form(*args, **kwargs):
+    raise AssertionError("a coefficient was built")
+
+
+def test_sums_rejects_bad_coefficients_with_exit_2(monkeypatch, capsys):
+    for entry in ("1/0", "0/0"):
+        code, out, err = run(capsys, "sums", f"coeffs=[1,{entry}]", "5")
+        assert code == EXIT_USAGE and out == ""
+        assert f"'{entry}' has a zero denominator" in err
+    # exponent notation is refused before Fraction sees it: parsing
+    # 1e999999999 would not finish
+    monkeypatch.setattr(cli_mod, "Fraction", _no_form)
+    for entry in ("1e999999999", "2E1", "1.5e-3"):
+        code, out, err = run(capsys, "sums", f"coeffs=[{entry},1]", "5")
+        assert code == EXIT_USAGE and out == ""
+        assert f"'{entry}' is in exponent notation" in err
 
 
 # -- row ----------------------------------------------------------------------
@@ -191,6 +211,13 @@ def test_sums_exits_1_naming_the_degree_when_the_certificate_fails(monkeypatch, 
         assert "r=7" in err and "certificate" in err
 
 
+def test_sums_both_exits_1_when_the_routes_disagree(monkeypatch, capsys):
+    monkeypatch.setattr(cli_mod, "power_sum_direct_sequence", lambda f, n, cap: [0] * n)
+    code, out, err = run(capsys, "sums", "x^3", "4", "--both", "--json")
+    assert code == EXIT_VERIFICATION_FAILED and out == ""
+    assert err == "error: direct and fast power sums disagree\n"
+
+
 def test_sums_bad_fspec(capsys):
     code, _, err = run(capsys, "sums", "q^3", "4")
     assert code == EXIT_USAGE
@@ -219,6 +246,17 @@ def test_sums_degree_cap(monkeypatch, capsys):
             code, out, err = run(capsys, "sums", spec, "2", mode)
             assert code == EXIT_RESOURCE and out == ""
             assert f"SUMS_MAX_DEGREE={SUMS_MAX_DEGREE}" in err
+
+
+def test_sums_degree_cap_comes_before_any_coefficient(monkeypatch, capsys):
+    monkeypatch.setattr(HomogPoly, "monomial", staticmethod(_no_form))
+    monkeypatch.setattr(cli_mod, "Fraction", _no_form)
+    dense = "coeffs=[" + ",".join(["1"] * (SUMS_MAX_DEGREE + 2)) + "]"
+    cases = [("x^5000000", 5000000), ("y^999999999x", 10**9), (dense, SUMS_MAX_DEGREE + 1)]
+    for spec, degree in cases:
+        code, out, err = run(capsys, "sums", spec, "5")
+        assert code == EXIT_RESOURCE and out == ""
+        assert f"degree {degree} is above the cap SUMS_MAX_DEGREE={SUMS_MAX_DEGREE}" in err
 
 
 def test_sums_terms_cap(monkeypatch, capsys):
@@ -478,6 +516,28 @@ def test_broken_pipe_is_not_an_error(monkeypatch):
     monkeypatch.setattr(cli_mod, "_park_stdout_on_devnull", lambda: parked.append(1))
     assert main(["row", "4"]) == EXIT_OK
     assert parked == [1]
+
+
+def test_only_main_reports_a_failure():
+    # commands raise; main alone prints `error: ...` and picks the exit code
+    tree = ast.parse(Path(cli_mod.__file__).read_text())
+    funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    writers = [
+        fn.name
+        for fn in funcs
+        for node in ast.walk(fn)
+        if isinstance(node, ast.keyword) and node.arg == "file"
+    ]
+    assert writers == ["main"]
+    caught = {
+        ast.unparse(handler.type)
+        for fn in funcs
+        if fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Try)
+        for handler in node.handlers
+    }
+    assert caught == {"ArithmeticError"}
 
 
 # -- determinism ------------------------------------------------------------------
