@@ -10,10 +10,9 @@ fixed.
 Exit codes: 0 success (and, for verify/mine, every check passed);
 1 a verified bound or equality failed, an exact certificate or identity
 failed, or the two routes of `sums --both` disagree; 2 usage or input error;
-3 resource limit (a row index past the configured cap, a --cap above
-DEFAULT_ROW_CAP, or a degree or term count past the caps below).  Commands
-raise and `main` alone reports: `error: <message>` on stderr and the exit
-code of the exception's kind.
+3 resource limit (a row index past DEFAULT_ROW_CAP, or a degree or term
+count past the caps below).  Commands raise and `main` alone reports:
+`error: <message>` on stderr and the exit code of the exception's kind.
 """
 
 from __future__ import annotations
@@ -62,8 +61,9 @@ MINE_MAX_TERMS = 200
 # (as long with `--sym`), and `phi 800` 6 to 8 s for 74 MB.  The verify cap
 # keeps its top degree no dearer than `verify 100 100` was while the
 # squarefree witness still computed minimal polynomials: 26 to 31 s on one
-# core of a 2-core Intel Xeon machine, where `verify r r` now takes 5.7 s at
-# r = 100, 14.5 s at 120, 12 to 18.5 s at 128..130 and 30 to 32 s at 140.
+# core of a 2-core Intel Xeon machine, where `verify r r` now takes 2.7 to
+# 5.7 s at r = 100, 14.5 s at 120, 10.4 to 22.5 s at 128..130 and 30 to 32 s
+# at 140 (the spread is the host's load from run to run).
 PHI_MAX_DEGREE = 400
 VERIFY_MAX_DEGREE = 130
 # Caps on `sums`: the form's degree and n_max; past either one it exits
@@ -126,6 +126,8 @@ def _check_cap(what: str, value: int, name: str, limit: int, cap: str = "cap") -
 
 
 _FACTOR = re.compile(r"([xy])(?:\^(\d+))?")
+# factors, each but the first optionally after one "*"
+_MONOMIAL = re.compile(rf"{_FACTOR.pattern}(?:\*?{_FACTOR.pattern})*")
 
 
 def _coefficient(entry: str) -> Fraction:
@@ -153,30 +155,21 @@ def parse_fspec(spec: str) -> HomogPoly:
         body = spec[len("coeffs="):].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError("coeffs= expects a bracketed list, e.g. coeffs=[0,1,2]")
-        items = [p.strip() for p in body[1:-1].split(",") if p.strip()]
-        if not items:
+        if not body[1:-1].strip():
             raise ValueError("coefficient list is empty")
+        items = [p.strip() for p in body[1:-1].split(",")]
+        if "" in items:
+            raise ValueError(f"coefficient list {spec!r} has an empty entry")
         _check_cap("degree", len(items) - 1, "SUMS_MAX_DEGREE", SUMS_MAX_DEGREE)
         return HomogPoly([_coefficient(p) for p in items])
-    pos = 0
+    if not _MONOMIAL.fullmatch(spec):
+        raise ValueError(
+            f"cannot parse form {spec!r}; expected a monomial like x^2*y "
+            f"or coeffs=[...]"
+        )
     powers = {"x": 0, "y": 0}
-    seen = False
-    while pos < len(spec):
-        if spec[pos] == "*":
-            pos += 1
-            continue
-        m = _FACTOR.match(spec, pos)
-        if not m:
-            raise ValueError(
-                f"cannot parse form {spec!r}; expected a monomial like x^2*y "
-                f"or coeffs=[...]"
-            )
-        var, exp = m.group(1), m.group(2)
-        powers[var] += int(exp) if exp is not None else 1
-        seen = True
-        pos = m.end()
-    if not seen:
-        raise ValueError(f"cannot parse form {spec!r}")
+    for var, exp in _FACTOR.findall(spec):
+        powers[var] += int(exp) if exp else 1
     degree = powers["x"] + powers["y"]
     _check_cap("degree", degree, "SUMS_MAX_DEGREE", SUMS_MAX_DEGREE)
     return HomogPoly.monomial(powers["x"], degree)
@@ -188,13 +181,12 @@ def parse_fspec(spec: str) -> HomogPoly:
 
 
 def cmd_row(args) -> int:
-    _check_cap("--cap", args.cap, "DEFAULT_ROW_CAP", DEFAULT_ROW_CAP, "limit")
-    row = stern_row(args.n, args.cap)
+    row = stern_row(args.n)
     if args.format == "json":
         emit_json(
             report_document(
                 "row",
-                {"n": args.n, "cap": args.cap},
+                {"n": args.n, "cap": DEFAULT_ROW_CAP},
                 {"entries": list(row.entries)},
             )
         )
@@ -212,22 +204,18 @@ def cmd_sums(args) -> int:
         raise ValueError("n_max must be at least 1")
     f = parse_fspec(args.fspec)
     _check_cap("n_max", args.n_max, "SUMS_MAX_TERMS", SUMS_MAX_TERMS)
-    _check_cap("--cap", args.cap, "DEFAULT_ROW_CAP", DEFAULT_ROW_CAP, "limit")
     mode = args.mode
-    if mode != "fast" and args.n_max > args.cap:
-        # the direct route needs rows 1..n_max; refuse before building any,
-        # as a resource limit even for a cap below 1
-        raise _CapExceeded(RowCapError(args.cap + 1, args.cap))
+    if mode != "fast":
+        # first, so that an n_max past the row cap raises RowCapError before
+        # any power sum is computed
+        values = power_sum_direct_sequence(f, args.n_max)
     if mode != "direct":
         # an ArithmeticError names r: the recurrence that extends the sums
         # failed its exact certificate
-        values = power_sum_sequence(f, args.n_max)
-    if mode != "fast":
-        direct = power_sum_direct_sequence(f, args.n_max, args.cap)
-        if mode == "direct":
-            values = direct
-        elif direct != values:
+        fast = power_sum_sequence(f, args.n_max)
+        if mode == "both" and fast != values:
             raise ArithmeticError("direct and fast power sums disagree")
+        values = fast
     if args.format == "json":
         results = {"values": values, "mode": mode}
         if mode == "both":
@@ -404,12 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_row = sub.add_parser("row", help="print one row of the Stern array")
-    p_row.add_argument("n", type=int, help="row index (1-based)")
     p_row.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_ROW_CAP,
-        help=f"row generation cap (at most {DEFAULT_ROW_CAP})",
+        "n", type=int, help=f"row index (1-based, at most {DEFAULT_ROW_CAP})"
     )
     _add_format_args(p_row, csv=True)
     p_row.set_defaults(func=cmd_row)
@@ -439,12 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run both and require exact agreement",
     )
     p_sums.set_defaults(mode="fast")
-    p_sums.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_ROW_CAP,
-        help=f"row cap for --direct/--both (at most {DEFAULT_ROW_CAP})",
-    )
     _add_format_args(p_sums, csv=True)
     p_sums.set_defaults(func=cmd_sums)
 

@@ -26,7 +26,7 @@ a recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -391,7 +391,7 @@ class MiningResult:
     recurrence: LinearRecurrence
     bound: int
     within_bound: bool
-    best_n0: int | None
+    best_n0: int
     annihilator_validates: bool
     affine: LinearRecurrence | None = None
     affine_bound: int | None = None
@@ -412,13 +412,6 @@ class MiningResult:
             out["affine_bound"] = self.affine_bound
             out["affine_within_bound"] = self.affine_within_bound
         return out
-
-
-def _smallest_valid_offset(seq, rec: LinearRecurrence) -> int | None:
-    for n0 in (1, 2, 3):
-        if verify_recurrence(seq, replace(rec, n0=n0)):
-            return n0
-    return None
 
 
 def mine_all_monomials(
@@ -461,6 +454,8 @@ def mine_all_monomials(
         if include_affine:
             affine = _min_recurrence_impl(seq, 2, AFFINE_ALT, annihilator)
             affine_within = affine.length <= affine_bound
+        # rec is checked from n0 = 2 on; n0 = 1 adds the one index length + 1
+        best_n0 = 1 if seq[rec.length] == rec.rhs(seq, rec.length + 1) else 2
         results.append(
             MiningResult(
                 r=r,
@@ -469,7 +464,7 @@ def mine_all_monomials(
                 recurrence=rec,
                 bound=bound,
                 within_bound=rec.length <= bound,
-                best_n0=_smallest_valid_offset(seq, rec),
+                best_n0=best_n0,
                 annihilator_validates=verify_recurrence(seq, ann),
                 affine=affine,
                 affine_bound=affine_bound,

@@ -26,9 +26,10 @@ transfer route's oracle in the tests.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Union
 
@@ -78,17 +79,25 @@ def _expand(prev: list) -> list:
     return out
 
 
-def stern_row(n: int, cap: int = DEFAULT_ROW_CAP) -> SternRow:
-    """Generate row n (iteratively from row 1; nothing is memoized).
+def _rows(n: int, cap: int):
+    """Iterator over rows 1 .. n as lists, each built from the one before by
+    one insertion step.
 
-    Raises RowCapError for n < 1 or n > cap; the cap bounds memory at
-    2^cap - 1 entries.
+    The cap is checked here, before any row is built: raises RowCapError
+    naming n for n < 1 or n > cap.  The cap bounds memory at 2^cap - 1
+    entries.
     """
     if n < 1 or n > cap:
         raise RowCapError(n, cap)
-    row = [1]
-    for _ in range(n - 1):
-        row = _expand(row)
+    return accumulate(range(n - 1), lambda row, _: _expand(row), initial=[1])
+
+
+def stern_row(n: int, cap: int = DEFAULT_ROW_CAP) -> SternRow:
+    """Generate row n (iteratively from row 1; nothing is memoized).
+
+    Raises RowCapError for n < 1 or n > cap.
+    """
+    (row,) = deque(_rows(n, cap), maxlen=1)
     return SternRow(n, tuple(row))
 
 
@@ -118,20 +127,11 @@ def power_sum_direct_sequence(
 ) -> list:
     """[S_1(f), ..., S_n_max(f)] by brute force over rows 1 .. n_max.
 
-    Each row is built from the one before by one insertion step, so the walk
-    costs about what generating row n_max alone does.  Raises RowCapError
-    naming the first row past the cap when n_max > cap.
+    One walk builds each row from the one before, so it costs about what
+    generating row n_max alone does.  Raises RowCapError naming n_max, before
+    any row is built, for n_max < 1 or n_max > cap.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if n_max > cap:
-        raise RowCapError(cap + 1, cap)
-    row = [1]
-    out = [_row_power_sum(row, f)]
-    for _ in range(n_max - 1):
-        row = _expand(row)
-        out.append(_row_power_sum(row, f))
-    return out
+    return [_row_power_sum(row, f) for row in _rows(n_max, cap)]
 
 
 def _boundary_steps(r: int, n_max: int, phi_sym: RationalMatrix):

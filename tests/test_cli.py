@@ -118,12 +118,15 @@ def test_row_csv_and_json(capsys):
     assert doc["results"]["entries"] == ["1", "1", "2", "1", "2", "1", "1"]
 
 
-def test_row_exit_codes(capsys):
+def test_row_exit_codes(monkeypatch, capsys):
     code, _, err = run(capsys, "row", "0")
     assert code == EXIT_USAGE
-    assert "1 <= n <= 24" in err
-    code, _, _ = run(capsys, "row", "99")
-    assert code == EXIT_RESOURCE
+    assert f"1 <= n <= {DEFAULT_ROW_CAP}" in err
+    _block_rows(monkeypatch)
+    for n in (DEFAULT_ROW_CAP + 1, 99):
+        code, out, err = run(capsys, "row", str(n))
+        assert code == EXIT_RESOURCE and out == ""
+        assert f"row index {n}" in err and f"configured cap {DEFAULT_ROW_CAP}" in err
 
 
 def _no_rows(*args, **kwargs):
@@ -131,28 +134,20 @@ def _no_rows(*args, **kwargs):
 
 
 def _block_rows(monkeypatch):
-    monkeypatch.setattr(stern, "stern_row", _no_rows)
+    # every row past row 1 is built by stern._expand
     monkeypatch.setattr(stern, "_expand", _no_rows)
-    monkeypatch.setattr(cli_mod, "stern_row", _no_rows)
     monkeypatch.setattr(cli_mod, "power_sum_sequence", _no_rows)
 
 
-def test_cap_option_is_capped(monkeypatch, capsys):
-    at = str(DEFAULT_ROW_CAP)
-    code, out, _ = run(capsys, "row", "3", "--format", "csv", "--cap", at)
-    assert code == EXIT_OK and out.strip() == "1,1,2,1,2,1,1"
-    code, out, _ = run(capsys, "sums", "x^3", "4", "--both", "--cap", at)
-    assert code == EXIT_OK and out.strip() == "1 3 21 147 (paths agree)"
+def test_cap_is_not_an_option(monkeypatch, capsys):
     _block_rows(monkeypatch)
-    past = str(DEFAULT_ROW_CAP + 1)
-    code, out, err = run(capsys, "sums", "x", past, "--direct", "--cap", at)
-    assert code == EXIT_RESOURCE and out == ""
-    assert f"configured cap {DEFAULT_ROW_CAP}" in err
     sums = [("sums", "x", "3", mode) for mode in ("--fast", "--both", "--direct")]
-    for argv in [("row", "3"), ("row", past), *sums]:
-        code, out, err = run(capsys, *argv, "--cap", past)
-        assert code == EXIT_RESOURCE and out == ""
-        assert f"DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in err
+    for argv in [("row", "3"), *sums]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", str(DEFAULT_ROW_CAP)])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --cap" in captured.err
 
 
 # -- sums ----------------------------------------------------------------------
@@ -172,18 +167,21 @@ def test_sums_default_fast(capsys):
 
 
 def test_sums_direct_respects_cap(capsys):
-    code, _, err = run(capsys, "sums", "x^2", "7", "--both", "--cap", "6")
+    past = str(DEFAULT_ROW_CAP + 1)
+    code, _, err = run(capsys, "sums", "x^2", past, "--both")
     assert code == EXIT_RESOURCE
-    code, _, _ = run(capsys, "sums", "x^2", "7", "--fast", "--cap", "6")
+    assert f"configured cap {DEFAULT_ROW_CAP}" in err
+    code, _, _ = run(capsys, "sums", "x^2", past, "--fast")
     assert code == EXIT_OK
 
 
 def test_sums_past_row_cap_exits_before_any_row(monkeypatch, capsys):
     _block_rows(monkeypatch)
-    for mode in ("--both", "--direct"):
-        code, out, err = run(capsys, "sums", "x", "30", mode, "--cap", "20")
-        assert code == EXIT_RESOURCE and out == ""
-        assert "row index 21" in err and "configured cap 20" in err
+    for n in (DEFAULT_ROW_CAP + 1, 30):
+        for mode in ("--both", "--direct"):
+            code, out, err = run(capsys, "sums", "x", str(n), mode)
+            assert code == EXIT_RESOURCE and out == ""
+            assert f"row index {n}" in err and f"configured cap {DEFAULT_ROW_CAP}" in err
 
 
 def test_sums_json_and_csv(capsys):
@@ -212,7 +210,7 @@ def test_sums_exits_1_naming_the_degree_when_the_certificate_fails(monkeypatch, 
 
 
 def test_sums_both_exits_1_when_the_routes_disagree(monkeypatch, capsys):
-    monkeypatch.setattr(cli_mod, "power_sum_direct_sequence", lambda f, n, cap: [0] * n)
+    monkeypatch.setattr(cli_mod, "power_sum_direct_sequence", lambda f, n: [0] * n)
     code, out, err = run(capsys, "sums", "x^3", "4", "--both", "--json")
     assert code == EXIT_VERIFICATION_FAILED and out == ""
     assert err == "error: direct and fast power sums disagree\n"
@@ -221,6 +219,19 @@ def test_sums_both_exits_1_when_the_routes_disagree(monkeypatch, capsys):
 def test_sums_bad_fspec(capsys):
     code, _, err = run(capsys, "sums", "q^3", "4")
     assert code == EXIT_USAGE
+
+
+def test_sums_refuses_malformed_separators_with_exit_2(monkeypatch, capsys):
+    # an empty entry would shift every later coefficient to a lower power of x
+    monkeypatch.setattr(cli_mod, "power_sum_sequence", _no_form)
+    for spec in ("coeffs=[1,,2]", "coeffs=[1,2,]", "coeffs=[ ,1]", "coeffs=[,]"):
+        code, out, err = run(capsys, "sums", spec, "3")
+        assert code == EXIT_USAGE and out == ""
+        assert f"{spec!r} has an empty entry" in err
+    for spec in ("x^2*", "*x", "x**y", "*", "x*^2"):
+        code, out, err = run(capsys, "sums", spec, "3")
+        assert code == EXIT_USAGE and out == ""
+        assert f"cannot parse form {spec!r}" in err
 
 
 def _no_sums(*args, **kwargs):

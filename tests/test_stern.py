@@ -33,17 +33,31 @@ def test_row_goldens():
     assert stern_row(4).entries == (1, 1, 2, 1, 3, 2, 3, 1, 3, 2, 3, 1, 2, 1, 1)
 
 
-def test_row_cap_errors_name_the_cap():
-    with pytest.raises(RowCapError) as err:
-        stern_row(0)
-    assert "24" in str(err.value)
-    with pytest.raises(RowCapError):
-        stern_row(DEFAULT_ROW_CAP + 1)
+def test_row_cap_errors_name_the_cap(monkeypatch):
     # configurable cap
     assert stern_row(5, cap=5).n == 5
-    with pytest.raises(RowCapError) as err2:
-        stern_row(6, cap=5)
-    assert "5" in str(err2.value)
+
+    def no_rows(row):
+        raise AssertionError("a row was built outside the cap")
+
+    # every entry point refuses before its first insertion step, naming the
+    # requested row and the cap in the same words
+    monkeypatch.setattr(stern, "_expand", no_rows)
+    for n, cap in [(0, DEFAULT_ROW_CAP), (DEFAULT_ROW_CAP + 1, DEFAULT_ROW_CAP), (6, 5)]:
+        calls = [
+            lambda: stern_row(n, cap),
+            lambda: power_sum_direct(n, X3, cap),
+            lambda: power_sum_direct_sequence(X3, n, cap),
+        ]
+        for call in calls:
+            with pytest.raises(RowCapError) as err:
+                call()
+            assert str(err.value) == (
+                f"row index {n} is outside the valid range 1 <= n <= {cap} "
+                f"(configured cap {cap})"
+            )
+    with pytest.raises(RowCapError, match="<= 24"):
+        stern_row(0)
 
 
 def test_row_lengths_and_palindromes():
