@@ -77,17 +77,6 @@ class RationalMatrix:
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
         return cls([[0] * ncols for _ in range(nrows)])
 
-    @classmethod
-    def vstack(cls, mats: Sequence["RationalMatrix"]) -> "RationalMatrix":
-        if not mats:
-            raise ValueError("nothing to stack")
-        if any(m.ncols != mats[0].ncols for m in mats):
-            raise ValueError("column counts differ")
-        rows = []
-        for m in mats:
-            rows.extend(m.rows)
-        return cls(rows)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

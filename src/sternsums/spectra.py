@@ -31,7 +31,9 @@ of the blocks' multiplicities.  The split is certified, not assumed:
 spectral_context checks phi[r-a][r-b] == phi[a][b] entrywise, which is
 J phi J == phi, and raises ArithmeticError naming the degree when it fails.
 verify_single builds that context once per degree, and every check reads
-phi, the blocks, their polynomials and the twist kernel from it.
+phi, the blocks, their polynomials and the twist kernel from it.  The
+quarter turn f(x, y) -> f(y, -x) sends e_b to (-1)^(r-b) e_(r-b), so the
+checks apply it entry by entry and its eigenspaces Y+- have explicit bases.
 
 A composition subtlety drives the eigenspace computations.  With row-vector
 substitution the operators compose covariantly, so the operator that the
@@ -51,7 +53,6 @@ from functools import cached_property
 from typing import Union
 
 from .forms import (
-    IOTA,
     RHO_TWIST,
     anti_quotient,
     operator_matrix,
@@ -67,7 +68,6 @@ from .linalg import (
     divide_out,
     eigen_multiplicity,
     kernel_basis,
-    nullity,
     polynomial_gcd,
     rank,
 )
@@ -229,8 +229,8 @@ class SpectralContext:
     projection is sym_quotient's.  twist_part is twist + 1 for odd r and
     twist^2 + twist + 1 for even r; twist_kernel is an integer basis of its
     kernel (the space W, respectively X): each canonical kernel vector
-    scaled by the lcm of its denominators.  iota, the quarter-turn
-    substitution, is only needed for even r and is None for odd r.
+    scaled by the lcm of its denominators.  The quarter turn needs no entry:
+    it is a signed permutation, which the checks apply directly.
     """
 
     r: int
@@ -240,16 +240,10 @@ class SpectralContext:
     anti: SwapBlock | None
     twist_part: RationalMatrix
     twist_kernel: tuple
-    iota: RationalMatrix | None
 
     @property
     def blocks(self) -> tuple:
         return (self.sym,) if self.anti is None else (self.sym, self.anti)
-
-
-def _integer_kernel(m: RationalMatrix) -> tuple:
-    """kernel_basis(m), each vector times the lcm of its denominators."""
-    return tuple(map(tuple, _integer_rows(kernel_basis(m))))
 
 
 def spectral_context(r: int) -> SpectralContext:
@@ -286,8 +280,7 @@ def spectral_context(r: int) -> SpectralContext:
         sym=SwapBlock(phi_sym),
         anti=SwapBlock(anti_quotient(r, phi)[1]) if r else None,
         twist_part=twist_part,
-        twist_kernel=_integer_kernel(twist_part),
-        iota=None if r % 2 else operator_matrix(IOTA, r),
+        twist_kernel=tuple(map(tuple, _integer_rows(kernel_basis(twist_part)))),
     )
 
 
@@ -295,6 +288,20 @@ def _span_dim(*spans: list) -> int:
     """Dimension of the sum of the spans (rows are generators)."""
     rows = [v for span in spans for v in span]
     return rank(RationalMatrix(rows)) if rows else 0
+
+
+def _quarter_turn_basis(r: int, sign: int) -> list:
+    """Integer basis of Y+ (sign 1) or Y- (sign -1) for even r: e_b +
+    sign (-1)^b e_(r-b) for b < r/2, and e_(r/2) if (-1)^(r/2) == sign."""
+    half = r // 2
+    basis = []
+    for b in range(half):
+        v = [0] * (r + 1)
+        v[b], v[r - b] = 1, sign * (-1) ** b
+        basis.append(v)
+    if (-1) ** half == sign:
+        basis.append([int(a == half) for a in range(r + 1)])
+    return basis
 
 
 def eigenspace_dims(ctx: SpectralContext) -> dict:
@@ -310,17 +317,11 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
     r = ctx.r
     if r < 2 or r % 2:
         raise ValueError("even degree at least 2 required")
-    ident = RationalMatrix.identity(r + 1)
-    x_mat = ctx.twist_part
-    iota_m = ctx.iota
     projection = ctx.projection
 
     x_basis = ctx.twist_kernel
-    y_plus_basis = _integer_kernel(iota_m - ident)
-    y_minus_basis = _integer_kernel(iota_m + ident)
-
-    def joint_dim(mat_a, mat_b):
-        return nullity(RationalMatrix.vstack([mat_a, mat_b]))
+    y_plus_basis = _quarter_turn_basis(r, 1)
+    y_minus_basis = _quarter_turn_basis(r, -1)
 
     dim_x = len(x_basis)
     dim_yp = len(y_plus_basis)
@@ -334,9 +335,10 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
     dim_yp_sym = _span_dim(proj_yp)
     dim_ym_sym = _span_dim(proj_ym)
 
-    # Exact intersections; on the quotient side via dim(A) + dim(B) - dim(A+B).
-    dim_x_yp = joint_dim(x_mat, iota_m - ident)
-    dim_x_ym = joint_dim(x_mat, iota_m + ident)
+    # Exact intersections: X n Y+- is the kernel of twist_part on Y+-, and
+    # on the quotient side dim(A) + dim(B) - dim(A+B).
+    dim_x_yp = dim_yp - _span_dim([ctx.twist_part.mat_vec(v) for v in y_plus_basis])
+    dim_x_ym = dim_ym - _span_dim([ctx.twist_part.mat_vec(v) for v in y_minus_basis])
     dim_x_yp_sym = dim_x_sym + dim_yp_sym - _span_dim(proj_x, proj_yp)
     dim_x_ym_sym = dim_x_sym + dim_ym_sym - _span_dim(proj_x, proj_ym)
 
@@ -411,8 +413,12 @@ def check_annihilation_identities(ctx: SpectralContext) -> dict:
     if ctx.r % 2:
         ok = all(not any(ctx.phi.mat_vec(v)) for v in basis)
         return {"phi_kills_W": ok, "space_dim": len(basis)}
-    combo = ctx.phi + ctx.iota
-    ok = all(not any(combo.mat_vec(v)) for v in basis)
+    # the quarter turn sends v to the vector with entries (-1)^a v[r-a]
+    r = ctx.r
+    ok = all(
+        not any(p + (-1) ** a * v[r - a] for a, p in enumerate(ctx.phi.mat_vec(v)))
+        for v in basis
+    )
     return {"phi_plus_iota_kills_X": ok, "space_dim": len(basis)}
 
 

@@ -42,7 +42,7 @@ DEFAULT_ROW_CAP = 24
 
 
 class RowCapError(ValueError):
-    """Row index outside the generable range; names the configured cap."""
+    """Row index outside the generable range; names the cap, DEFAULT_ROW_CAP."""
 
     def __init__(self, n: int, cap: int):
         self.n = n
@@ -79,26 +79,31 @@ def _expand(prev: list) -> list:
     return out
 
 
-def _rows(n: int, cap: int):
+def _rows(n: int):
     """Iterator over rows 1 .. n as lists, each built from the one before by
     one insertion step.
 
     The cap is checked here, before any row is built: raises RowCapError
-    naming n for n < 1 or n > cap.  The cap bounds memory at 2^cap - 1
-    entries.
+    naming n for n < 1 or n > DEFAULT_ROW_CAP.  The cap bounds memory at
+    2^DEFAULT_ROW_CAP - 1 entries.
     """
-    if n < 1 or n > cap:
-        raise RowCapError(n, cap)
+    if n < 1 or n > DEFAULT_ROW_CAP:
+        raise RowCapError(n, DEFAULT_ROW_CAP)
     return accumulate(range(n - 1), lambda row, _: _expand(row), initial=[1])
 
 
-def stern_row(n: int, cap: int = DEFAULT_ROW_CAP) -> SternRow:
+def _last_row(n: int) -> list:
+    """Row n as a list: the last of the walk _rows(n), kept alone."""
+    (row,) = deque(_rows(n), maxlen=1)
+    return row
+
+
+def stern_row(n: int) -> SternRow:
     """Generate row n (iteratively from row 1; nothing is memoized).
 
-    Raises RowCapError for n < 1 or n > cap.
+    Raises RowCapError for n < 1 or n > DEFAULT_ROW_CAP.
     """
-    (row,) = deque(_rows(n, cap), maxlen=1)
-    return SternRow(n, tuple(row))
+    return SternRow(n, tuple(_last_row(n)))
 
 
 def _row_power_sum(row: list, f: HomogPoly) -> Rational:
@@ -117,21 +122,19 @@ def _row_power_sum(row: list, f: HomogPoly) -> Rational:
     return total
 
 
-def power_sum_direct(n: int, f: HomogPoly, cap: int = DEFAULT_ROW_CAP) -> Rational:
+def power_sum_direct(n: int, f: HomogPoly) -> Rational:
     """S_n(f) by brute force over the generated row, boundary pairs included."""
-    return _row_power_sum(stern_row(n, cap).entries, f)
+    return _row_power_sum(_last_row(n), f)
 
 
-def power_sum_direct_sequence(
-    f: HomogPoly, n_max: int, cap: int = DEFAULT_ROW_CAP
-) -> list:
+def power_sum_direct_sequence(f: HomogPoly, n_max: int) -> list:
     """[S_1(f), ..., S_n_max(f)] by brute force over rows 1 .. n_max.
 
     One walk builds each row from the one before, so it costs about what
     generating row n_max alone does.  Raises RowCapError naming n_max, before
-    any row is built, for n_max < 1 or n_max > cap.
+    any row is built, for n_max < 1 or n_max > DEFAULT_ROW_CAP.
     """
-    return [_row_power_sum(row, f) for row in _rows(n_max, cap)]
+    return [_row_power_sum(row, f) for row in _rows(n_max)]
 
 
 def _boundary_steps(r: int, n_max: int, phi_sym: RationalMatrix):

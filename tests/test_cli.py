@@ -482,16 +482,27 @@ def test_mine_terms_cap(capsys):
     assert f"MINE_MAX_TERMS={MINE_MAX_TERMS}" in err
 
 
-MINE_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+BENCH_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
 def test_mine_affine_json_matches_the_recorded_digests(capsys):
     # sha256 of the stdout of `mine r --affine --json`, r = 1..24, as the
     # benchmark's mine-band workload recorded it
-    recorded = json.loads(MINE_DIGESTS.read_text())["mine-band"]
+    recorded = json.loads(BENCH_DIGESTS.read_text())["mine-band"]
     assert sorted(recorded, key=int) == [str(r) for r in range(1, 25)]
     for r in range(1, 25):
         code, out, err = run(capsys, "mine", str(r), "--affine", "--json")
+        assert code == EXIT_OK and err == "", r
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded[str(r)], r
+
+
+def test_verify_json_matches_the_recorded_digests(capsys):
+    # sha256 of the stdout of `verify r r --json`, r = 41..50, as the
+    # benchmark's verify-band workload recorded it
+    recorded = json.loads(BENCH_DIGESTS.read_text())["verify-band"]
+    assert sorted(recorded, key=int) == [str(r) for r in range(41, 51)]
+    for r in range(41, 51):
+        code, out, err = run(capsys, "verify", str(r), str(r), "--json")
         assert code == EXIT_OK and err == "", r
         assert hashlib.sha256(out.encode()).hexdigest() == recorded[str(r)], r
 

@@ -565,7 +565,6 @@ def test_matrix_algebra_basics():
     assert a @ RationalMatrix.identity(2) == a == RationalMatrix.identity(2) @ a
     assert (a @ a @ a).to_lists() == [[37, 54], [81, 118]]
     assert a.mat_vec([1, 1]) == [3, 7]
-    assert RationalMatrix.vstack([a, b]).nrows == 4
 
 
 def test_polynomial_str_and_repr():

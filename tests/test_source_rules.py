@@ -7,6 +7,9 @@ none of them is an AssertionError, which reads as a failed assert.
 The public API is the list below.  Adding or removing a name is a deliberate
 change: edit the list and record it in CHANGES.md.
 
+No library module but `__init__` imports a name it does not use: a
+deletion that leaves its imports behind fails here.
+
 The benchmark's tracer wraps the functions its LAYERS table names, so every
 one of them must still resolve in the package.
 """
@@ -115,6 +118,24 @@ def test_library_raises_no_assertion_error():
         and node.exc is not None
         and raised_name(node) == "AssertionError"
     ]
+    assert found == []
+
+
+def test_library_modules_use_every_name_they_import():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
 
 

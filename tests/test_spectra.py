@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sternsums.forms import IOTA, RHO, RHO_TWIST, operator_matrix, phi_matrix
-from sternsums.linalg import RationalMatrix, kernel_basis
+from sternsums.linalg import RationalMatrix, kernel_basis, rank
 from sternsums.spectra import (
     EVEN,
     ODD,
@@ -17,6 +17,7 @@ from sternsums.spectra import (
     DIM_Y_PLUS,
     PeriodicFn,
     _dim_value,
+    _quarter_turn_basis,
     check_annihilation_identities,
     check_diagonalizability,
     eigenspace_dims,
@@ -122,6 +123,25 @@ def test_quarter_turn_eigenspaces_r2_by_hand():
     assert kernel_basis(i2 - ident) == [(1, 0, 1)]
     y_minus = kernel_basis(i2 + ident)
     assert len(y_minus) == 2
+
+
+def test_quarter_turn_is_a_signed_permutation():
+    # x^b y^(r-b) -> (-1)^(r-b) x^(r-b) y^b, that is (iota v)[a] = (-1)^a v[r-a]
+    for r in range(2, 61, 2):
+        signed = [[(-1) ** a * (b == r - a) for b in range(r + 1)] for a in range(r + 1)]
+        assert operator_matrix(IOTA, r) == RationalMatrix(signed), r
+
+
+def test_quarter_turn_bases_span_the_eliminated_eigenspaces():
+    for r in range(2, 41, 2):
+        iota = operator_matrix(IOTA, r)
+        ident = RationalMatrix.identity(r + 1)
+        for sign in (1, -1):
+            built = _quarter_turn_basis(r, sign)
+            kernel = kernel_basis(iota - ident * sign)
+            assert all(iota.mat_vec(v) == [sign * x for x in v] for v in built), (r, sign)
+            assert rank(RationalMatrix(built)) == len(built) == len(kernel), (r, sign)
+            assert rank(RationalMatrix([*built, *kernel])) == len(kernel), (r, sign)
 
 
 def test_inclusion_exclusion_identity_of_formula_tables():

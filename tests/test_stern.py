@@ -33,21 +33,23 @@ def test_row_goldens():
     assert stern_row(4).entries == (1, 1, 2, 1, 3, 2, 3, 1, 3, 2, 3, 1, 2, 1, 1)
 
 
-def test_row_cap_errors_name_the_cap(monkeypatch):
-    # configurable cap
-    assert stern_row(5, cap=5).n == 5
-
+def _block_rows(monkeypatch):
     def no_rows(row):
         raise AssertionError("a row was built outside the cap")
 
+    monkeypatch.setattr(stern, "_expand", no_rows)
+
+
+def test_row_cap_errors_name_the_cap(monkeypatch):
     # every entry point refuses before its first insertion step, naming the
     # requested row and the cap in the same words
-    monkeypatch.setattr(stern, "_expand", no_rows)
-    for n, cap in [(0, DEFAULT_ROW_CAP), (DEFAULT_ROW_CAP + 1, DEFAULT_ROW_CAP), (6, 5)]:
+    _block_rows(monkeypatch)
+    cap = DEFAULT_ROW_CAP
+    for n in (0, cap + 1):
         calls = [
-            lambda: stern_row(n, cap),
-            lambda: power_sum_direct(n, X3, cap),
-            lambda: power_sum_direct_sequence(X3, n, cap),
+            lambda: stern_row(n),
+            lambda: power_sum_direct(n, X3),
+            lambda: power_sum_direct_sequence(X3, n),
         ]
         for call in calls:
             with pytest.raises(RowCapError) as err:
@@ -106,9 +108,10 @@ def test_power_sum_direct_includes_boundary_pairs():
     assert power_sum_direct(1, g) == 1
 
 
-def test_power_sum_direct_honors_cap():
+def test_power_sum_direct_honors_cap(monkeypatch):
+    _block_rows(monkeypatch)
     with pytest.raises(RowCapError):
-        power_sum_direct(7, X3, cap=6)
+        power_sum_direct(DEFAULT_ROW_CAP + 1, X3)
 
 
 def test_power_sum_fast_goldens():
@@ -161,11 +164,14 @@ def test_dual_path_agreement_small():
         assert power_sum_direct_sequence(f, 10) == direct, f
 
 
-def test_power_sum_direct_sequence_validates_its_horizon():
-    assert power_sum_direct_sequence(X3, 6, cap=6) == power_sum_sequence(X3, 6)
+def test_power_sum_direct_sequence_validates_its_horizon(monkeypatch):
+    assert power_sum_direct_sequence(X3, 6) == power_sum_sequence(X3, 6)
+    _block_rows(monkeypatch)
+    past = DEFAULT_ROW_CAP + 1
     with pytest.raises(RowCapError) as err:
-        power_sum_direct_sequence(X3, 7, cap=6)
-    assert "row index 7" in str(err.value) and "configured cap 6" in str(err.value)
+        power_sum_direct_sequence(X3, past)
+    assert f"row index {past}" in str(err.value)
+    assert f"configured cap {DEFAULT_ROW_CAP}" in str(err.value)
     with pytest.raises(ValueError):
         power_sum_direct_sequence(X3, 0)
 

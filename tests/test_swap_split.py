@@ -87,7 +87,7 @@ def _full_eigenspace_dims(r: int) -> dict:
     ym_basis = kernel_basis(iota_m + ident)
 
     def joint_dim(mat_a, mat_b):
-        return len(kernel_basis(RationalMatrix.vstack([mat_a, mat_b])))
+        return len(kernel_basis(RationalMatrix([*mat_a.rows, *mat_b.rows])))
 
     def span_sum_dim(vecs_a, vecs_b):
         vecs = [projection.mat_vec(v) for v in list(vecs_a) + list(vecs_b)]
@@ -346,3 +346,30 @@ def test_verify_single_builds_each_object_once(monkeypatch, r):
     assert calls["minpoly"] == 0
     assert calls["is_squarefree"] == 0
     assert max(charpoly_widths) <= (r + 2) // 2
+
+
+@pytest.mark.parametrize("r", [12, 20])
+def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
+    # the quarter turn is applied as a signed permutation, and the twist
+    # kernel is the only kernel computed
+    gammas = []
+    kernels = Counter()
+    original_operator = forms.operator_matrix
+    original_kernel = linalg.kernel_basis
+
+    def counted_operator(gamma, degree):
+        gammas.append(gamma)
+        return original_operator(gamma, degree)
+
+    def counted_kernel(m):
+        kernels[m.ncols] += 1
+        return original_kernel(m)
+
+    for module in (forms, linalg, spectra):
+        if module.__dict__.get("operator_matrix") is original_operator:
+            monkeypatch.setattr(module, "operator_matrix", counted_operator)
+        if module.__dict__.get("kernel_basis") is original_kernel:
+            monkeypatch.setattr(module, "kernel_basis", counted_kernel)
+    assert verify_single(r).passed
+    assert IOTA not in gammas and gammas
+    assert kernels == Counter({r + 1: 1})
