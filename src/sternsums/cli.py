@@ -61,9 +61,9 @@ MINE_MAX_TERMS = 200
 # (as long with `--sym`), and `phi 800` 6 to 8 s for 74 MB.  The verify cap
 # keeps its top degree no dearer than `verify 100 100` was while the
 # squarefree witness still computed minimal polynomials: 26 to 31 s on one
-# core of a 2-core Intel Xeon machine, where `verify r r` now takes 4.2 to
-# 4.8 s at r = 100 and 18.0 to 18.3 s at 130 (single runs on a loaded host;
-# 2.7 and 10.4 s for the previous code on a quieter one, 30 to 32 s at 140).
+# core of a 2-core Intel Xeon machine, where `verify r r` now takes 2.4 s at
+# r = 100 and 14.7 s at 130 (single runs from one session on that host, where
+# the previous code took 4.0 and 14.2 s; 30 to 32 s at 140 on an earlier one).
 PHI_MAX_DEGREE = 400
 VERIFY_MAX_DEGREE = 130
 # Caps on `sums`: the form's degree and n_max; past either one it exits

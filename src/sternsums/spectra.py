@@ -33,7 +33,9 @@ J phi J == phi, and raises ArithmeticError naming the degree when it fails.
 verify_single builds that context once per degree, and every check reads
 phi, the blocks, their polynomials and the twist kernel from it.  The
 quarter turn f(x, y) -> f(y, -x) sends e_b to (-1)^(r-b) e_(r-b), so the
-checks apply it entry by entry and its eigenspaces Y+- have explicit bases.
+checks apply it entry by entry (_quarter_turn), and its eigenspaces Y+- and
+their images in the swap quotient are coordinate subspaces: every
+dimension that involves them is read off the twist kernel and its image.
 
 A composition subtlety drives the eigenspace computations.  With row-vector
 substitution the operators compose covariantly, so the operator that the
@@ -226,11 +228,11 @@ class SpectralContext:
 
     sym and anti are the transfer matrix's blocks on the two swap quotients
     (anti is None for r = 0, which has no antisymmetric form), and
-    projection is sym_quotient's.  twist_part is twist + 1 for odd r and
-    twist^2 + twist + 1 for even r; twist_kernel is an integer basis of its
-    kernel (the space W, respectively X): each canonical kernel vector
-    scaled by the lcm of its denominators.  The quarter turn needs no entry:
-    it is a signed permutation, which the checks apply directly.
+    projection is sym_quotient's.  twist_kernel is an integer basis of the
+    kernel of twist + 1 for odd r and of twist^2 + twist + 1 for even r (the
+    space W, respectively X): each canonical kernel vector scaled by the lcm
+    of its denominators.  The quarter turn needs no entry: it is a signed
+    permutation, which the checks apply directly.
     """
 
     r: int
@@ -238,7 +240,6 @@ class SpectralContext:
     projection: RationalMatrix
     sym: SwapBlock
     anti: SwapBlock | None
-    twist_part: RationalMatrix
     twist_kernel: tuple
 
     @property
@@ -279,29 +280,20 @@ def spectral_context(r: int) -> SpectralContext:
         projection=projection,
         sym=SwapBlock(phi_sym),
         anti=SwapBlock(anti_quotient(r, phi)[1]) if r else None,
-        twist_part=twist_part,
         twist_kernel=tuple(map(tuple, _integer_rows(kernel_basis(twist_part)))),
     )
 
 
-def _span_dim(*spans: list) -> int:
-    """Dimension of the sum of the spans (rows are generators)."""
-    rows = [v for span in spans for v in span]
+def _span_dim(rows: list) -> int:
+    """Dimension of the span of the rows."""
     return rank(RationalMatrix(rows)) if rows else 0
 
 
-def _quarter_turn_basis(r: int, sign: int) -> list:
-    """Integer basis of Y+ (sign 1) or Y- (sign -1) for even r: e_b +
-    sign (-1)^b e_(r-b) for b < r/2, and e_(r/2) if (-1)^(r/2) == sign."""
-    half = r // 2
-    basis = []
-    for b in range(half):
-        v = [0] * (r + 1)
-        v[b], v[r - b] = 1, sign * (-1) ** b
-        basis.append(v)
-    if (-1) ** half == sign:
-        basis.append([int(a == half) for a in range(r + 1)])
-    return basis
+def _quarter_turn(v) -> list:
+    """The quarter turn f(x, y) -> f(y, -x) of a coefficient vector of
+    degree r = len(v) - 1: (iota v)[a] = (-1)^a v[r-a]."""
+    r = len(v) - 1
+    return [-v[r - a] if a % 2 else v[r - a] for a in range(r + 1)]
 
 
 def eigenspace_dims(ctx: SpectralContext) -> dict:
@@ -312,35 +304,42 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
     are the +-1 eigenspaces of the quarter-turn substitution, and the _sym
     entries are dimensions of the images under the quotient projection.
     Each entry carries the formula (or inclusion-exclusion bound) next to
-    the exactly computed value.  The degree is ctx.r.
+    the exactly computed value.  The degree is ctx.r; with h = r/2:
+
+    - Y+- are spanned by e_b +- (-1)^b e_(r-b) for b < h, and e_h lies in
+      Y+ for even h, in Y- for odd h.  Their images are spanned by the even
+      and the odd classes 0..h of the quotient, respectively.
+    - X n Y+- is the kernel of I -+ iota on X.  Entry r-a of (I -+ iota) v
+      is -+(-1)^a times entry a, so entries 0..h carry its rank.
+    - proj X + proj Y+- is the span of those classes plus proj X with their
+      columns deleted, so dim(proj X n proj Y+) is dim proj X minus the rank
+      of proj X on the odd classes, and for Y- on the even classes.
     """
     r = ctx.r
     if r < 2 or r % 2:
         raise ValueError("even degree at least 2 required")
-    projection = ctx.projection
+    half = r // 2
 
     x_basis = ctx.twist_kernel
-    y_plus_basis = _quarter_turn_basis(r, 1)
-    y_minus_basis = _quarter_turn_basis(r, -1)
+    proj_x = [ctx.projection.mat_vec(v) for v in x_basis]
 
     dim_x = len(x_basis)
-    dim_yp = len(y_plus_basis)
-    dim_ym = len(y_minus_basis)
-
-    # Quotient-side dimensions: images of the subspaces under the projection.
-    proj_x = [projection.mat_vec(v) for v in x_basis]
-    proj_yp = [projection.mat_vec(v) for v in y_plus_basis]
-    proj_ym = [projection.mat_vec(v) for v in y_minus_basis]
+    dim_yp = half + 1 - half % 2
+    dim_ym = half + half % 2
     dim_x_sym = _span_dim(proj_x)
-    dim_yp_sym = _span_dim(proj_yp)
-    dim_ym_sym = _span_dim(proj_ym)
+    dim_yp_sym = half // 2 + 1
+    dim_ym_sym = (half + 1) // 2
 
-    # Exact intersections: X n Y+- is the kernel of twist_part on Y+-, and
-    # on the quotient side dim(A) + dim(B) - dim(A+B).
-    dim_x_yp = dim_yp - _span_dim([ctx.twist_part.mat_vec(v) for v in y_plus_basis])
-    dim_x_ym = dim_ym - _span_dim([ctx.twist_part.mat_vec(v) for v in y_minus_basis])
-    dim_x_yp_sym = dim_x_sym + dim_yp_sym - _span_dim(proj_x, proj_yp)
-    dim_x_ym_sym = dim_x_sym + dim_ym_sym - _span_dim(proj_x, proj_ym)
+    def cap_dim(sign: int) -> int:
+        # zip stops at entry h, the last one that carries the rank
+        return dim_x - _span_dim(
+            [[x - sign * t for x, t in zip(v[: half + 1], _quarter_turn(v))] for v in x_basis]
+        )
+
+    dim_x_yp = cap_dim(1)
+    dim_x_ym = cap_dim(-1)
+    dim_x_yp_sym = dim_x_sym - _span_dim([p[1::2] for p in proj_x])
+    dim_x_ym_sym = dim_x_sym - _span_dim([p[0::2] for p in proj_x])
 
     return {
         "dim_X": {"formula": _dim_value(DIM_X, r), "computed": dim_x},
@@ -413,10 +412,8 @@ def check_annihilation_identities(ctx: SpectralContext) -> dict:
     if ctx.r % 2:
         ok = all(not any(ctx.phi.mat_vec(v)) for v in basis)
         return {"phi_kills_W": ok, "space_dim": len(basis)}
-    # the quarter turn sends v to the vector with entries (-1)^a v[r-a]
-    r = ctx.r
     ok = all(
-        not any(p + (-1) ** a * v[r - a] for a, p in enumerate(ctx.phi.mat_vec(v)))
+        not any(p + q for p, q in zip(ctx.phi.mat_vec(v), _quarter_turn(v)))
         for v in basis
     )
     return {"phi_plus_iota_kills_X": ok, "space_dim": len(basis)}

@@ -8,7 +8,9 @@ The public API is the list below.  Adding or removing a name is a deliberate
 change: edit the list and record it in CHANGES.md.
 
 No library module but `__init__` imports a name it does not use: a
-deletion that leaves its imports behind fails here.
+deletion that leaves its imports behind fails here.  Every private
+module-level function or class is referenced by some library module: code
+that only the tests use belongs in the tests.
 
 The benchmark's tracer wraps the functions its LAYERS table names, so every
 one of them must still resolve in the package.
@@ -137,6 +139,20 @@ def test_library_modules_use_every_name_they_import():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_every_private_definition_has_a_library_caller():
+    defined, referenced = set(), set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(top, "name", None)
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.add(own)
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name and name != own:
+                    referenced.add(name)
+    assert defined and sorted(defined - referenced) == []
 
 
 def test_public_api_snapshot():

@@ -211,6 +211,11 @@ def test_block_route_reports_equal_the_full_matrix_route():
         assert verify_single(r).to_json_dict() == full_matrix_report(r).to_json_dict(), r
 
 
+def test_eigenspace_dims_equal_the_full_matrix_route_past_20():
+    for r in range(22, 41, 2):
+        assert spectra.eigenspace_dims(spectral_context(r)) == _full_eigenspace_dims(r), r
+
+
 def test_blocks_split_the_spectrum_of_phi():
     for r in range(1, 21):
         phi = phi_matrix(r)
@@ -350,12 +355,15 @@ def test_verify_single_builds_each_object_once(monkeypatch, r):
 
 @pytest.mark.parametrize("r", [12, 20])
 def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
-    # the quarter turn is applied as a signed permutation, and the twist
-    # kernel is the only kernel computed
+    # the quarter turn is applied as a signed permutation, the twist kernel
+    # is the only kernel computed, and the eigenspace dimensions are read off
+    # it: four block nullities and five ranks at most r/2 + 1 wide
     gammas = []
     kernels = Counter()
+    rank_widths = []
     original_operator = forms.operator_matrix
     original_kernel = linalg.kernel_basis
+    original_rank = linalg.rank
 
     def counted_operator(gamma, degree):
         gammas.append(gamma)
@@ -365,11 +373,19 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
         kernels[m.ncols] += 1
         return original_kernel(m)
 
+    def counted_rank(m):
+        rank_widths.append(m.ncols)
+        return original_rank(m)
+
     for module in (forms, linalg, spectra):
         if module.__dict__.get("operator_matrix") is original_operator:
             monkeypatch.setattr(module, "operator_matrix", counted_operator)
         if module.__dict__.get("kernel_basis") is original_kernel:
             monkeypatch.setattr(module, "kernel_basis", counted_kernel)
+        if module.__dict__.get("rank") is original_rank:
+            monkeypatch.setattr(module, "rank", counted_rank)
     assert verify_single(r).passed
     assert IOTA not in gammas and gammas
     assert kernels == Counter({r + 1: 1})
+    assert len(rank_widths) == 9
+    assert max(rank_widths) <= r // 2 + 1
