@@ -58,12 +58,14 @@ MINE_MAX_DEGREE = 65
 MINE_MAX_TERMS = 200
 # Degree caps on `phi` and `verify`; past either one the command exits
 # EXIT_RESOURCE.  On the same core, `phi 400` takes 0.6 s for 9 MB of text
-# (as long with `--sym`), and `phi 800` 6 to 8 s for 74 MB.  The verify cap
-# keeps its top degree no dearer than `verify 100 100` was while the
-# squarefree witness still computed minimal polynomials: 26 to 31 s on one
-# core of a 2-core Intel Xeon machine, where `verify r r` now takes 2.4 s at
-# r = 100 and 14.7 s at 130 (single runs from one session on that host, where
-# the previous code took 4.0 and 14.2 s; 30 to 32 s at 140 on an earlier one).
+# (as long with `--sym`), and `phi 800` 6 to 8 s for 74 MB.  `verify r r`
+# takes 2.9 s at r = 100 and 10.6 s at 130 on one core of a 2-core Intel
+# Xeon machine, where the code that evaluated the radical at every block
+# took 4.6 and 14.0 s (single runs from one session on that host).  The
+# verify cap rises only to a degree no dearer than its top degree was before
+# the last speed-up: `verify 140 140` took a median 17.4 s over 8 runs,
+# against 16.5 s over 9 for that code's `verify 130 130`, alternating in the
+# same session, so it stays at 130.
 PHI_MAX_DEGREE = 400
 VERIFY_MAX_DEGREE = 130
 # Caps on `sums`: the form's degree and n_max; past either one it exits

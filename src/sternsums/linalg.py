@@ -4,12 +4,14 @@ Dense matrices with int/Fraction entries and integer-coefficient polynomials.
 One fraction-free (Bareiss) elimination serves rank, kernels, linear solves
 and minimal polynomials: a minimal polynomial is the first Krylov linear
 dependence that elimination finds, with an annihilation certificate built
-into the cyclic-vector loop.  Characteristic polynomials come from the
-division-free Samuelson-Berkowitz recursion.  Polynomial gcds come from
-Brown's modular algorithm, certified by exact division, and a polynomial is
-evaluated at a matrix by Paterson-Stockmeyer on integer rows.  No floating
-point anywhere; the modular steps only propose, and exact integer checks
-decide.
+into the cyclic-vector loop.  Kernel vectors are back-substituted
+fraction-free too, in integers scaled by a Bareiss pivot (Cramer's rule),
+and only kernel_basis and solve_linear divide by it.  Characteristic
+polynomials come from the division-free Samuelson-Berkowitz recursion.
+Polynomial gcds come from Brown's modular algorithm, certified by exact
+division, and a polynomial is evaluated at a matrix by Paterson-Stockmeyer
+on integer rows.  No floating point anywhere; the modular steps only
+propose, and exact integer checks decide.
 
 All functions are pure; matrices and polynomials are immutable after
 construction and safe to share between threads.
@@ -18,6 +20,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
@@ -406,34 +409,38 @@ def nullity(m: RationalMatrix) -> int:
 
 
 def _kernel_vector(ech: list, piv_cols: list, nc: int, f: int) -> list:
-    """Canonical kernel vector of an echelon form for the free column f.
+    """Primitive integer kernel vector of an echelon form for the free column f.
 
-    Entry 1 at f, zeros at every other free column, and the pivot entries
-    solved for by back substitution.  Pivots right of f solve to zero, so
-    their rows are skipped.
+    It spans the line of the canonical kernel vector: entry 1 at f, zeros at
+    every other free column, and the pivot entries solved for.  That vector
+    times the last Bareiss pivot d left of f is integral by Cramer's rule,
+    because d is the minor on the pivot columns left of f.  So back
+    substitution starts from w[f] = d and runs in integers, every division
+    checked to be remainder-free; the result is divided by its content and
+    signed positive at f.  Pivots right of f solve to zero, so their rows are
+    skipped.
     """
-    v = [Fraction(0)] * nc
-    v[f] = Fraction(1)
-    for i in range(len(piv_cols) - 1, -1, -1):
+    k = bisect_left(piv_cols, f)  # the pivots left of f
+    w = [0] * nc
+    w[f] = ech[k - 1][piv_cols[k - 1]] if k else 1
+    for i in range(k - 1, -1, -1):
         p = piv_cols[i]
-        if p > f:
-            continue
-        row = ech[i]
-        s = Fraction(0)
-        for j in range(p + 1, f + 1):
-            if row[j] and v[j]:
-                s += row[j] * v[j]
-        v[p] = -s / row[p]
-    return v
+        # w is still zero at p and before it, and past f
+        q, rem = divmod(-_dot(ech[i], w), ech[i][p])
+        if rem:
+            raise InexactDivisionError("back substitution produced an inexact division")
+        w[p] = q
+    g = math.gcd(*w)
+    if w[f] < 0:
+        g = -g
+    return [x // g for x in w]
 
 
-def kernel_basis(m: RationalMatrix) -> list:
-    """Canonical basis of the right kernel.
+def _integer_kernel(m: RationalMatrix) -> list:
+    """Integer basis of the right kernel, one _kernel_vector per free column.
 
-    One vector per free column f, with entry 1 at f, zeros at the other free
-    columns, and the pivot entries determined by back substitution.  This is
-    the reduced-echelon kernel basis, so the output is deterministic
-    regardless of pivoting order.
+    Each is the canonical vector of kernel_basis scaled by the lcm of its
+    denominators, so its last nonzero entry is positive and at its column.
     """
     ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows))
     piv_set = set(piv_cols)
@@ -444,13 +451,30 @@ def kernel_basis(m: RationalMatrix) -> list:
     ]
 
 
+def kernel_basis(m: RationalMatrix) -> list:
+    """Canonical basis of the right kernel.
+
+    One vector per free column f, with entry 1 at f, zeros at the other free
+    columns, and the pivot entries determined by back substitution.  This is
+    the reduced-echelon kernel basis, so the output is deterministic
+    regardless of pivoting order.  The back substitution is fraction-free:
+    each vector is the integer one of _integer_kernel divided by its entry
+    at f, which is its last nonzero entry.
+    """
+    out = []
+    for v in _integer_kernel(m):
+        lead = next(x for x in reversed(v) if x)
+        out.append(tuple(Fraction(x, lead) for x in v))
+    return out
+
+
 def solve_linear(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]):
     """Exact solution of an (over)determined linear system, or None.
 
     Fraction-free elimination of the augmented matrix [A | b]: the system is
     inconsistent exactly when the b column is a pivot, and otherwise the
-    kernel vector for that column, negated, solves A x = b.  Free variables
-    are set to zero, so the output is deterministic.
+    kernel vector w for that column solves A x = b as x = -w / w[b].  Free
+    variables are set to zero, so the output is deterministic.
     """
     if not rows:
         return []
@@ -460,7 +484,8 @@ def solve_linear(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]):
     )
     if nc in piv_cols:
         return None
-    return [-x for x in _kernel_vector(ech, piv_cols, nc + 1, nc)[:nc]]
+    w = _kernel_vector(ech, piv_cols, nc + 1, nc)
+    return [Fraction(-x, w[nc]) for x in w[:nc]]
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +589,13 @@ def _vector_minpoly(rows: list, v: list) -> list:
     # once A^d v depends on the vectors before it, so does every later one,
     # so the pivots are exactly the columns 0..d-1
     d = len(piv_cols)
-    out = []
-    for c in _kernel_vector(ech, piv_cols, n + 1, d)[: d + 1]:
-        if c.denominator != 1:
-            raise InexactDivisionError(
-                "minimal polynomial of this rational matrix is not integral"
-            )
-        out.append(int(c))
-    return out
+    w = _kernel_vector(ech, piv_cols, n + 1, d)
+    # w is primitive, so the monic w / w[d] is integral only if w[d] is 1
+    if w[d] != 1:
+        raise InexactDivisionError(
+            "minimal polynomial of this rational matrix is not integral"
+        )
+    return w[: d + 1]
 
 
 def minpoly(m: RationalMatrix) -> IntPolynomial:

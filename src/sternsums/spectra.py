@@ -12,10 +12,15 @@ dimensions, algebraic ones come from repeated exact division of the
 characteristic polynomial, and the two diagonalizability witnesses are the
 integer symmetry identity a!(r-a)! M[a][b] == b!(r-b)! M[b][a] and
 squarefreeness of the minimal polynomials.  The second is certified from the
-characteristic polynomial cp without computing a minimal polynomial: the
-radical cp / gcd(cp, cp') must annihilate the matrix (see
-SwapBlock.minpoly_squarefree).  The Krylov minimal polynomial is the tests'
-oracle for it.
+characteristic polynomial cp without computing a minimal polynomial (see
+SwapBlock.minpoly_squarefree).  A root of cp of multiplicity k + 1 is a root
+of g = gcd(cp, cp') of multiplicity k, and on every degree swept g has no
+roots but the eigenvalues 0 and +-1 that verify checks anyway; then the
+matrix is diagonalizable iff each repeated one has nullity(M - lam I) equal
+to k + 1, a nullity the multiplicity check has already computed.  Should g
+have any other factor, the radical cp / g must annihilate the matrix
+instead.  The Krylov minimal polynomial is the tests' oracle for both
+routes.
 
 The spectral work runs on two blocks of about half the size of the transfer
 matrix.  The swap J: f(x, y) -> f(y, x) commutes with it, because
@@ -64,14 +69,14 @@ from .forms import (
 from .linalg import (
     IntPolynomial,
     RationalMatrix,
-    _integer_rows,
+    _integer_kernel,
     _normalize_entry,
     charpoly,
     divide_out,
     eigen_multiplicity,
-    kernel_basis,
     polynomial_gcd,
     rank,
+    root_power,
 )
 
 Rational = Union[int, Fraction]
@@ -190,10 +195,11 @@ def predicted_bounds(r: int) -> dict:
 class SwapBlock:
     """The transfer matrix on one swap quotient, with its spectral data.
 
-    The charpoly and the squarefreeness of the minimal polynomial are
-    computed on first use and kept, so a context built for a check that
-    needs neither (odd_case_dims, say) does not pay for them, and
-    verify_single computes each once.
+    The charpoly, the squarefreeness of the minimal polynomial and each
+    eigenvalue's multiplicities are computed on first use and kept, so a
+    context built for a check that needs none of them (odd_case_dims, say)
+    does not pay for them, and verify_single and the squarefree witness
+    share each block nullity.
     """
 
     matrix: RationalMatrix
@@ -203,23 +209,36 @@ class SwapBlock:
         return charpoly(self.matrix)
 
     @cached_property
+    def _multiplicities(self) -> dict:
+        return {}
+
+    @cached_property
     def minpoly_squarefree(self) -> bool:
         """Whether the minimal polynomial is squarefree, without computing it.
 
-        The minimal polynomial has the charpoly's irreducible factors and
-        divides every annihilating polynomial, so it is squarefree iff the
-        radical q = cp / gcd(cp, cp') annihilates the block.  A squarefree cp
-        is its own radical and annihilates by Cayley-Hamilton.
+        A root of cp of multiplicity k + 1 is a root of g = gcd(cp, cp') of
+        multiplicity k.  When g has no roots but 0 and +-1, the only
+        eigenvalues that verify checks, the block is diagonalizable iff each
+        of them that g has is semisimple: nullity(block - lam I) is k + 1.
+        Otherwise the radical cp / g must annihilate the block: the minimal
+        polynomial has cp's irreducible factors and divides every
+        annihilating polynomial.
         """
         cp = self.charpoly
         g = polynomial_gcd(cp, cp.derivative())
-        if g.degree() == 0:
-            return True
-        return divide_out(cp, g, 1).at_matrix(self.matrix).is_zero()
+        repeated = {lam: root_power(g, lam) for lam in (0, 1, -1)}
+        if sum(repeated.values()) < g.degree():
+            return divide_out(cp, g, 1).at_matrix(self.matrix).is_zero()
+        return all(
+            self.multiplicity(lam)[0] == k + 1 for lam, k in repeated.items() if k
+        )
 
     def multiplicity(self, lam: Rational) -> tuple[int, int]:
         """(geometric, algebraic) multiplicity of lam on this block."""
-        return eigen_multiplicity(self.matrix, lam, self.charpoly)
+        known = self._multiplicities
+        if lam not in known:
+            known[lam] = eigen_multiplicity(self.matrix, lam, self.charpoly)
+        return known[lam]
 
 
 @dataclass(frozen=True)
@@ -231,8 +250,9 @@ class SpectralContext:
     projection is sym_quotient's.  twist_kernel is an integer basis of the
     kernel of twist + 1 for odd r and of twist^2 + twist + 1 for even r (the
     space W, respectively X): each canonical kernel vector scaled by the lcm
-    of its denominators.  The quarter turn needs no entry: it is a signed
-    permutation, which the checks apply directly.
+    of its denominators, as _integer_kernel back-substitutes it.  The
+    quarter turn needs no entry: it is a signed permutation, which the
+    checks apply directly.
     """
 
     r: int
@@ -280,7 +300,7 @@ def spectral_context(r: int) -> SpectralContext:
         projection=projection,
         sym=SwapBlock(phi_sym),
         anti=SwapBlock(anti_quotient(r, phi)[1]) if r else None,
-        twist_kernel=tuple(map(tuple, _integer_rows(kernel_basis(twist_part)))),
+        twist_kernel=tuple(_integer_kernel(twist_part)),
     )
 
 
@@ -427,7 +447,8 @@ def check_diagonalizability(ctx: SpectralContext) -> tuple:
     square roots of k!(r-k)!).  The second checks squarefreeness of the
     minimal polynomials of both swap blocks (their lcm is the minimal
     polynomial of the transfer matrix, and the symmetric block is its
-    quotient) by the radical certificate of SwapBlock.minpoly_squarefree.
+    quotient) by SwapBlock.minpoly_squarefree: the block nullities at the
+    repeated eigenvalues 0 and +-1, or the radical if another one repeats.
     """
     r = ctx.r
     phi = ctx.phi

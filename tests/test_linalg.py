@@ -4,9 +4,11 @@ The fraction-free (Bareiss) route is cross-checked against a plain rational
 Gaussian eliminator written here, and the Berkowitz characteristic
 polynomial against a cofactor expansion over polynomial entries.  Minimal
 polynomials and linear solves, which run on the same Bareiss elimination,
-are checked against their definitions.  The modular polynomial gcd is checked
-against the primitive polynomial remainder sequence, and Paterson-Stockmeyer
-evaluation at a matrix against Horner's rule.
+are checked against their definitions, and the integer back substitution of
+kernel vectors against back substitution in Fractions.  The modular
+polynomial gcd is checked against the primitive polynomial remainder
+sequence, and Paterson-Stockmeyer evaluation at a matrix against Horner's
+rule.
 """
 
 import math
@@ -15,12 +17,16 @@ from fractions import Fraction
 
 import pytest
 
-from sternsums.forms import phi_matrix, sym_quotient
+from sternsums.forms import RHO_TWIST, operator_matrix, phi_matrix, sym_quotient
 from sternsums.linalg import (
     InexactDivisionError,
     IntPolynomial,
     NonSquareMatrixError,
     RationalMatrix,
+    _bareiss_echelon,
+    _integer_kernel,
+    _integer_rows,
+    _kernel_vector,
     charpoly,
     divide_out,
     eigen_multiplicity,
@@ -140,6 +146,31 @@ def horner_at_matrix(p: IntPolynomial, m: RationalMatrix) -> RationalMatrix:
     return acc
 
 
+def fraction_kernel(m: RationalMatrix) -> list:
+    """Canonical kernel basis by back substitution in Fractions.
+
+    The same Bareiss echelon form as the library, but each pivot entry is
+    solved for as a Fraction from entry 1 at the free column f, so no
+    integer scaling is involved.
+    """
+    ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows))
+    basis = []
+    for f in range(m.ncols):
+        if f in piv_cols:
+            continue
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
+        for i in range(len(piv_cols) - 1, -1, -1):
+            p = piv_cols[i]
+            if p > f:
+                continue
+            row = ech[i]
+            s = sum((row[j] * v[j] for j in range(p + 1, f + 1)), Fraction(0))
+            v[p] = -s / row[p]
+        basis.append(tuple(v))
+    return basis
+
+
 def random_matrix(rng, n, lo=-6, hi=6, rational=False):
     def entry():
         if rational and rng.random() < 0.3:
@@ -189,6 +220,66 @@ def test_kernel_vectors_lie_in_kernel_and_count_matches_nullity():
         assert len(kb) == nullity(m) == m.ncols - rank(m)
         for v in kb:
             assert not any(m.mat_vec(list(v)))
+
+
+def _seeded_kernel_matrices():
+    """Rank-deficient, rectangular and rational matrices, and ones whose
+    first pivot is negative."""
+    rng = random.Random(1968)
+    for trial in range(160):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+        if trial % 4 == 0 and nr > 2:
+            rows[-1] = [3 * a - 2 * b for a, b in zip(rows[0], rows[1])]
+        if trial % 4 == 1:
+            for row in rows:
+                row[nc - 1] = 2 * row[0]
+        if trial % 4 == 2:
+            rows = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in rows]
+        if trial % 4 == 3:
+            rows[0][0] = -abs(rows[0][0]) or -1
+        yield RationalMatrix(rows)
+    # the last pivot left of the free column 2 is -3
+    yield RationalMatrix([[1, 2, 4], [2, 1, 5]])
+
+
+def _negative_last_pivot(m: RationalMatrix) -> bool:
+    """Whether the last pivot left of some free column is negative."""
+    ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows))
+    for f in range(m.ncols):
+        left = [ech[i][p] for i, p in enumerate(piv_cols) if p < f]
+        if f not in piv_cols and left and left[-1] < 0:
+            return True
+    return False
+
+
+def test_integer_kernel_against_the_fraction_oracle():
+    mats = list(_seeded_kernel_matrices())
+    for m in mats:
+        oracle = fraction_kernel(m)
+        assert _integer_kernel(m) == [tuple(v) for v in _integer_rows(oracle)], m
+        assert kernel_basis(m) == oracle, m
+    assert sum(map(_negative_last_pivot, mats)) >= 10
+
+
+def test_integer_kernel_checks_every_division():
+    # not a Bareiss echelon form: the last pivot 3 is not the leading minor 6,
+    # so back substitution from w[2] = 3 reaches 2 w[0] = -3
+    with pytest.raises(InexactDivisionError):
+        _kernel_vector([[2, 0, 1], [0, 3, 1]], [0, 1], 3, 2)
+    assert _kernel_vector([[2, 0, 1], [0, 6, 2]], [0, 1], 3, 2) == [-3, -2, 6]
+
+
+def test_integer_kernel_of_the_twist_parts():
+    for r in range(1, 61):
+        twist = operator_matrix(RHO_TWIST, r)
+        ident = RationalMatrix.identity(r + 1)
+        part = twist + ident if r % 2 else twist @ twist + twist + ident
+        oracle = fraction_kernel(part)
+        integer = [tuple(v) for v in _integer_rows(oracle)]
+        assert _integer_kernel(part) == integer, r
+        assert spectral_context(r).twist_kernel == tuple(integer), r
+        assert kernel_basis(part) == oracle, r
 
 
 def test_rank_plus_nullity_is_width_on_rectangular_input():

@@ -5,8 +5,9 @@ phi, reading them from one spectral context per degree.  The oracle here is
 the route it replaced: every multiplicity on the full (r+1)-wide matrix,
 each check rebuilding what it needs, and the eigenspace kernels used as the
 Fraction vectors kernel_basis returns.  The squarefree witness of each
-block, certified from its charpoly's radical, is checked against the
-squarefreeness of the Krylov minimal polynomial.
+block, certified from its block nullities (or, for a repeated eigenvalue
+other than 0 and +-1, from its charpoly's radical), is checked against the
+radical route and the squarefreeness of the Krylov minimal polynomial.
 """
 
 import json
@@ -251,10 +252,34 @@ def test_context_holds_one_block_per_swap_class():
 # -- the squarefree witness -----------------------------------------------------
 
 
-def test_minpoly_squarefree_against_the_minpoly_oracle():
-    for r in range(1, 41):
-        for block in spectral_context(r).blocks:
-            assert block.minpoly_squarefree == is_squarefree(minpoly(block.matrix)), r
+def _radical_annihilates(block: SwapBlock) -> bool:
+    """The radical route: cp / gcd(cp, cp') annihilates the block."""
+    cp = block.charpoly
+    radical = divide_out(cp, polynomial_gcd(cp, cp.derivative()), 1)
+    return radical.at_matrix(block.matrix).is_zero()
+
+
+def _count_at_matrix(monkeypatch) -> Counter:
+    calls = Counter()
+    original = linalg.IntPolynomial.at_matrix
+
+    def counted(self, m):
+        calls["at_matrix"] += 1
+        return original(self, m)
+
+    monkeypatch.setattr(linalg.IntPolynomial, "at_matrix", counted)
+    return calls
+
+
+def test_minpoly_squarefree_against_the_minpoly_oracle(monkeypatch):
+    # every block of r <= 60 takes the nullity route, which agrees with both
+    blocks = [block for r in range(1, 61) for block in spectral_context(r).blocks]
+    calls = _count_at_matrix(monkeypatch)
+    witnesses = [block.minpoly_squarefree for block in blocks]
+    assert calls["at_matrix"] == 0
+    for block, witness in zip(blocks, witnesses):
+        assert witness is _radical_annihilates(block) is True
+        assert witness is is_squarefree(minpoly(block.matrix))
 
 
 def _seeded_witness_cases():
@@ -283,7 +308,28 @@ def _seeded_witness_cases():
 def test_minpoly_squarefree_on_seeded_matrices():
     for m, expected in _seeded_witness_cases():
         assert SwapBlock(m).minpoly_squarefree is expected, m
+        assert _radical_annihilates(SwapBlock(m)) is expected, m
         assert is_squarefree(minpoly(m)) is expected, m
+
+
+def test_minpoly_squarefree_falls_back_to_the_radical(monkeypatch):
+    # 2 repeats, and the block nullities cover only 0 and +-1
+    calls = _count_at_matrix(monkeypatch)
+    assert SwapBlock(_jordan(2, 2)).minpoly_squarefree is False
+    diag = _block_diag([_jordan(2, 1), _jordan(2, 1), _jordan(3, 1)])
+    assert SwapBlock(diag).minpoly_squarefree is True
+    assert calls["at_matrix"] == 2
+
+
+def test_minpoly_squarefree_reads_the_block_nullities(monkeypatch):
+    # a Jordan block at lam next to a simple eigenvalue has nullity 1, not 2
+    calls = _count_at_matrix(monkeypatch)
+    for lam in (0, 1, -1):
+        jordan = _block_diag([_jordan(lam, 2), _jordan(-lam or 5, 1)])
+        assert SwapBlock(jordan).minpoly_squarefree is False, lam
+        diag = _block_diag([_jordan(lam, 1), _jordan(lam, 1), _jordan(7, 1)])
+        assert SwapBlock(diag).minpoly_squarefree is True, lam
+    assert calls["at_matrix"] == 0
 
 
 def test_verify_fails_when_a_block_has_a_jordan_block(monkeypatch, capsys):
@@ -362,7 +408,7 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
     kernels = Counter()
     rank_widths = []
     original_operator = forms.operator_matrix
-    original_kernel = linalg.kernel_basis
+    original_kernel = linalg._integer_kernel
     original_rank = linalg.rank
 
     def counted_operator(gamma, degree):
@@ -380,8 +426,8 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
     for module in (forms, linalg, spectra):
         if module.__dict__.get("operator_matrix") is original_operator:
             monkeypatch.setattr(module, "operator_matrix", counted_operator)
-        if module.__dict__.get("kernel_basis") is original_kernel:
-            monkeypatch.setattr(module, "kernel_basis", counted_kernel)
+        if module.__dict__.get("_integer_kernel") is original_kernel:
+            monkeypatch.setattr(module, "_integer_kernel", counted_kernel)
         if module.__dict__.get("rank") is original_rank:
             monkeypatch.setattr(module, "rank", counted_rank)
     assert verify_single(r).passed
@@ -389,3 +435,21 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
     assert kernels == Counter({r + 1: 1})
     assert len(rank_widths) == 9
     assert max(rank_widths) <= r // 2 + 1
+
+
+@pytest.mark.parametrize("r", [12, 20])
+def test_verify_single_witness_shares_the_block_nullities(monkeypatch, r):
+    # the squarefree witness evaluates no polynomial at a matrix, and the
+    # nullities at +-1 it reads (r = 20 repeats both) are the ones the
+    # multiplicity check computes, once per block
+    calls = _count_at_matrix(monkeypatch)
+    original = spectra.eigen_multiplicity
+
+    def counted(*args, **kwargs):
+        calls["eigen_multiplicity"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigen_multiplicity", counted)
+    report = verify_single(r)
+    assert report.passed and report.minpoly_squarefree
+    assert calls == Counter({"eigen_multiplicity": 4})
