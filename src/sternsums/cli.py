@@ -47,34 +47,25 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# Cost caps on `mine`; past either one it exits EXIT_RESOURCE.  On one core
-# of a 2-core Intel Xeon machine, `mine r --affine` takes 3.8 s at r = 60,
-# 4.6 to 5.4 s at 65, 8 s at 66, 9.7 s at 70 and 33 s at 80, nearly all of
-# it Berlekamp-Massey; with 200 terms it takes 5.3 s at degree 60 and 6.2
-# to 6.5 s at 65.  The degree cap keeps its top degree no dearer than
-# `mine 60 --affine` was while every class iterated the full transfer
-# matrix on its own (4.2 to 6.2 s, median 5.5 s, on that core).
+# Cost caps on `mine`; past either one it exits EXIT_RESOURCE.  Nearly all
+# of its time is Berlekamp-Massey.  The degree cap keeps the top degree no
+# dearer than `mine 60 --affine` was while every class iterated the full
+# transfer matrix on its own, and the term cap keeps a run at both caps
+# within about the same time.  README's command-line section has the
+# timings behind every cap in this block.
 MINE_MAX_DEGREE = 65
 MINE_MAX_TERMS = 200
 # Degree caps on `phi` and `verify`; past either one the command exits
-# EXIT_RESOURCE.  On the same core, `phi 400` takes 0.6 s for 9 MB of text
-# (as long with `--sym`), and `phi 800` 6 to 8 s for 74 MB.  `verify r r`
-# takes 2.9 s at r = 100 and 10.6 s at 130 on one core of a 2-core Intel
-# Xeon machine, where the code that evaluated the radical at every block
-# took 4.6 and 14.0 s (single runs from one session on that host).  The
-# verify cap rises only to a degree no dearer than its top degree was before
-# the last speed-up: `verify 140 140` took a median 17.4 s over 8 runs,
-# against 16.5 s over 9 for that code's `verify 130 130`, alternating in the
-# same session, so it stays at 130.
+# EXIT_RESOURCE.  `phi` stops where its text output is still a few MB and
+# under a second; its size grows as the cube of the degree.  The verify cap
+# rises only to a degree no dearer than its top degree was before the last
+# speed-up; 140 is still dearer than that, so the cap stays at 130.
 PHI_MAX_DEGREE = 400
 VERIFY_MAX_DEGREE = 130
 # Caps on `sums`: the form's degree and n_max; past either one it exits
-# EXIT_RESOURCE.  On the same core the transfer route takes 0.04 s for a
-# dense integer form at degree 40 and n_max 600, 1.7 s at degree 100 and
-# n_max 800, and 1.8 s at 100 and 1000, about 0.8 s of it the charpoly
-# behind the recurrence; a rational form, run on integers over its common
-# denominator, 1.7 s at 100 and 800.  A higher term cap would only admit
-# more outputs past the 4300 digits that Python renders.
+# EXIT_RESOURCE.  The degree cap bounds the charpoly behind the transfer
+# route's recurrence, and a higher term cap would only admit more outputs
+# past the 4300 digits that Python renders.
 SUMS_MAX_DEGREE = 100
 SUMS_MAX_TERMS = 800
 

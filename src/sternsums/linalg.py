@@ -9,9 +9,9 @@ fraction-free too, in integers scaled by a Bareiss pivot (Cramer's rule),
 and only kernel_basis and solve_linear divide by it.  Characteristic
 polynomials come from the division-free Samuelson-Berkowitz recursion.
 Polynomial gcds come from Brown's modular algorithm, certified by exact
-division, and a polynomial is evaluated at a matrix by Paterson-Stockmeyer
-on integer rows.  No floating point anywhere; the modular steps only
-propose, and exact integer checks decide.
+division, and a polynomial is evaluated at a matrix column by column, by
+the Horner loop on integer vectors that minpoly runs.  No floating point
+anywhere; the modular steps only propose, and exact integer checks decide.
 
 All functions are pure; matrices and polynomials are immutable after
 construction and safe to share between threads.
@@ -120,7 +120,8 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
-        return RationalMatrix(_matmul_rows(self.rows, other.rows))
+        cols = list(zip(*other.rows))
+        return RationalMatrix([[_dot(row, col) for col in cols] for row in self.rows])
 
     def mat_vec(self, vec: Sequence[Rational]) -> list:
         if len(vec) != self.ncols:
@@ -160,12 +161,6 @@ def _poly_mul(a: Sequence, b: Sequence, size: int | None = None) -> list:
                 if y:
                     out[i + j] += x * y
     return out
-
-
-def _matmul_rows(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
-    """Product of two matrices given as rows, as a list of lists."""
-    cols = list(zip(*b))
-    return [[_dot(row, col) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -246,45 +241,22 @@ class IntPolynomial:
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def at_matrix(self, m: RationalMatrix) -> RationalMatrix:
-        """Evaluate at a square matrix by Paterson-Stockmeyer.
+        """Evaluate at a square matrix, one column at a time.
 
-        With k = isqrt(deg), p is a polynomial in A^k whose coefficients are
-        polynomials in A of degree below k, so about 2*sqrt(deg) matrix
-        products replace Horner's deg.  The products run on integer rows: for
-        A = M / den, den**deg * p(x / den) has integer coefficients, is
-        evaluated at M, and the result is divided by den**deg.
+        Column i of p(A) is p(A) e_i, by Horner on integer vectors as minpoly
+        applies its polynomials.  For A = M / den, den**deg * p(x / den) has
+        integer coefficients, is applied with M, and the result is divided by
+        den**deg.
         """
         _require_square(m)
-        n = m.nrows
-        if self.is_zero():
-            return RationalMatrix.zeros(n, n)
         rows, den = _integer_rows_uniform(m)
         d = self.degree()
-        cs = [c * den ** (d - i) for i, c in enumerate(self.coeffs)]
-        k = max(1, math.isqrt(d))
-        powers = [None, rows]  # powers[i] = M^i for i >= 1
-        for _ in range(k - 1):
-            powers.append(_matmul_rows(powers[-1], rows))
-        top = d // k
-        acc = [[0] * n for _ in range(n)]
-        for j in range(top, -1, -1):
-            if j < top:
-                acc = _matmul_rows(acc, powers[k])
-            for i, c in enumerate(cs[j * k : j * k + k]):
-                if not c:
-                    continue
-                if i == 0:
-                    for t in range(n):
-                        acc[t][t] += c
-                else:
-                    acc = [
-                        [x + c * y for x, y in zip(ra, rp)]
-                        for ra, rp in zip(acc, powers[i])
-                    ]
-        if den == 1:
-            return RationalMatrix(acc)
-        scale = den**d
-        return RationalMatrix([[Fraction(x, scale) for x in row] for row in acc])
+        cs = [c * den ** (d - k) for k, c in enumerate(self.coeffs)]
+        cols = [_poly_apply_to_unit(cs, rows, i) for i in range(m.nrows)]
+        scale = den ** max(d, 0)
+        if scale == 1:
+            return RationalMatrix(zip(*cols))
+        return RationalMatrix([[Fraction(x, scale) for x in row] for row in zip(*cols)])
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -381,6 +353,7 @@ def _bareiss_echelon(rows: list) -> tuple[list, list]:
                         )
                     row_i[j] = q
             else:
+                # kept apart: one merged loop, with its zero product, was slower
                 for j in range(c + 1, nc):
                     num = pivot * row_i[j]
                     q, rem = divmod(num, prev)

@@ -45,7 +45,7 @@ from .spectra import (
     LENGTH_BOUND_EVEN_AFFINE_ALT,
     LENGTH_BOUND_EVEN_HOMOGENEOUS,
     LENGTH_BOUND_ODD,
-    periodic_eval,
+    _dim_value,
 )
 from .stern import power_sum_table
 
@@ -327,10 +327,7 @@ def corollary_bound(r: int, variant: str = HOMOGENEOUS) -> int:
         fn = LENGTH_BOUND_EVEN_AFFINE_ALT
     else:
         fn = LENGTH_BOUND_EVEN_HOMOGENEOUS
-    value = periodic_eval(fn, r)
-    if not isinstance(value, int) or value < 0:
-        raise ValueError(f"length bound is not a nonnegative integer: {value}")
-    return value
+    return _dim_value(fn, r)
 
 
 def shortened_annihilator(

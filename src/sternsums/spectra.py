@@ -161,10 +161,10 @@ LENGTH_BOUND_EVEN_AFFINE_ALT = _pf(F(1, 3), [2, F(4, 3), F(2, 3)], EVEN)
 
 
 def _dim_value(fn: PeriodicFn, r: int) -> int:
-    """Evaluate a formula that represents a dimension; must be an integer >= 0."""
+    """Evaluate a dimension or length formula; must be an integer >= 0."""
     v = periodic_eval(fn, r)
     if not isinstance(v, int) or v < 0:
-        raise ValueError(f"dimension formula produced {v} at r={r}")
+        raise ValueError(f"dimension or length formula produced {v} at r={r}")
     return v
 
 
@@ -293,7 +293,11 @@ def spectral_context(r: int) -> SpectralContext:
     projection, phi_sym = sym_quotient(r, phi)
     twist = operator_matrix(RHO_TWIST, r)
     ident = RationalMatrix.identity(n)
-    twist_part = twist + ident if r % 2 else twist @ twist + twist + ident
+    if r % 2:
+        twist_part = twist + ident
+    else:
+        # substitution composes covariantly, so this is twist @ twist
+        twist_part = operator_matrix(RHO_TWIST @ RHO_TWIST, r) + twist + ident
     return SpectralContext(
         r=r,
         phi=phi,

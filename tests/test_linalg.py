@@ -7,7 +7,7 @@ polynomials and linear solves, which run on the same Bareiss elimination,
 are checked against their definitions, and the integer back substitution of
 kernel vectors against back substitution in Fractions.  The modular
 polynomial gcd is checked against the primitive polynomial remainder
-sequence, and Paterson-Stockmeyer evaluation at a matrix against Horner's
+sequence, and the column-by-column evaluation at a matrix against Horner's
 rule.
 """
 

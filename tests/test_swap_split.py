@@ -20,7 +20,7 @@ import pytest
 import sternsums.forms as forms
 import sternsums.linalg as linalg
 import sternsums.spectra as spectra
-from sternsums.cli import EXIT_VERIFICATION_FAILED, main
+from sternsums.cli import EXIT_VERIFICATION_FAILED, VERIFY_MAX_DEGREE, main
 from sternsums.forms import (
     IOTA,
     RHO_TWIST,
@@ -305,6 +305,17 @@ def _seeded_witness_cases():
             yield _conjugate(rng, _block_diag(blocks)), True
 
 
+@pytest.mark.extended
+def test_minpoly_squarefree_never_falls_back_up_to_the_verify_cap(monkeypatch):
+    # every degree `verify` admits past the default sweep: no block repeats
+    # an eigenvalue other than 0 and +-1, so none evaluates its radical
+    calls = _count_at_matrix(monkeypatch)
+    for r in range(61, VERIFY_MAX_DEGREE + 1):
+        for block in spectral_context(r).blocks:
+            assert block.minpoly_squarefree, r
+            assert calls["at_matrix"] == 0, r
+
+
 def test_minpoly_squarefree_on_seeded_matrices():
     for m, expected in _seeded_witness_cases():
         assert SwapBlock(m).minpoly_squarefree is expected, m
@@ -403,13 +414,16 @@ def test_verify_single_builds_each_object_once(monkeypatch, r):
 def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
     # the quarter turn is applied as a signed permutation, the twist kernel
     # is the only kernel computed, and the eigenspace dimensions are read off
-    # it: four block nullities and five ranks at most r/2 + 1 wide
+    # it: four block nullities and five ranks at most r/2 + 1 wide.  No two
+    # matrices are multiplied: twist^2 is the substitution of RHO_TWIST^2.
     gammas = []
     kernels = Counter()
     rank_widths = []
+    products = Counter()
     original_operator = forms.operator_matrix
     original_kernel = linalg._integer_kernel
     original_rank = linalg.rank
+    original_matmul = RationalMatrix.__matmul__
 
     def counted_operator(gamma, degree):
         gammas.append(gamma)
@@ -423,6 +437,11 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
         rank_widths.append(m.ncols)
         return original_rank(m)
 
+    def counted_matmul(a, b):
+        products[a.ncols] += 1
+        return original_matmul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counted_matmul)
     for module in (forms, linalg, spectra):
         if module.__dict__.get("operator_matrix") is original_operator:
             monkeypatch.setattr(module, "operator_matrix", counted_operator)
@@ -435,6 +454,7 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
     assert kernels == Counter({r + 1: 1})
     assert len(rank_widths) == 9
     assert max(rank_widths) <= r // 2 + 1
+    assert not products
 
 
 @pytest.mark.parametrize("r", [12, 20])
