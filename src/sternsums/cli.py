@@ -59,7 +59,10 @@ MINE_MAX_TERMS = 200
 # EXIT_RESOURCE.  `phi` stops where its text output is still a few MB and
 # under a second; its size grows as the cube of the degree.  The verify cap
 # rises only to a degree no dearer than its top degree was before the last
-# speed-up; 140 is still dearer than that, so the cap stays at 130.
+# speed-up.  Since the twist kernel is split by the swap, verify_single in a
+# fresh process on one core of a 2-core Xeon takes 6.1-6.5 s at 130 (11.1 to
+# 12.6 s before) and 9.8-11.4 s at 140, a range that overlaps the old one at
+# 130, so the cap stays at 130.
 PHI_MAX_DEGREE = 400
 VERIFY_MAX_DEGREE = 130
 # Caps on `sums`: the form's degree and n_max; past either one it exits

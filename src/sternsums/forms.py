@@ -88,10 +88,6 @@ class HomogPoly:
 
     __rmul__ = __mul__
 
-    def swap(self) -> "HomogPoly":
-        """f(y, x): reverses the coefficient vector."""
-        return HomogPoly(self.coeffs[::-1])
-
     def __repr__(self):
         return f"HomogPoly({list(self.coeffs)!r})"
 
@@ -142,9 +138,6 @@ class Mat2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
 
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

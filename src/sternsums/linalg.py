@@ -9,9 +9,8 @@ fraction-free too, in integers scaled by a Bareiss pivot (Cramer's rule),
 and only kernel_basis and solve_linear divide by it.  Characteristic
 polynomials come from the division-free Samuelson-Berkowitz recursion.
 Polynomial gcds come from Brown's modular algorithm, certified by exact
-division, and a polynomial is evaluated at a matrix column by column, by
-the Horner loop on integer vectors that minpoly runs.  No floating point
-anywhere; the modular steps only propose, and exact integer checks decide.
+division.  No floating point anywhere; the modular steps only propose, and
+exact integer checks decide.
 
 All functions are pure; matrices and polynomials are immutable after
 construction and safe to share between threads.
@@ -75,10 +74,6 @@ class RationalMatrix:
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -239,24 +234,6 @@ class IntPolynomial:
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def at_matrix(self, m: RationalMatrix) -> RationalMatrix:
-        """Evaluate at a square matrix, one column at a time.
-
-        Column i of p(A) is p(A) e_i, by Horner on integer vectors as minpoly
-        applies its polynomials.  For A = M / den, den**deg * p(x / den) has
-        integer coefficients, is applied with M, and the result is divided by
-        den**deg.
-        """
-        _require_square(m)
-        rows, den = _integer_rows_uniform(m)
-        d = self.degree()
-        cs = [c * den ** (d - k) for k, c in enumerate(self.coeffs)]
-        cols = [_poly_apply_to_unit(cs, rows, i) for i in range(m.nrows)]
-        scale = den ** max(d, 0)
-        if scale == 1:
-            return RationalMatrix(zip(*cols))
-        return RationalMatrix([[Fraction(x, scale) for x in row] for row in zip(*cols)])
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0

@@ -84,9 +84,6 @@ class LinearRecurrence:
         """Smallest n at which the identity is asserted: n0 + length."""
         return self.n0 + self.length
 
-    def is_homogeneous(self) -> bool:
-        return not self.affine_b and not self.alternating_c
-
     def rhs(self, seq: Sequence[Rational], n: int) -> Rational:
         """Right-hand side at index n (1-based) over the given sequence."""
         total = self.affine_b + self.alternating_c * (-1) ** n

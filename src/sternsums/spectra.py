@@ -18,9 +18,8 @@ of g = gcd(cp, cp') of multiplicity k, and on every degree swept g has no
 roots but the eigenvalues 0 and +-1 that verify checks anyway; then the
 matrix is diagonalizable iff each repeated one has nullity(M - lam I) equal
 to k + 1, a nullity the multiplicity check has already computed.  Should g
-have any other factor, the radical cp / g must annihilate the matrix
-instead.  The Krylov minimal polynomial is the tests' oracle for both
-routes.
+have any other factor, the squarefreeness of the Krylov minimal polynomial
+decides instead.
 
 The spectral work runs on two blocks of about half the size of the transfer
 matrix.  The swap J: f(x, y) -> f(y, x) commutes with it, because
@@ -36,11 +35,13 @@ of the blocks' multiplicities.  The split is certified, not assumed:
 spectral_context checks phi[r-a][r-b] == phi[a][b] entrywise, which is
 J phi J == phi, and raises ArithmeticError naming the degree when it fails.
 verify_single builds that context once per degree, and every check reads
-phi, the blocks, their polynomials and the twist kernel from it.  The
-quarter turn f(x, y) -> f(y, -x) sends e_b to (-1)^(r-b) e_(r-b), so the
-checks apply it entry by entry (_quarter_turn), and its eigenspaces Y+- and
-their images in the swap quotient are coordinate subspaces: every
-dimension that involves them is read off the twist kernel and its image.
+phi, the blocks, their polynomials and the twist kernel from it.  As
+J rho J = rho^-1 for rho = RHO_TWIST, J maps the twist kernel onto itself,
+so it is eliminated as its symmetric and antisymmetric halves; the quotient
+projection is injective on the first and kills the second.  On a form of
+swap sign s and even degree, the quarter turn f(x, y) -> f(y, -x) acts on
+entry a as s (-1)^a, so every dimension that involves its eigenspaces Y+-
+is a rank of one parity of a half's entries.
 
 A composition subtlety drives the eigenspace computations.  With row-vector
 substitution the operators compose covariantly, so the operator that the
@@ -72,8 +73,9 @@ from .linalg import (
     _integer_kernel,
     _normalize_entry,
     charpoly,
-    divide_out,
     eigen_multiplicity,
+    is_squarefree,
+    minpoly,
     polynomial_gcd,
     rank,
     root_power,
@@ -220,15 +222,13 @@ class SwapBlock:
         multiplicity k.  When g has no roots but 0 and +-1, the only
         eigenvalues that verify checks, the block is diagonalizable iff each
         of them that g has is semisimple: nullity(block - lam I) is k + 1.
-        Otherwise the radical cp / g must annihilate the block: the minimal
-        polynomial has cp's irreducible factors and divides every
-        annihilating polynomial.
+        Otherwise the Krylov minimal polynomial decides.
         """
         cp = self.charpoly
         g = polynomial_gcd(cp, cp.derivative())
         repeated = {lam: root_power(g, lam) for lam in (0, 1, -1)}
         if sum(repeated.values()) < g.degree():
-            return divide_out(cp, g, 1).at_matrix(self.matrix).is_zero()
+            return is_squarefree(minpoly(self.matrix))
         return all(
             self.multiplicity(lam)[0] == k + 1 for lam, k in repeated.items() if k
         )
@@ -246,25 +246,38 @@ class SpectralContext:
     """What the checks for one degree share; built once by spectral_context.
 
     sym and anti are the transfer matrix's blocks on the two swap quotients
-    (anti is None for r = 0, which has no antisymmetric form), and
-    projection is sym_quotient's.  twist_kernel is an integer basis of the
-    kernel of twist + 1 for odd r and of twist^2 + twist + 1 for even r (the
-    space W, respectively X): each canonical kernel vector scaled by the lcm
-    of its denominators, as _integer_kernel back-substitutes it.  The
-    quarter turn needs no entry: it is a signed permutation, which the
-    checks apply directly.
+    (anti is None for r = 0, which has no antisymmetric form).  twist_sym and
+    twist_anti are integer bases of the swap halves of the kernel of
+    twist + 1 for odd r and of twist^2 + twist + 1 for even r (the space W,
+    respectively X).  A vector w of the half of sign s = +-1 stands for the
+    form v with v[a] = w[a] and v[r-a] = s w[a], for a <= r/2 (a < r/2 for
+    s = -1, whose middle entry is 0).
     """
 
     r: int
     phi: RationalMatrix
-    projection: RationalMatrix
     sym: SwapBlock
     anti: SwapBlock | None
-    twist_kernel: tuple
+    twist_sym: tuple
+    twist_anti: tuple
 
     @property
     def blocks(self) -> tuple:
         return (self.sym,) if self.anti is None else (self.sym, self.anti)
+
+
+def _half_kernel(part: RationalMatrix, sign: int) -> tuple:
+    """The half of sign s of ker part (see SpectralContext): the integer
+    kernel of the columns part[:, a] + s part[:, r-a], the middle one once."""
+    r = part.nrows - 1
+    width = (r + 2) // 2 if sign == 1 else (r + 1) // 2
+    if not width:
+        return ()
+    folded = [
+        [row[a] + (sign * row[r - a] if 2 * a != r else 0) for a in range(width)]
+        for row in part.rows
+    ]
+    return tuple(_integer_kernel(RationalMatrix(folded)))
 
 
 def spectral_context(r: int) -> SpectralContext:
@@ -290,7 +303,6 @@ def spectral_context(r: int) -> SpectralContext:
             f"phi[{r - a}][{r - b}] = {rows[r - a][r - b]} "
             f"but phi[{a}][{b}] = {rows[a][b]}"
         )
-    projection, phi_sym = sym_quotient(r, phi)
     twist = operator_matrix(RHO_TWIST, r)
     ident = RationalMatrix.identity(n)
     if r % 2:
@@ -301,23 +313,17 @@ def spectral_context(r: int) -> SpectralContext:
     return SpectralContext(
         r=r,
         phi=phi,
-        projection=projection,
-        sym=SwapBlock(phi_sym),
+        sym=SwapBlock(sym_quotient(r, phi)[1]),
         anti=SwapBlock(anti_quotient(r, phi)[1]) if r else None,
-        twist_kernel=tuple(_integer_kernel(twist_part)),
+        twist_sym=_half_kernel(twist_part, 1),
+        twist_anti=_half_kernel(twist_part, -1),
     )
 
 
-def _span_dim(rows: list) -> int:
-    """Dimension of the span of the rows."""
-    return rank(RationalMatrix(rows)) if rows else 0
-
-
-def _quarter_turn(v) -> list:
-    """The quarter turn f(x, y) -> f(y, -x) of a coefficient vector of
-    degree r = len(v) - 1: (iota v)[a] = (-1)^a v[r-a]."""
-    r = len(v) - 1
-    return [-v[r - a] if a % 2 else v[r - a] for a in range(r + 1)]
+def _vanishing_dim(basis: tuple, parity: int) -> int:
+    """Dimension of the part of span(basis) whose entries of this parity vanish."""
+    rows = [w[parity::2] for w in basis]
+    return len(basis) - (rank(RationalMatrix(rows)) if rows and rows[0] else 0)
 
 
 def eigenspace_dims(ctx: SpectralContext) -> dict:
@@ -333,67 +339,39 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
     - Y+- are spanned by e_b +- (-1)^b e_(r-b) for b < h, and e_h lies in
       Y+ for even h, in Y- for odd h.  Their images are spanned by the even
       and the odd classes 0..h of the quotient, respectively.
-    - X n Y+- is the kernel of I -+ iota on X.  Entry r-a of (I -+ iota) v
-      is -+(-1)^a times entry a, so entries 0..h carry its rank.
-    - proj X + proj Y+- is the span of those classes plus proj X with their
-      columns deleted, so dim(proj X n proj Y+) is dim proj X minus the rank
-      of proj X on the odd classes, and for Y- on the even classes.
+    - The projection maps X_sym onto proj X one to one, and X_sym n Y+-
+      onto proj X n proj Y+-.  The swap commutes with the quarter turn, so
+      X n Y+- is (X_sym n Y+-) + (X_anti n Y+-).  On the half of sign s,
+      Y+ is where the entries a with s (-1)^a = -1 vanish, and Y- where
+      the others do.
     """
     r = ctx.r
     if r < 2 or r % 2:
         raise ValueError("even degree at least 2 required")
     half = r // 2
+    sym, anti = ctx.twist_sym, ctx.twist_anti
+    dim_x_yp_sym = _vanishing_dim(sym, 1)
+    dim_x_ym_sym = _vanishing_dim(sym, 0)
+    dim_x_yp = dim_x_yp_sym + _vanishing_dim(anti, 0)
+    dim_x_ym = dim_x_ym_sym + _vanishing_dim(anti, 1)
 
-    x_basis = ctx.twist_kernel
-    proj_x = [ctx.projection.mat_vec(v) for v in x_basis]
+    def formula(fn, computed):
+        return {"formula": _dim_value(fn, r), "computed": computed}
 
-    dim_x = len(x_basis)
-    dim_yp = half + 1 - half % 2
-    dim_ym = half + half % 2
-    dim_x_sym = _span_dim(proj_x)
-    dim_yp_sym = half // 2 + 1
-    dim_ym_sym = (half + 1) // 2
-
-    def cap_dim(sign: int) -> int:
-        # zip stops at entry h, the last one that carries the rank
-        return dim_x - _span_dim(
-            [[x - sign * t for x, t in zip(v[: half + 1], _quarter_turn(v))] for v in x_basis]
-        )
-
-    dim_x_yp = cap_dim(1)
-    dim_x_ym = cap_dim(-1)
-    dim_x_yp_sym = dim_x_sym - _span_dim([p[1::2] for p in proj_x])
-    dim_x_ym_sym = dim_x_sym - _span_dim([p[0::2] for p in proj_x])
+    def bound(fn, computed):
+        return {"bound": periodic_eval(fn, r), "computed": computed}
 
     return {
-        "dim_X": {"formula": _dim_value(DIM_X, r), "computed": dim_x},
-        "dim_Y_plus": {"formula": _dim_value(DIM_Y_PLUS, r), "computed": dim_yp},
-        "dim_Y_minus": {"formula": _dim_value(DIM_Y_MINUS, r), "computed": dim_ym},
-        "dim_X_sym": {"formula": _dim_value(DIM_X_SYM, r), "computed": dim_x_sym},
-        "dim_Y_plus_sym": {
-            "formula": _dim_value(DIM_Y_PLUS_SYM, r),
-            "computed": dim_yp_sym,
-        },
-        "dim_Y_minus_sym": {
-            "formula": _dim_value(DIM_Y_MINUS_SYM, r),
-            "computed": dim_ym_sym,
-        },
-        "dim_X_cap_Y_plus": {
-            "bound": periodic_eval(DIM_X_CAP_Y_PLUS, r),
-            "computed": dim_x_yp,
-        },
-        "dim_X_cap_Y_minus": {
-            "bound": periodic_eval(DIM_X_CAP_Y_MINUS, r),
-            "computed": dim_x_ym,
-        },
-        "dim_X_cap_Y_plus_sym": {
-            "bound": periodic_eval(DIM_X_CAP_Y_PLUS_SYM, r),
-            "computed": dim_x_yp_sym,
-        },
-        "dim_X_cap_Y_minus_sym": {
-            "bound": periodic_eval(DIM_X_CAP_Y_MINUS_SYM, r),
-            "computed": dim_x_ym_sym,
-        },
+        "dim_X": formula(DIM_X, len(sym) + len(anti)),
+        "dim_Y_plus": formula(DIM_Y_PLUS, half + 1 - half % 2),
+        "dim_Y_minus": formula(DIM_Y_MINUS, half + half % 2),
+        "dim_X_sym": formula(DIM_X_SYM, len(sym)),
+        "dim_Y_plus_sym": formula(DIM_Y_PLUS_SYM, half // 2 + 1),
+        "dim_Y_minus_sym": formula(DIM_Y_MINUS_SYM, (half + 1) // 2),
+        "dim_X_cap_Y_plus": bound(DIM_X_CAP_Y_PLUS, dim_x_yp),
+        "dim_X_cap_Y_minus": bound(DIM_X_CAP_Y_MINUS, dim_x_ym),
+        "dim_X_cap_Y_plus_sym": bound(DIM_X_CAP_Y_PLUS_SYM, dim_x_yp_sym),
+        "dim_X_cap_Y_minus_sym": bound(DIM_X_CAP_Y_MINUS_SYM, dim_x_ym_sym),
     }
 
 
@@ -401,22 +379,22 @@ def odd_case_dims(ctx: SpectralContext) -> dict:
     """Residue count versus kernel dimension for odd degree.
 
     Counts x powers a in 0..r with 2a == r + 3 (mod 6), plain and modulo the
-    pairing a ~ r - a, and computes the minus-one eigenspace W of the twist
-    substitution and its image in the quotient.  The counts should equal
-    dim W and dim W_sym; verify_single reports a mismatch as a failed
-    check.  The degree is ctx.r.
+    pairing a ~ r - a, and reads off the minus-one eigenspace W of the twist
+    substitution and its image in the quotient, which is as large as the
+    symmetric half W_sym.  The counts should equal dim W and dim W_sym;
+    verify_single reports a mismatch as a failed check.  The degree is
+    ctx.r.
     """
     r = ctx.r
     if r % 2 == 0:
         raise ValueError("odd degree required")
     hits = [a for a in range(r + 1) if (2 * a - (r + 3)) % 6 == 0]
     paired = {frozenset((a, r - a)) for a in hits}
-    proj_w = [ctx.projection.mat_vec(v) for v in ctx.twist_kernel]
     return {
         "count": len(hits),
         "count_sym": len(paired),
-        "dim_W": len(ctx.twist_kernel),
-        "dim_W_sym": _span_dim(proj_w),
+        "dim_W": len(ctx.twist_sym) + len(ctx.twist_anti),
+        "dim_W_sym": len(ctx.twist_sym),
         "formula": _dim_value(COUNT_W, r),
         "formula_sym": _dim_value(COUNT_W_SYM, r),
     }
@@ -427,20 +405,32 @@ def check_annihilation_identities(ctx: SpectralContext) -> dict:
 
     Odd r: the transfer matrix kills every kernel vector of (twist + 1).
     Even r: (transfer + quarter-turn) kills every kernel vector of
-    twist^2 + twist + 1.  Vacuously true when the eigenspace is zero.
-    The degree is ctx.r.
+    twist^2 + twist + 1, where the quarter turn acts on entry a of a form
+    of swap sign s as s (-1)^a.  Each form is rebuilt from its half; the
+    check is vacuously true when the eigenspace is zero.  The degree is
+    ctx.r.
     """
-    if ctx.r < 1:
+    r = ctx.r
+    if r < 1:
         raise ValueError("degree must be at least 1")
-    basis = ctx.twist_kernel
-    if ctx.r % 2:
-        ok = all(not any(ctx.phi.mat_vec(v)) for v in basis)
-        return {"phi_kills_W": ok, "space_dim": len(basis)}
+    forms = []
+    for sign, basis in ((1, ctx.twist_sym), (-1, ctx.twist_anti)):
+        for w in basis:
+            v = [0] * (r + 1)
+            for a, x in enumerate(w):
+                v[a], v[r - a] = x, sign * x
+            forms.append((sign, v))
+    if r % 2:
+        ok = all(not any(ctx.phi.mat_vec(v)) for _, v in forms)
+        return {"phi_kills_W": ok, "space_dim": len(forms)}
     ok = all(
-        not any(p + q for p, q in zip(ctx.phi.mat_vec(v), _quarter_turn(v)))
-        for v in basis
+        not any(
+            p + (-sign if a % 2 else sign) * x
+            for a, (p, x) in enumerate(zip(ctx.phi.mat_vec(v), v))
+        )
+        for sign, v in forms
     )
-    return {"phi_plus_iota_kills_X": ok, "space_dim": len(basis)}
+    return {"phi_plus_iota_kills_X": ok, "space_dim": len(forms)}
 
 
 def check_diagonalizability(ctx: SpectralContext) -> tuple:

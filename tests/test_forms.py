@@ -40,7 +40,7 @@ def test_shear_constants_and_derived_products():
     assert IOTA == SIGMA @ TAU_INVERSE @ SIGMA
     assert RHO_TWIST == TAU_INVERSE @ SIGMA
     for m in (SIGMA, TAU, RHO, IOTA, RHO_TWIST):
-        assert m.det() == 1
+        assert m.a * m.d - m.b * m.c == 1
     assert RHO == Mat2(1, -1, 1, 0)
     assert IOTA == Mat2(0, -1, 1, 0)
 
@@ -113,6 +113,18 @@ def test_phi_matrix_equals_sum_of_shear_operators():
         assert phi_matrix(r) == operator_matrix(SIGMA, r) + operator_matrix(TAU, r)
 
 
+def test_swap_inverts_the_twist():
+    # J rho J = rho^-1 for J = f(x, y) -> f(y, x): the swap maps the twist's
+    # eigenspaces at -1 and at the primitive cube roots of 1 onto themselves,
+    # which is what lets spectra eliminate their swap halves apart
+    swap = Mat2(0, 1, 1, 0)
+    assert swap @ RHO_TWIST @ swap @ RHO_TWIST == IDENTITY
+    inverse = RHO_TWIST @ RHO_TWIST @ RHO_TWIST @ RHO_TWIST @ RHO_TWIST
+    for r in range(0, 21):
+        j = swap_matrix(r)
+        assert j @ operator_matrix(RHO_TWIST, r) @ j == operator_matrix(inverse, r), r
+
+
 def test_finite_orders_of_twist_and_quarter_turn():
     for r in range(2, 41, 2):
         n = r + 1
@@ -166,7 +178,7 @@ def test_form_evaluation_and_algebra():
     f = HomogPoly([1, 0, -2, 5])  # 5x^3 - 2x^2 y + y^3
     assert f(1, 1) == 4
     assert f(2, 3) == 5 * 8 - 2 * 4 * 3 + 27
-    assert f.swap().coeffs == (5, -2, 0, 1)
+    assert HomogPoly(f.coeffs[::-1]) == HomogPoly([5, -2, 0, 1])
     g = f + f
     assert g == 2 * f
     assert (f - f).coeffs == (0, 0, 0, 0)

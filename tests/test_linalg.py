@@ -7,8 +7,8 @@ polynomials and linear solves, which run on the same Bareiss elimination,
 are checked against their definitions, and the integer back substitution of
 kernel vectors against back substitution in Fractions.  The modular
 polynomial gcd is checked against the primitive polynomial remainder
-sequence, and the column-by-column evaluation at a matrix against Horner's
-rule.
+sequence.  Polynomials are evaluated at a matrix by Horner's rule on
+RationalMatrix arithmetic, here in the tests only.
 """
 
 import math
@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from sternsums.cli import VERIFY_MAX_DEGREE
 from sternsums.forms import RHO_TWIST, operator_matrix, phi_matrix, sym_quotient
 from sternsums.linalg import (
     InexactDivisionError,
@@ -138,7 +139,7 @@ def prs_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 def horner_at_matrix(p: IntPolynomial, m: RationalMatrix) -> RationalMatrix:
     """p(m) by Horner's rule on RationalMatrix arithmetic."""
     n = m.nrows
-    acc = RationalMatrix.zeros(n, n)
+    acc = RationalMatrix([[0] * n for _ in range(n)])
     for c in reversed(p.coeffs):
         acc = acc @ m
         if c:
@@ -186,7 +187,7 @@ def random_matrix(rng, n, lo=-6, hi=6, rational=False):
 def test_rank_goldens():
     assert rank(phi_matrix(3)) == 2
     assert rank(RationalMatrix.identity(5)) == 5
-    assert rank(RationalMatrix.zeros(3, 3)) == 0
+    assert rank(RationalMatrix([[0] * 3 for _ in range(3)])) == 0
 
 
 def test_rank_against_naive_eliminator():
@@ -270,16 +271,56 @@ def test_integer_kernel_checks_every_division():
     assert _kernel_vector([[2, 0, 1], [0, 6, 2]], [0, 1], 3, 2) == [-3, -2, 6]
 
 
+def twist_part(r: int) -> RationalMatrix:
+    """twist + 1 for odd r, twist^2 + twist + 1 for even r (kernel W, resp. X)."""
+    twist = operator_matrix(RHO_TWIST, r)
+    ident = RationalMatrix.identity(r + 1)
+    return twist + ident if r % 2 else twist @ twist + twist + ident
+
+
+def twist_forms(ctx) -> list:
+    """(swap sign, form) for every vector of the context's two twist halves."""
+    r = ctx.r
+    out = []
+    for sign, basis in ((1, ctx.twist_sym), (-1, ctx.twist_anti)):
+        for w in basis:
+            v = [0] * (r + 1)
+            for a, x in enumerate(w):
+                v[a] = x
+                v[r - a] = sign * x
+            out.append((sign, v))
+    return out
+
+
+def _assert_halves_span_the_twist_kernel(r: int):
+    part = twist_part(r)
+    kernel = _integer_kernel(part)
+    forms = [v for _, v in twist_forms(spectral_context(r))]
+    # in the kernel, independent and as many as its dimension: a basis of it
+    assert all(not any(part.mat_vec(v)) for v in forms), r
+    assert len(forms) == len(kernel), r
+    assert not forms or rank(RationalMatrix(forms)) == len(forms), r
+
+
 def test_integer_kernel_of_the_twist_parts():
-    for r in range(1, 61):
-        twist = operator_matrix(RHO_TWIST, r)
-        ident = RationalMatrix.identity(r + 1)
-        part = twist + ident if r % 2 else twist @ twist + twist + ident
+    # r = 0 has no antisymmetric form and X = 0, r = 1 has W = 0 on halves
+    # one entry wide, and r = 2 a one-entry antisymmetric half
+    contexts = map(spectral_context, range(3))
+    halves = [(ctx.twist_sym, ctx.twist_anti) for ctx in contexts]
+    assert halves == [((), ()), ((), ()), (((-1, 4),), ((1,),))]
+    for r in range(61):
+        part = twist_part(r)
         oracle = fraction_kernel(part)
         integer = [tuple(v) for v in _integer_rows(oracle)]
         assert _integer_kernel(part) == integer, r
-        assert spectral_context(r).twist_kernel == tuple(integer), r
         assert kernel_basis(part) == oracle, r
+        _assert_halves_span_the_twist_kernel(r)
+
+
+@pytest.mark.extended
+def test_twist_halves_span_the_twist_kernel_up_to_the_verify_cap():
+    for r in range(61, VERIFY_MAX_DEGREE + 1):
+        _assert_halves_span_the_twist_kernel(r)
 
 
 def test_rank_plus_nullity_is_width_on_rectangular_input():
@@ -386,7 +427,7 @@ def test_minpoly_goldens():
     # distinct eigenvalues 0, 1, 7 with 0 repeated: degree drops from 4 to 3
     p = minpoly(phi_matrix(3))
     assert p == IntPolynomial([0, 7, -8, 1])
-    assert p.at_matrix(phi_matrix(3)).is_zero()
+    assert horner_at_matrix(p, phi_matrix(3)).is_zero()
 
 
 def test_minpoly_detects_nontrivial_jordan_block():
@@ -402,7 +443,7 @@ def test_minpoly_divides_charpoly_and_annihilates():
         mp = minpoly(m)
         cp = charpoly(m)
         assert divide_out(cp, mp, 1) is not None  # raises if not divisible
-        assert mp.at_matrix(m).is_zero()
+        assert horner_at_matrix(mp, m).is_zero()
         assert mp.is_monic()
 
 
@@ -475,7 +516,7 @@ def test_minpoly_against_its_definition():
     for m in mats:
         p = minpoly(m)
         assert p.is_monic()
-        assert p.at_matrix(m).is_zero()
+        assert horner_at_matrix(p, m).is_zero()
         d = p.degree()
         power = RationalMatrix.identity(m.nrows)
         flat = []
@@ -609,18 +650,6 @@ def test_polynomial_gcd_of_swap_block_charpolys():
         for block in spectral_context(r).blocks:
             cp = block.charpoly
             assert polynomial_gcd(cp, cp.derivative()) == prs_gcd(cp, cp.derivative()), r
-
-
-def test_at_matrix_against_horner():
-    rng = random.Random(1973)
-    for trial in range(60):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, -3, 3, rational=trial % 2 == 1)
-        for d in (-1, 0, 1, 2, 3, rng.randint(4, 30), 30):
-            p = IntPolynomial() if d < 0 else _random_poly(rng, d, -5, 5)
-            assert p.at_matrix(m) == horner_at_matrix(p, m), (p, m)
-    with pytest.raises(NonSquareMatrixError):
-        IntPolynomial([1, 1]).at_matrix(RationalMatrix([[1, 2]]))
 
 
 def test_divide_out_goldens():

@@ -74,7 +74,7 @@ def test_min_recurrence_cubic_power_sums():
     assert rec.length == 1
     assert rec.coefficients == (7,)
     assert rec.n0 == 2
-    assert rec.is_homogeneous()
+    assert not rec.affine_b and not rec.alternating_c
 
 
 def test_min_recurrence_constant_sequence():

@@ -10,7 +10,9 @@ change: edit the list and record it in CHANGES.md.
 No library module but `__init__` imports a name it does not use: a
 deletion that leaves its imports behind fails here.  Every private
 module-level function or class is referenced by some library module: code
-that only the tests use belongs in the tests.
+that only the tests use belongs in the tests.  The same holds for every
+public function and non-dunder method, unless `__all__` exports the
+function or the benchmark's tracer wraps it.
 
 The benchmark's tracer wraps the functions its LAYERS table names, so every
 one of them must still resolve in the package.
@@ -155,6 +157,32 @@ def test_every_private_definition_has_a_library_caller():
     assert defined and sorted(defined - referenced) == []
 
 
+def test_every_public_definition_has_a_use():
+    traced = {f"{mod}.{name}" for mod, names in _layers().items() for name in names}
+    defined, referenced = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        mod = path.stem
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, ast.FunctionDef) and not own.startswith("_"):
+                if own not in sternsums.__all__:
+                    defined.append((f"{mod}.{own}", own))
+            if isinstance(top, ast.ClassDef):
+                defined += [
+                    (f"{mod}.{own}.{item.name}", item.name)
+                    for item in top.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name and name != own:
+                    referenced.add(name)
+    assert defined
+    unused = [q for q, name in defined if name not in referenced and q not in traced]
+    assert unused == []
+
+
 def test_public_api_snapshot():
     assert PUBLIC_API == sorted(PUBLIC_API)
     assert sternsums.__all__ == PUBLIC_API
@@ -162,14 +190,19 @@ def test_public_api_snapshot():
     assert missing == []
 
 
-def test_traced_layers_resolve():
+def _layers() -> dict:
+    """The tracer's LAYERS table, read from its source."""
     tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
-    layers = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
     )
+
+
+def test_traced_layers_resolve():
+    layers = _layers()
     missing = []
     for mod, names in layers.items():
         for name in names:

@@ -7,6 +7,7 @@ import pytest
 
 from sternsums.forms import IOTA, RHO, RHO_TWIST, operator_matrix, phi_matrix
 from sternsums.linalg import RationalMatrix, kernel_basis
+from test_linalg import twist_forms
 from sternsums.spectra import (
     EVEN,
     ODD,
@@ -125,10 +126,16 @@ def test_quarter_turn_eigenspaces_r2_by_hand():
 
 
 def test_quarter_turn_is_a_signed_permutation():
-    # x^b y^(r-b) -> (-1)^(r-b) x^(r-b) y^b, that is (iota v)[a] = (-1)^a v[r-a]
+    # x^b y^(r-b) -> (-1)^(r-b) x^(r-b) y^b, that is (iota v)[a] = (-1)^a v[r-a];
+    # so on a form with v[r-a] = s v[a] it acts on entry a as s (-1)^a, which
+    # is checked on the twist halves that spectral_context builds
     for r in range(2, 61, 2):
+        iota = operator_matrix(IOTA, r)
         signed = [[(-1) ** a * (b == r - a) for b in range(r + 1)] for a in range(r + 1)]
-        assert operator_matrix(IOTA, r) == RationalMatrix(signed), r
+        assert iota == RationalMatrix(signed), r
+        for sign, v in twist_forms(spectral_context(r)):
+            expected = [sign * (-1) ** a * x for a, x in enumerate(v)]
+            assert iota.mat_vec(v) == expected, r
 
 
 def test_quarter_turn_eigenspace_dims_match_the_eliminated_kernels():

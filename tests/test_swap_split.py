@@ -4,10 +4,11 @@ verify_single computes every spectral quantity on the two swap blocks of
 phi, reading them from one spectral context per degree.  The oracle here is
 the route it replaced: every multiplicity on the full (r+1)-wide matrix,
 each check rebuilding what it needs, and the eigenspace kernels used as the
-Fraction vectors kernel_basis returns.  The squarefree witness of each
-block, certified from its block nullities (or, for a repeated eigenvalue
-other than 0 and +-1, from its charpoly's radical), is checked against the
-radical route and the squarefreeness of the Krylov minimal polynomial.
+Fraction vectors kernel_basis returns, the twist kernel eliminated full
+width.  The squarefree witness of each block, certified from its block
+nullities (or, for a repeated eigenvalue other than 0 and +-1, from its
+Krylov minimal polynomial), is checked against the radical evaluated at the
+block and the squarefreeness of the minimal polynomial.
 """
 
 import json
@@ -63,7 +64,7 @@ from sternsums.spectra import (
     spectral_context,
     verify_single,
 )
-from test_linalg import _block_diag, _conjugate, _jordan
+from test_linalg import _block_diag, _conjugate, _jordan, horner_at_matrix
 
 
 # -- the full-matrix oracle ---------------------------------------------------
@@ -243,7 +244,8 @@ def test_context_holds_one_block_per_swap_class():
     assert [b.matrix.nrows for b in ctx.blocks] == [4, 3]
     assert ctx.sym.charpoly == charpoly(ctx.sym.matrix)
     assert ctx.anti.minpoly_squarefree == is_squarefree(minpoly(ctx.anti.matrix))
-    assert all(isinstance(x, int) for v in ctx.twist_kernel for x in v)
+    halves = ctx.twist_sym + ctx.twist_anti
+    assert halves and all(isinstance(x, int) for w in halves for x in w)
     assert spectral_context(0).blocks == (spectral_context(0).sym,)
     with pytest.raises(ValueError):
         spectra.odd_case_dims(ctx)
@@ -256,27 +258,28 @@ def _radical_annihilates(block: SwapBlock) -> bool:
     """The radical route: cp / gcd(cp, cp') annihilates the block."""
     cp = block.charpoly
     radical = divide_out(cp, polynomial_gcd(cp, cp.derivative()), 1)
-    return radical.at_matrix(block.matrix).is_zero()
+    return horner_at_matrix(radical, block.matrix).is_zero()
 
 
-def _count_at_matrix(monkeypatch) -> Counter:
+def _count_minpoly(monkeypatch) -> Counter:
+    """Counts the witness's fallbacks: its calls of the Krylov minpoly."""
     calls = Counter()
-    original = linalg.IntPolynomial.at_matrix
+    original = spectra.minpoly
 
-    def counted(self, m):
-        calls["at_matrix"] += 1
-        return original(self, m)
+    def counted(m):
+        calls["minpoly"] += 1
+        return original(m)
 
-    monkeypatch.setattr(linalg.IntPolynomial, "at_matrix", counted)
+    monkeypatch.setattr(spectra, "minpoly", counted)
     return calls
 
 
 def test_minpoly_squarefree_against_the_minpoly_oracle(monkeypatch):
     # every block of r <= 60 takes the nullity route, which agrees with both
     blocks = [block for r in range(1, 61) for block in spectral_context(r).blocks]
-    calls = _count_at_matrix(monkeypatch)
+    calls = _count_minpoly(monkeypatch)
     witnesses = [block.minpoly_squarefree for block in blocks]
-    assert calls["at_matrix"] == 0
+    assert calls["minpoly"] == 0
     for block, witness in zip(blocks, witnesses):
         assert witness is _radical_annihilates(block) is True
         assert witness is is_squarefree(minpoly(block.matrix))
@@ -308,12 +311,12 @@ def _seeded_witness_cases():
 @pytest.mark.extended
 def test_minpoly_squarefree_never_falls_back_up_to_the_verify_cap(monkeypatch):
     # every degree `verify` admits past the default sweep: no block repeats
-    # an eigenvalue other than 0 and +-1, so none evaluates its radical
-    calls = _count_at_matrix(monkeypatch)
+    # an eigenvalue other than 0 and +-1, so none falls back to its minpoly
+    calls = _count_minpoly(monkeypatch)
     for r in range(61, VERIFY_MAX_DEGREE + 1):
         for block in spectral_context(r).blocks:
             assert block.minpoly_squarefree, r
-            assert calls["at_matrix"] == 0, r
+            assert calls["minpoly"] == 0, r
 
 
 def test_minpoly_squarefree_on_seeded_matrices():
@@ -323,24 +326,24 @@ def test_minpoly_squarefree_on_seeded_matrices():
         assert is_squarefree(minpoly(m)) is expected, m
 
 
-def test_minpoly_squarefree_falls_back_to_the_radical(monkeypatch):
+def test_minpoly_squarefree_falls_back_to_the_minpoly(monkeypatch):
     # 2 repeats, and the block nullities cover only 0 and +-1
-    calls = _count_at_matrix(monkeypatch)
+    calls = _count_minpoly(monkeypatch)
     assert SwapBlock(_jordan(2, 2)).minpoly_squarefree is False
     diag = _block_diag([_jordan(2, 1), _jordan(2, 1), _jordan(3, 1)])
     assert SwapBlock(diag).minpoly_squarefree is True
-    assert calls["at_matrix"] == 2
+    assert calls["minpoly"] == 2
 
 
 def test_minpoly_squarefree_reads_the_block_nullities(monkeypatch):
     # a Jordan block at lam next to a simple eigenvalue has nullity 1, not 2
-    calls = _count_at_matrix(monkeypatch)
+    calls = _count_minpoly(monkeypatch)
     for lam in (0, 1, -1):
         jordan = _block_diag([_jordan(lam, 2), _jordan(-lam or 5, 1)])
         assert SwapBlock(jordan).minpoly_squarefree is False, lam
         diag = _block_diag([_jordan(lam, 1), _jordan(lam, 1), _jordan(7, 1)])
         assert SwapBlock(diag).minpoly_squarefree is True, lam
-    assert calls["at_matrix"] == 0
+    assert calls["minpoly"] == 0
 
 
 def test_verify_fails_when_a_block_has_a_jordan_block(monkeypatch, capsys):
@@ -410,15 +413,17 @@ def test_verify_single_builds_each_object_once(monkeypatch, r):
     assert max(charpoly_widths) <= (r + 2) // 2
 
 
-@pytest.mark.parametrize("r", [12, 20])
+@pytest.mark.parametrize("r", [11, 12, 20])
 def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
-    # the quarter turn is applied as a signed permutation, the twist kernel
-    # is the only kernel computed, and the eigenspace dimensions are read off
-    # it: four block nullities and five ranks at most r/2 + 1 wide.  No two
-    # matrices are multiplied: twist^2 is the substitution of RHO_TWIST^2.
+    # the quarter turn is a sign per entry of each swap half, and the twist
+    # kernel is computed as its two halves and nothing else, never r + 1
+    # columns wide.  The dimensions are read off them: for even r four
+    # block nullities and four ranks each at most half as wide as a half,
+    # for odd r two nullities and no rank.  No two matrices are multiplied:
+    # twist^2 is the substitution of RHO_TWIST^2.
     gammas = []
     kernels = Counter()
-    rank_widths = []
+    rank_widths = {linalg: [], spectra: []}
     products = Counter()
     original_operator = forms.operator_matrix
     original_kernel = linalg._integer_kernel
@@ -433,10 +438,6 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
         kernels[m.ncols] += 1
         return original_kernel(m)
 
-    def counted_rank(m):
-        rank_widths.append(m.ncols)
-        return original_rank(m)
-
     def counted_matmul(a, b):
         products[a.ncols] += 1
         return original_matmul(a, b)
@@ -447,22 +448,30 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
             monkeypatch.setattr(module, "operator_matrix", counted_operator)
         if module.__dict__.get("_integer_kernel") is original_kernel:
             monkeypatch.setattr(module, "_integer_kernel", counted_kernel)
-        if module.__dict__.get("rank") is original_rank:
-            monkeypatch.setattr(module, "rank", counted_rank)
+    for module, widths in rank_widths.items():
+
+        def counted_rank(m, _widths=widths):
+            _widths.append(m.ncols)
+            return original_rank(m)
+
+        monkeypatch.setattr(module, "rank", counted_rank)
     assert verify_single(r).passed
     assert IOTA not in gammas and gammas
-    assert kernels == Counter({r + 1: 1})
-    assert len(rank_widths) == 9
-    assert max(rank_widths) <= r // 2 + 1
+    assert kernels == Counter([r // 2 + 1, (r + 1) // 2])
+    # one nullity per swap block and eigenvalue checked: 0, or +1 and -1
+    nullity_widths = [r // 2 + 1, (r + 1) // 2] * (1 if r % 2 else 2)
+    assert sorted(rank_widths[linalg]) == sorted(nullity_widths)
+    assert len(rank_widths[spectra]) == (0 if r % 2 else 4)
+    assert max(rank_widths[spectra], default=0) <= (r // 2 + 2) // 2
     assert not products
 
 
 @pytest.mark.parametrize("r", [12, 20])
 def test_verify_single_witness_shares_the_block_nullities(monkeypatch, r):
-    # the squarefree witness evaluates no polynomial at a matrix, and the
+    # the squarefree witness computes no minimal polynomial, and the
     # nullities at +-1 it reads (r = 20 repeats both) are the ones the
     # multiplicity check computes, once per block
-    calls = _count_at_matrix(monkeypatch)
+    calls = _count_minpoly(monkeypatch)
     original = spectra.eigen_multiplicity
 
     def counted(*args, **kwargs):
