@@ -11,8 +11,11 @@ Exit codes: 0 success (and, for verify/mine, every check passed);
 1 a verified bound or equality failed, an exact certificate or identity
 failed, or the two routes of `sums --both` disagree; 2 usage or input error;
 3 resource limit (a row index past DEFAULT_ROW_CAP, or a degree or term
-count past the caps below).  Commands raise and `main` alone reports:
-`error: <message>` on stderr and the exit code of the exception's kind.
+count past the caps below).  Commands return, and `main` alone renders and
+reports.  A command returns the parameters and results of its JSON report,
+its text or CSV lines as a lazy iterable (so a JSON query renders no text),
+and its exit code.  A command that fails raises, and `main` writes
+`error: <message>` on stderr and exits with the code of the exception's kind.
 """
 
 from __future__ import annotations
@@ -172,28 +175,29 @@ def parse_fspec(spec: str) -> HomogPoly:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (parameters, results, lines, exit code)
 # ---------------------------------------------------------------------------
 
 
-def cmd_row(args) -> int:
+def cmd_row(args):
     row = stern_row(args.n)
-    if args.format == "json":
-        emit_json(
-            report_document(
-                "row",
-                {"n": args.n, "cap": DEFAULT_ROW_CAP},
-                {"entries": list(row.entries)},
-            )
-        )
-    elif args.format == "csv":
-        print(",".join(str(e) for e in row.entries))
+    sep = "," if args.format == "csv" else " "
+    lines = (sep.join(map(str, entries)) for entries in [row.entries])
+    parameters = {"n": args.n, "cap": DEFAULT_ROW_CAP}
+    return parameters, {"entries": row.entries}, lines, EXIT_OK
+
+
+def _sums_lines(values, fmt, both):
+    if fmt == "csv":
+        yield "n,value"
+        for n, v in enumerate(values, start=1):
+            yield f"{n},{encode_rational(v)}"
     else:
-        print(" ".join(str(e) for e in row.entries))
-    return EXIT_OK
+        line = " ".join(map(encode_rational, values))
+        yield line + " (paths agree)" if both else line
 
 
-def cmd_sums(args) -> int:
+def cmd_sums(args):
     # n_max first: parse_fspec already refuses a degree past its cap, and
     # usage errors come before resource limits
     if args.n_max < 1:
@@ -212,60 +216,41 @@ def cmd_sums(args) -> int:
         if mode == "both" and fast != values:
             raise ArithmeticError("direct and fast power sums disagree")
         values = fast
-    if args.format == "json":
-        results = {"values": values, "mode": mode}
-        if mode == "both":
-            results["paths_agree"] = True
-        emit_json(
-            report_document(
-                "sums",
-                {"f": args.fspec, "n_max": args.n_max, "mode": mode},
-                results,
-            )
-        )
-    elif args.format == "csv":
-        print("n,value")
-        for n, v in enumerate(values, start=1):
-            print(f"{n},{encode_rational(v)}")
-    else:
-        line = " ".join(encode_rational(v) for v in values)
-        if mode == "both":
-            line += " (paths agree)"
-        print(line)
-    return EXIT_OK
+    results = {"values": values, "mode": mode}
+    if mode == "both":
+        results["paths_agree"] = True
+    parameters = {"f": args.fspec, "n_max": args.n_max, "mode": mode}
+    lines = _sums_lines(values, args.format, mode == "both")
+    return parameters, results, lines, EXIT_OK
 
 
-def cmd_phi(args) -> int:
+def cmd_phi(args):
     if args.r < 0:
         raise ValueError("degree must be nonnegative")
     _check_cap("degree", args.r, "PHI_MAX_DEGREE", PHI_MAX_DEGREE)
     mat = sym_quotient(args.r)[1] if args.sym else phi_matrix(args.r)
-    if args.format == "json":
-        emit_json(
-            report_document(
-                "phi",
-                {"r": args.r, "sym": args.sym},
-                {"matrix": mat.to_lists()},
+    lines = (" ".join(map(encode_rational, row)) for row in mat.rows)
+    return {"r": args.r, "sym": args.sym}, {"matrix": mat.rows}, lines, EXIT_OK
+
+
+def _verify_text_lines(reports, r_min, r_max, all_ok):
+    for rep in reports:
+        bits = []
+        for key, chk in rep.multiplicities.items():
+            flag = "=" if chk.equal else (">=" if chk.bound_holds else "VIOLATED")
+            bits.append(
+                f"{key} pred {chk.predicted} geo {chk.geometric} "
+                f"alg {chk.algebraic} {flag}"
             )
-        )
-    else:
-        for row in mat.rows:
-            print(" ".join(encode_rational(x) for x in row))
-    return EXIT_OK
+        status = "PASS" if rep.passed else "FAIL"
+        yield f"r={rep.r:>3} {rep.parity:<4} | " + "; ".join(bits) + f" | {status}"
+    yield (
+        f"{'all checks passed' if all_ok else 'CHECKS FAILED'} "
+        f"for r in [{r_min}, {r_max}]"
+    )
 
 
-def _verify_text_line(rep) -> str:
-    mult_bits = []
-    for key, chk in rep.multiplicities.items():
-        flag = "=" if chk.equal else (">=" if chk.bound_holds else "VIOLATED")
-        mult_bits.append(
-            f"{key} pred {chk.predicted} geo {chk.geometric} alg {chk.algebraic} {flag}"
-        )
-    status = "PASS" if rep.passed else "FAIL"
-    return f"r={rep.r:>3} {rep.parity:<4} | " + "; ".join(mult_bits) + f" | {status}"
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if not 1 <= args.r_min <= args.r_max:
         raise ValueError(
             f"range must satisfy 1 <= r_min <= r_max, got {args.r_min}..{args.r_max}"
@@ -277,25 +262,12 @@ def cmd_verify(args) -> int:
     # on failed (for example the swap certificate of the block split)
     reports = verify_range(args.r_min, args.r_max)
     all_ok = all(rep.passed for rep in reports)
-    if args.format == "json":
-        emit_json(
-            report_document(
-                "verify",
-                {"r_min": args.r_min, "r_max": args.r_max},
-                {
-                    "reports": [rep.to_json_dict() for rep in reports],
-                    "all_passed": all_ok,
-                },
-            )
-        )
-    else:
-        for rep in reports:
-            print(_verify_text_line(rep))
-        print(
-            f"{'all checks passed' if all_ok else 'CHECKS FAILED'} "
-            f"for r in [{args.r_min}, {args.r_max}]"
-        )
-    return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
+    return (
+        {"r_min": args.r_min, "r_max": args.r_max},
+        {"reports": [rep.to_json_dict() for rep in reports], "all_passed": all_ok},
+        _verify_text_lines(reports, args.r_min, args.r_max, all_ok),
+        EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED,
+    )
 
 
 def _mine_text_lines(results, r, affine):
@@ -324,7 +296,7 @@ def _mine_text_lines(results, r, affine):
         yield line
 
 
-def cmd_mine(args) -> int:
+def cmd_mine(args):
     if args.r < 1:
         raise ValueError("degree must be at least 1")
     _check_cap("degree", args.r, "MINE_MAX_DEGREE", MINE_MAX_DEGREE, "mining cap")
@@ -337,24 +309,13 @@ def cmd_mine(args) -> int:
         # recurrence on its window, or an exact division)
         raise ArithmeticError(f"r={args.r}: mining failed: {exc}") from exc
     ok = all(res.within_bound and res.annihilator_validates for res in results)
-    ok = ok and all(
-        res.affine_within_bound is not False for res in results
+    ok = ok and all(res.affine_within_bound is not False for res in results)
+    return (
+        {"r": args.r, "terms": args.terms, "affine": args.affine},
+        {"results": [res.to_json_dict() for res in results], "all_within_bounds": ok},
+        _mine_text_lines(results, args.r, args.affine),
+        EXIT_OK if ok else EXIT_VERIFICATION_FAILED,
     )
-    if args.format == "json":
-        emit_json(
-            report_document(
-                "mine",
-                {"r": args.r, "terms": args.terms, "affine": args.affine},
-                {
-                    "results": [res.to_json_dict() for res in results],
-                    "all_within_bounds": ok,
-                },
-            )
-        )
-    else:
-        for line in _mine_text_lines(results, args.r, args.affine):
-            print(line)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +431,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        parameters, results, lines, code = args.func(args)
+        if args.format == "json":
+            emit_json(report_document(args.command, parameters, results))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except BrokenPipeError:
         # the downstream consumer (head, less, ...) closed the pipe early
         _park_stdout_on_devnull()

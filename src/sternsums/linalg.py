@@ -40,10 +40,12 @@ class InexactDivisionError(ArithmeticError):
 
 
 def _normalize_entry(x: Rational) -> Rational:
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
+    # int first: Fraction is an ABC subclass, so isinstance(5, Fraction) runs
+    # the slow abc check on every integer entry
     if isinstance(x, int):
         return x
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
     raise TypeError(f"exact rational required, got {type(x).__name__}")
 
 
@@ -275,22 +277,14 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(rows: Iterable[Sequence[Rational]]) -> list:
-    """Integer copy of the rows, each scaled by the lcm of its denominators.
+def _integer_rows(rows: Sequence[Sequence[Rational]]) -> tuple[list, int]:
+    """(integer rows of d * rows, d) for the least d that clears every entry.
 
-    Row scaling preserves rank and right kernel, which is all the elimination
-    routines need.  A row's factor is the least positive integer that clears
-    its denominators.
+    An int's denominator is 1.  A scalar keeps rank and right kernel, so the
+    elimination routines drop d; charpoly and minpoly rescale by it.
     """
-    out = []
-    for row in rows:
-        dens = [x.denominator for x in row if isinstance(x, Fraction)]
-        if dens:
-            l = math.lcm(*dens)
-            out.append([int(x * l) for x in row])
-        else:
-            out.append(list(row))
-    return out
+    d = math.lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 def _bareiss_echelon(rows: list) -> tuple[list, list]:
@@ -350,7 +344,7 @@ def _bareiss_echelon(rows: list) -> tuple[list, list]:
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank via fraction-free elimination."""
-    _, piv = _bareiss_echelon(_integer_rows(m.rows))
+    _, piv = _bareiss_echelon(_integer_rows(m.rows)[0])
     return len(piv)
 
 
@@ -392,7 +386,7 @@ def _integer_kernel(m: RationalMatrix) -> list:
     Each is the canonical vector of kernel_basis scaled by the lcm of its
     denominators, so its last nonzero entry is positive and at its column.
     """
-    ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows))
+    ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows)[0])
     piv_set = set(piv_cols)
     return [
         tuple(_kernel_vector(ech, piv_cols, m.ncols, f))
@@ -430,7 +424,7 @@ def solve_linear(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]):
         return []
     nc = len(rows[0])
     ech, piv_cols = _bareiss_echelon(
-        _integer_rows([[*row, b] for row, b in zip(rows, rhs)])
+        _integer_rows([[*row, b] for row, b in zip(rows, rhs)])[0]
     )
     if nc in piv_cols:
         return None
@@ -446,15 +440,6 @@ def solve_linear(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]):
 def _require_square(m: RationalMatrix):
     if m.nrows != m.ncols:
         raise NonSquareMatrixError(f"square matrix required, got {m.nrows}x{m.ncols}")
-
-
-def _integer_rows_uniform(m: RationalMatrix) -> tuple[list, int]:
-    """(integer rows of d*m, d) for the smallest uniform denominator d."""
-    dens = [x.denominator for row in m.rows for x in row if isinstance(x, Fraction)]
-    d = math.lcm(*dens) if dens else 1
-    if d == 1:
-        return [list(row) for row in m.rows], 1
-    return [[int(x * d) for x in row] for row in m.rows], d
 
 
 def _berkowitz(rows: list) -> list:
@@ -499,7 +484,7 @@ def charpoly(m: RationalMatrix) -> IntPolynomial:
     integral (cannot happen for integer matrices).
     """
     _require_square(m)
-    rows, den = _integer_rows_uniform(m)
+    rows, den = _integer_rows(m.rows)
     coeffs = list(reversed(_berkowitz(rows)))
     if den != 1:
         coeffs = _rescale_poly_coeffs(coeffs, den, "characteristic polynomial")
@@ -558,7 +543,7 @@ def minpoly(m: RationalMatrix) -> IntPolynomial:
     """
     _require_square(m)
     n = m.nrows
-    rows, den = _integer_rows_uniform(m)
+    rows, den = _integer_rows(m.rows)
     p = IntPolynomial([1])
     for i in range(n):
         w = _poly_apply_to_unit(p.coeffs, rows, i)

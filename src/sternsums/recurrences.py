@@ -35,6 +35,7 @@ from .linalg import (
     IntPolynomial,
     RationalMatrix,
     _exact_quotient,
+    _integer_rows,
     _normalize_entry,
     charpoly,
     divide_out,
@@ -234,9 +235,8 @@ def _suffix_annihilator(seq: Sequence[Rational], n0: int) -> list:
     Scaling a sequence leaves its recurrences unchanged, so a rational
     sequence is multiplied through by the lcm of its denominators first.
     """
-    tail = seq[n0 - 1:]
-    scale = math.lcm(*(x.denominator for x in tail if isinstance(x, Fraction)))
-    return _berlekamp_massey([int(x * scale) for x in tail])
+    [tail], _ = _integer_rows([seq[n0 - 1:]])
+    return _berlekamp_massey(tail)
 
 
 def _divide_out_period_two(conn: list) -> list:

@@ -25,7 +25,6 @@ transfer route's oracle in the tests.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,7 @@ from operator import add, mul
 from typing import Union
 
 from .forms import HomogPoly, sym_dimension, sym_quotient
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, _integer_rows
 
 Rational = Union[int, Fraction]
 
@@ -216,8 +215,8 @@ def power_sum_sequence(f: HomogPoly, n_max: int) -> list:
         raise ValueError("n_max must be at least 1")
     r = f.degree
     projection, phi_sym = sym_quotient(r)
-    d = math.lcm(*[c.denominator for c in f.coeffs if isinstance(c, Fraction)])
-    g = projection.mat_vec([int(c * d) for c in f.coeffs])
+    [coeffs], d = _integer_rows([f.coeffs])
+    g = projection.mat_vec(coeffs)
     m = len(g)
     window = n_max
     if r and n_max > 2 * m:

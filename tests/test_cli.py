@@ -562,6 +562,27 @@ def test_only_main_reports_a_failure():
     assert caught == {"ArithmeticError"}
 
 
+def test_only_main_writes_output():
+    # commands return their report; main alone renders it, and emit_json is
+    # the JSON writer that main calls
+    tree = ast.parse(Path(cli_mod.__file__).read_text())
+    calls = {
+        (fn.name, node.func.id)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"print", "emit_json", "report_document"}
+    }
+    assert calls == {
+        ("main", "print"),
+        ("main", "emit_json"),
+        ("main", "report_document"),
+        ("emit_json", "print"),
+    }
+
+
 # -- determinism ------------------------------------------------------------------
 
 

@@ -154,7 +154,7 @@ def fraction_kernel(m: RationalMatrix) -> list:
     solved for as a Fraction from entry 1 at the free column f, so no
     integer scaling is involved.
     """
-    ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows))
+    ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows)[0])
     basis = []
     for f in range(m.ncols):
         if f in piv_cols:
@@ -246,7 +246,7 @@ def _seeded_kernel_matrices():
 
 def _negative_last_pivot(m: RationalMatrix) -> bool:
     """Whether the last pivot left of some free column is negative."""
-    ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows))
+    ech, piv_cols = _bareiss_echelon(_integer_rows(m.rows)[0])
     for f in range(m.ncols):
         left = [ech[i][p] for i, p in enumerate(piv_cols) if p < f]
         if f not in piv_cols and left and left[-1] < 0:
@@ -254,11 +254,16 @@ def _negative_last_pivot(m: RationalMatrix) -> bool:
     return False
 
 
+def _cleared(vectors) -> list:
+    """Each vector times the lcm of its own denominators, in integers."""
+    return [tuple(_integer_rows([v])[0][0]) for v in vectors]
+
+
 def test_integer_kernel_against_the_fraction_oracle():
     mats = list(_seeded_kernel_matrices())
     for m in mats:
         oracle = fraction_kernel(m)
-        assert _integer_kernel(m) == [tuple(v) for v in _integer_rows(oracle)], m
+        assert _integer_kernel(m) == _cleared(oracle), m
         assert kernel_basis(m) == oracle, m
     assert sum(map(_negative_last_pivot, mats)) >= 10
 
@@ -311,8 +316,7 @@ def test_integer_kernel_of_the_twist_parts():
     for r in range(61):
         part = twist_part(r)
         oracle = fraction_kernel(part)
-        integer = [tuple(v) for v in _integer_rows(oracle)]
-        assert _integer_kernel(part) == integer, r
+        assert _integer_kernel(part) == _cleared(oracle), r
         assert kernel_basis(part) == oracle, r
         _assert_halves_span_the_twist_kernel(r)
 
@@ -685,6 +689,12 @@ def test_matrix_algebra_basics():
     assert a @ RationalMatrix.identity(2) == a == RationalMatrix.identity(2) @ a
     assert (a @ a @ a).to_lists() == [[37, 54], [81, 118]]
     assert a.mat_vec([1, 1]) == [3, 7]
+    # ints (True among them) pass through, and an integral Fraction is an int
+    m = RationalMatrix([[True, 5, Fraction(4, 2), Fraction(1, 2)]])
+    assert m.rows == ((True, 5, 2, Fraction(1, 2)),)
+    assert [type(x) for x in m.rows[0]] == [bool, int, int, Fraction]
+    with pytest.raises(TypeError):
+        RationalMatrix([[1, 0.5]])
 
 
 def test_polynomial_str_and_repr():

@@ -274,15 +274,26 @@ def _count_minpoly(monkeypatch) -> Counter:
     return calls
 
 
-def test_minpoly_squarefree_against_the_minpoly_oracle(monkeypatch):
-    # every block of r <= 60 takes the nullity route, which agrees with both
-    blocks = [block for r in range(1, 61) for block in spectral_context(r).blocks]
+def _assert_minpoly_squarefree_agrees_with_the_oracles(monkeypatch, degrees):
+    # every block takes the nullity route, which agrees with both oracles
+    blocks = [block for r in degrees for block in spectral_context(r).blocks]
     calls = _count_minpoly(monkeypatch)
     witnesses = [block.minpoly_squarefree for block in blocks]
     assert calls["minpoly"] == 0
     for block, witness in zip(blocks, witnesses):
         assert witness is _radical_annihilates(block) is True
         assert witness is is_squarefree(minpoly(block.matrix))
+
+
+def test_minpoly_squarefree_against_the_minpoly_oracle(monkeypatch):
+    # the oracles cost most at the top, so the default sweep samples it
+    degrees = [*range(1, 21), 30, 45, 60]
+    _assert_minpoly_squarefree_agrees_with_the_oracles(monkeypatch, degrees)
+
+
+@pytest.mark.extended
+def test_minpoly_squarefree_against_the_minpoly_oracle_up_to_r60(monkeypatch):
+    _assert_minpoly_squarefree_agrees_with_the_oracles(monkeypatch, range(1, 61))
 
 
 def _seeded_witness_cases():
