@@ -228,7 +228,7 @@ def cmd_phi(args):
     if args.r < 0:
         raise ValueError("degree must be nonnegative")
     _check_cap("degree", args.r, "PHI_MAX_DEGREE", PHI_MAX_DEGREE)
-    mat = sym_quotient(args.r)[1] if args.sym else phi_matrix(args.r)
+    mat = sym_quotient(args.r) if args.sym else phi_matrix(args.r)
     lines = (" ".join(map(encode_rational, row)) for row in mat.rows)
     return {"r": args.r, "sym": args.sym}, {"matrix": mat.rows}, lines, EXIT_OK
 

@@ -11,7 +11,11 @@ Substitution composes covariantly with the matrix product:
 substitute(gamma @ delta, f) == substitute(gamma, substitute(delta, f)).
 
 The transfer matrix (phi_matrix) is the sum of the two shear substitutions;
-it drives every power-sum computation downstream.
+it drives every power-sum computation downstream.  It commutes with the
+swap f(x, y) -> f(y, x), and its blocks (sym_quotient, anti_quotient) act
+on the swap classes: class i holds x^(r-i) y^i and x^i y^(r-i).
+_swap_fold maps a form onto the classes of either sign, and it is the one
+fold that the blocks, the twist halves and the power sums share.
 """
 
 from __future__ import annotations
@@ -211,16 +215,14 @@ def sym_dimension(r: int) -> int:
     return (r + 2) // 2
 
 
-def sym_quotient(
-    r: int, phi: RationalMatrix | None = None
-) -> tuple[RationalMatrix, RationalMatrix]:
-    """(projection, induced transfer matrix) on the swap-symmetric quotient.
+def sym_quotient(r: int, phi: RationalMatrix | None = None) -> RationalMatrix:
+    """The transfer matrix induced on the swap-symmetric quotient.
 
     The quotient identifies f(x, y) with f(y, x).  Its basis is the classes
-    [x^r], [x^(r-1) y], ... down to the middle monomial; the projection adds
-    the coefficients of x^a y^(r-a) and x^(r-a) y^a (the self-paired middle
-    monomial, present for even r, maps with coefficient 1).  The returned
-    pair satisfies projection @ phi_matrix(r) == phi_sym @ projection.  A
+    [x^r], [x^(r-1) y], ... down to the middle monomial: class i holds
+    x^(r-i) y^i and x^i y^(r-i), and _swap_fold(coeffs, 1) maps a form onto
+    the classes, with the self-paired middle monomial of even r once.  The
+    block phi_sym satisfies fold(phi_matrix(r) @ f) == phi_sym @ fold(f).  A
     caller that already holds phi_matrix(r) passes it as phi.
     """
     if r < 0:
@@ -228,16 +230,14 @@ def sym_quotient(
     return _swap_quotient(r, 1, phi)
 
 
-def anti_quotient(
-    r: int, phi: RationalMatrix | None = None
-) -> tuple[RationalMatrix, RationalMatrix]:
-    """(projection, induced transfer matrix) on the quotient by symmetric forms.
+def anti_quotient(r: int, phi: RationalMatrix | None = None) -> RationalMatrix:
+    """The transfer matrix induced on the quotient by symmetric forms.
 
     The quotient identifies f with f + g for every g with g(x, y) == g(y, x).
     Its basis is the classes [x^r], [x^(r-1) y], ... of the monomials x^(r-i)
-    y^i with r - i > i; the projection subtracts the coefficient of
-    x^i y^(r-i) from that of x^(r-i) y^i.  The pair satisfies
-    projection @ phi_matrix(r) == phi_anti @ projection, and together with
+    y^i with r - i > i; _swap_fold(coeffs, -1) subtracts the coefficient of
+    x^i y^(r-i) from that of x^(r-i) y^i.  The block phi_anti satisfies
+    fold(phi_matrix(r) @ f) == phi_anti @ fold(f), and together with
     sym_quotient it splits the spectrum of the transfer matrix.  Degree 0
     has no antisymmetric form.
     """
@@ -246,28 +246,28 @@ def anti_quotient(
     return _swap_quotient(r, -1, phi)
 
 
-def _swap_quotient(r: int, sign: int, phi: RationalMatrix | None) -> tuple:
-    """The quotient on which the swap acts as sign (see sym_quotient)."""
-    m = sym_dimension(r) if sign == 1 else (r + 1) // 2
-    n = r + 1
-    proj_rows = []
-    for i in range(m):
-        row = [0] * n
-        row[r - i] = 1
-        row[i] += sign if i != r - i else 0
-        proj_rows.append(row)
+def _swap_fold(vec, sign: int) -> list:
+    """vec, indexed by x power, folded onto the swap classes of this sign.
+
+    Entry i is vec[r-i] + sign * vec[i], for each class i of x^(r-i) y^i
+    with r - i >= i.  The middle monomial of even r enters once, and only
+    for sign 1: an antisymmetric form has no middle class.
+    """
+    r = len(vec) - 1
+    return [
+        vec[r - i] + sign * vec[i] if 2 * i != r else vec[i]
+        for i in range(sym_dimension(r) if sign == 1 else (r + 1) // 2)
+    ]
+
+
+def _swap_quotient(r: int, sign: int, phi: RationalMatrix | None) -> RationalMatrix:
+    """The block on which the swap acts as sign (see sym_quotient).
+
+    Class j is represented by its monomial of x power r - j, so column j
+    of the block is the fold of phi's column r - j.
+    """
     if phi is None:
         phi = phi_matrix(r)
-    rows = phi.rows
-    # projection @ phi @ section, where the section represents class j by
-    # the monomial with x power r - j: entry (i, j) takes the rows r - i
-    # and i of phi at column r - j, as the projection row i does.
-    induced = [
-        [
-            rows[r - i][r - j] + (sign * rows[i][r - j] if i != r - i else 0)
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return RationalMatrix(proj_rows), RationalMatrix(induced)
-
+    cols = list(zip(*phi.rows))
+    m = sym_dimension(r) if sign == 1 else (r + 1) // 2
+    return RationalMatrix(zip(*[_swap_fold(cols[r - j], sign) for j in range(m)]))

@@ -96,10 +96,10 @@ class LinearRecurrence:
     def to_json_dict(self) -> dict:
         return {
             "length": self.length,
-            "coefficients": [str(_normalize_entry(c)) for c in self.coefficients],
+            "coefficients": list(self.coefficients),
             "n0": self.n0,
-            "affine_b": str(_normalize_entry(self.affine_b)),
-            "alternating_c": str(_normalize_entry(self.alternating_c)),
+            "affine_b": self.affine_b,
+            "alternating_c": self.alternating_c,
         }
 
 
@@ -342,7 +342,7 @@ def shortened_annihilator(
     if r < 1:
         raise ValueError("degree must be at least 1")
     if phi_sym is None:
-        _, phi_sym = sym_quotient(r)
+        phi_sym = sym_quotient(r)
     cp = charpoly(phi_sym)
     if r % 2:
         m0 = root_power(cp, 0)
@@ -434,7 +434,7 @@ def mine_all_monomials(
         )
     if include_affine is None:
         include_affine = r % 2 == 0
-    _, phi_sym = sym_quotient(r)
+    phi_sym = sym_quotient(r)
     table = power_sum_table(r, n_terms, phi_sym)
     ann = annihilator_recurrence(r, phi_sym)
     affine_bound = corollary_bound(r, AFFINE_ALT) if include_affine else None

@@ -37,11 +37,12 @@ J phi J == phi, and raises ArithmeticError naming the degree when it fails.
 verify_single builds that context once per degree, and every check reads
 phi, the blocks, their polynomials and the twist kernel from it.  As
 J rho J = rho^-1 for rho = RHO_TWIST, J maps the twist kernel onto itself,
-so it is eliminated as its symmetric and antisymmetric halves; the quotient
-projection is injective on the first and kills the second.  On a form of
-swap sign s and even degree, the quarter turn f(x, y) -> f(y, -x) acts on
-entry a as s (-1)^a, so every dimension that involves its eigenspaces Y+-
-is a rank of one parity of a half's entries.
+so it is eliminated as its symmetric and antisymmetric halves, indexed by
+swap class as the blocks are; the symmetric fold is injective on the first
+and kills the second.  On a form of swap sign s and even degree, the
+quarter turn f(x, y) -> f(y, -x) acts on entry a as s (-1)^a, which is
+s (-1)^i on both entries r - i and i of class i, so every dimension that
+involves its eigenspaces Y+- is a rank of one parity of a half's entries.
 
 A composition subtlety drives the eigenspace computations.  With row-vector
 substitution the operators compose covariantly, so the operator that the
@@ -62,6 +63,7 @@ from typing import Union
 
 from .forms import (
     RHO_TWIST,
+    _swap_fold,
     anti_quotient,
     operator_matrix,
     phi_matrix,
@@ -249,9 +251,10 @@ class SpectralContext:
     (anti is None for r = 0, which has no antisymmetric form).  twist_sym and
     twist_anti are integer bases of the swap halves of the kernel of
     twist + 1 for odd r and of twist^2 + twist + 1 for even r (the space W,
-    respectively X).  A vector w of the half of sign s = +-1 stands for the
-    form v with v[a] = w[a] and v[r-a] = s w[a], for a <= r/2 (a < r/2 for
-    s = -1, whose middle entry is 0).
+    respectively X).  Both are indexed by swap class, as the blocks are
+    (see forms._swap_fold): a vector w of the half of sign s = +-1 stands
+    for the form v with v[r-i] = w[i] and v[i] = s w[i], for i <= r/2
+    (i < r/2 for s = -1, whose middle entry is 0).
     """
 
     r: int
@@ -268,16 +271,9 @@ class SpectralContext:
 
 def _half_kernel(part: RationalMatrix, sign: int) -> tuple:
     """The half of sign s of ker part (see SpectralContext): the integer
-    kernel of the columns part[:, a] + s part[:, r-a], the middle one once."""
-    r = part.nrows - 1
-    width = (r + 2) // 2 if sign == 1 else (r + 1) // 2
-    if not width:
-        return ()
-    folded = [
-        [row[a] + (sign * row[r - a] if 2 * a != r else 0) for a in range(width)]
-        for row in part.rows
-    ]
-    return tuple(_integer_kernel(RationalMatrix(folded)))
+    kernel of part's rows folded onto the swap classes of sign s."""
+    folded = [_swap_fold(row, sign) for row in part.rows]
+    return tuple(_integer_kernel(RationalMatrix(folded))) if folded[0] else ()
 
 
 def spectral_context(r: int) -> SpectralContext:
@@ -313,8 +309,8 @@ def spectral_context(r: int) -> SpectralContext:
     return SpectralContext(
         r=r,
         phi=phi,
-        sym=SwapBlock(sym_quotient(r, phi)[1]),
-        anti=SwapBlock(anti_quotient(r, phi)[1]) if r else None,
+        sym=SwapBlock(sym_quotient(r, phi)),
+        anti=SwapBlock(anti_quotient(r, phi)) if r else None,
         twist_sym=_half_kernel(twist_part, 1),
         twist_anti=_half_kernel(twist_part, -1),
     )
@@ -332,18 +328,18 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
 
     X is the kernel of twist^2 + twist + 1 for the twist substitution, Y+-
     are the +-1 eigenspaces of the quarter-turn substitution, and the _sym
-    entries are dimensions of the images under the quotient projection.
-    Each entry carries the formula (or inclusion-exclusion bound) next to
-    the exactly computed value.  The degree is ctx.r; with h = r/2:
+    entries are dimensions of the images under the symmetric fold.  Each
+    entry carries the formula (or inclusion-exclusion bound) next to the
+    exactly computed value.  The degree is ctx.r; with h = r/2:
 
     - Y+- are spanned by e_b +- (-1)^b e_(r-b) for b < h, and e_h lies in
       Y+ for even h, in Y- for odd h.  Their images are spanned by the even
       and the odd classes 0..h of the quotient, respectively.
-    - The projection maps X_sym onto proj X one to one, and X_sym n Y+-
-      onto proj X n proj Y+-.  The swap commutes with the quarter turn, so
+    - The fold maps X_sym onto fold X one to one, and X_sym n Y+-
+      onto fold X n fold Y+-.  The swap commutes with the quarter turn, so
       X n Y+- is (X_sym n Y+-) + (X_anti n Y+-).  On the half of sign s,
-      Y+ is where the entries a with s (-1)^a = -1 vanish, and Y- where
-      the others do.
+      Y+ is where the classes i with s (-1)^i = -1 vanish, and Y- where
+      the others do; as r is even, (-1)^i is also (-1)^(r-i).
     """
     r = ctx.r
     if r < 2 or r % 2:
@@ -406,9 +402,9 @@ def check_annihilation_identities(ctx: SpectralContext) -> dict:
     Odd r: the transfer matrix kills every kernel vector of (twist + 1).
     Even r: (transfer + quarter-turn) kills every kernel vector of
     twist^2 + twist + 1, where the quarter turn acts on entry a of a form
-    of swap sign s as s (-1)^a.  Each form is rebuilt from its half; the
-    check is vacuously true when the eigenspace is zero.  The degree is
-    ctx.r.
+    of swap sign s as s (-1)^a.  Each form is rebuilt from its half, class
+    i giving the entries r - i and i; the check is vacuously true when the
+    eigenspace is zero.  The degree is ctx.r.
     """
     r = ctx.r
     if r < 1:
@@ -417,8 +413,8 @@ def check_annihilation_identities(ctx: SpectralContext) -> dict:
     for sign, basis in ((1, ctx.twist_sym), (-1, ctx.twist_anti)):
         for w in basis:
             v = [0] * (r + 1)
-            for a, x in enumerate(w):
-                v[a], v[r - a] = x, sign * x
+            for i, x in enumerate(w):
+                v[r - i], v[i] = x, sign * x
             forms.append((sign, v))
     if r % 2:
         ok = all(not any(ctx.phi.mat_vec(v)) for _, v in forms)

@@ -51,7 +51,7 @@ def test_criterion_1_golden_reproduction():
         [3, 2, 2, 3],
         [1, 1, 1, 2],
     ]
-    _, phi_sym3 = sym_quotient(3)
+    phi_sym3 = sym_quotient(3)
     ok &= phi_sym3.to_lists() == [[3, 2], [6, 4]]
     ok &= charpoly(phi_sym3) == IntPolynomial([0, -7, 1])
     ok &= power_sum_sequence(HomogPoly.monomial(3, 3), 4) == [1, 3, 21, 147]
@@ -71,11 +71,11 @@ def test_criterion_2_dual_path_oracle():
             for n in range(1, 17):
                 assert power_sum_direct(n, f) == fast[n - 1], (r, a, n)
                 checked += 1
-    # spot checks at larger n for the cubic monomials
+    # spot checks at larger n for the cubic monomials, up to the row cap
     for a in range(4):
         f = HomogPoly.monomial(a, 3)
-        fast = power_sum_sequence(f, 22)
-        for n in (18, 20, 22):
+        fast = power_sum_sequence(f, 20)
+        for n in (18, 19, 20):
             assert power_sum_direct(n, f) == fast[n - 1], (a, n)
             checked += 1
     _report(

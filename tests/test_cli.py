@@ -114,7 +114,7 @@ def test_row_csv_and_json(capsys):
     doc = json.loads(out)
     assert doc["schema_version"] == "1"
     assert doc["command"] == "row"
-    assert doc["parameters"] == {"n": "3", "cap": "24"}
+    assert doc["parameters"] == {"n": "3", "cap": "20"}
     assert doc["results"]["entries"] == ["1", "1", "2", "1", "2", "1", "1"]
 
 
@@ -123,7 +123,7 @@ def test_row_exit_codes(monkeypatch, capsys):
     assert code == EXIT_USAGE
     assert f"1 <= n <= {DEFAULT_ROW_CAP}" in err
     _block_rows(monkeypatch)
-    for n in (DEFAULT_ROW_CAP + 1, 99):
+    for n in (DEFAULT_ROW_CAP + 1, 24, 99):
         code, out, err = run(capsys, "row", str(n))
         assert code == EXIT_RESOURCE and out == ""
         assert f"row index {n}" in err and f"configured cap {DEFAULT_ROW_CAP}" in err
@@ -177,7 +177,7 @@ def test_sums_direct_respects_cap(capsys):
 
 def test_sums_past_row_cap_exits_before_any_row(monkeypatch, capsys):
     _block_rows(monkeypatch)
-    for n in (DEFAULT_ROW_CAP + 1, 30):
+    for n in (DEFAULT_ROW_CAP + 1, 24, 30):
         for mode in ("--both", "--direct"):
             code, out, err = run(capsys, "sums", "x", str(n), mode)
             assert code == EXIT_RESOURCE and out == ""

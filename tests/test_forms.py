@@ -14,6 +14,8 @@ from sternsums.forms import (
     TAU,
     HomogPoly,
     Mat2,
+    _swap_fold,
+    anti_quotient,
     monomial_name,
     operator_matrix,
     phi_matrix,
@@ -30,6 +32,26 @@ def swap_matrix(r: int) -> RationalMatrix:
     """Matrix of f(x, y) -> f(y, x): the anti-diagonal permutation."""
     n = r + 1
     return RationalMatrix([[1 if i + j == r else 0 for j in range(n)] for i in range(n)])
+
+
+def swap_projection(r: int, sign: int) -> RationalMatrix:
+    """The quotient projection of this swap sign, built row by row: row i
+    adds sign times the coefficient of x^i y^(r-i) to that of x^(r-i) y^i,
+    the middle monomial once.  The oracle of forms._swap_fold."""
+    m = (r + 2) // 2 if sign == 1 else (r + 1) // 2
+    rows = []
+    for i in range(m):
+        row = [0] * (r + 1)
+        row[r - i] = 1
+        row[i] += sign if i != r - i else 0
+        rows.append(row)
+    return RationalMatrix(rows)
+
+
+def fold_matrix(r: int, sign: int) -> list:
+    """The matrix of _swap_fold on degree-r forms, one column per monomial."""
+    units = [[int(a == b) for a in range(r + 1)] for b in range(r + 1)]
+    return [list(row) for row in zip(*(_swap_fold(e, sign) for e in units))]
 
 
 def test_shear_constants_and_derived_products():
@@ -149,29 +171,51 @@ def test_phi_commutes_with_swap():
 
 
 def test_sym_quotient_goldens():
-    proj, phi_sym = sym_quotient(3)
+    phi_sym = sym_quotient(3)
     assert phi_sym.to_lists() == [[3, 2], [6, 4]]
-    assert proj.to_lists() == [[1, 0, 0, 1], [0, 1, 1, 0]]
-    assert sym_quotient(0)[1].to_lists() == [[2]]
-    proj2, phi_sym2 = sym_quotient(2)
+    assert fold_matrix(3, 1) == [[1, 0, 0, 1], [0, 1, 1, 0]]
+    assert sym_quotient(0).to_lists() == [[2]]
+    proj2 = swap_projection(2, 1)
+    phi_sym2 = sym_quotient(2)
     assert proj2 @ phi_matrix(2) == phi_sym2 @ proj2
     assert phi_sym2.to_lists() == [[3, 2], [2, 2]]
 
 
 def test_sym_quotient_commuting_square():
     for r in range(0, 41):
-        proj, phi_sym = sym_quotient(r)
+        proj, phi_sym = swap_projection(r, 1), sym_quotient(r)
         assert proj @ phi_matrix(r) == phi_sym @ proj, r
-        assert proj.nrows == (r + 2) // 2
+        assert phi_sym.nrows == (r + 2) // 2
 
 
 def test_projection_convention_keeps_integers():
-    proj, _ = sym_quotient(4)
-    assert proj.to_lists() == [
+    assert fold_matrix(4, 1) == [
         [1, 0, 0, 0, 1],
         [0, 1, 0, 1, 0],
         [0, 0, 1, 0, 0],
     ]
+    assert fold_matrix(4, -1) == [
+        [-1, 0, 0, 0, 1],
+        [0, -1, 0, 1, 0],
+    ]
+
+
+def test_swap_fold_against_the_projection_rows():
+    # the fold is the projection, and it carries phi onto each block:
+    # fold(phi v) == block fold(v), on unit and on random vectors
+    rng = random.Random(18)
+    for r in range(0, 41):
+        phi = phi_matrix(r)
+        units = [[int(a == b) for a in range(r + 1)] for b in range(r + 1)]
+        vectors = units + [[rng.randint(-9, 9) for _ in range(r + 1)] for _ in range(3)]
+        for sign in (1, -1) if r else (1,):
+            proj = swap_projection(r, sign)
+            block = sym_quotient(r, phi) if sign == 1 else anti_quotient(r, phi)
+            for v in vectors:
+                folded = _swap_fold(v, sign)
+                assert folded == proj.mat_vec(v), (r, sign, v)
+                assert _swap_fold(phi.mat_vec(v), sign) == block.mat_vec(folded), (r, sign)
+    assert _swap_fold([5], -1) == []
 
 
 def test_form_evaluation_and_algebra():

@@ -284,15 +284,19 @@ def twist_part(r: int) -> RationalMatrix:
 
 
 def twist_forms(ctx) -> list:
-    """(swap sign, form) for every vector of the context's two twist halves."""
+    """(swap sign, form) for every vector of the context's two twist halves.
+
+    The halves are indexed by swap class: entry i of a half of sign s
+    gives the coefficient of x^(r-i) y^i, and s times it that of x^i y^(r-i).
+    """
     r = ctx.r
     out = []
     for sign, basis in ((1, ctx.twist_sym), (-1, ctx.twist_anti)):
         for w in basis:
             v = [0] * (r + 1)
-            for a, x in enumerate(w):
-                v[a] = x
-                v[r - a] = sign * x
+            for i, x in enumerate(w):
+                v[r - i] = x
+                v[i] = sign * x
             out.append((sign, v))
     return out
 
@@ -307,18 +311,30 @@ def _assert_halves_span_the_twist_kernel(r: int):
     assert not forms or rank(RationalMatrix(forms)) == len(forms), r
 
 
-def test_integer_kernel_of_the_twist_parts():
-    # r = 0 has no antisymmetric form and X = 0, r = 1 has W = 0 on halves
-    # one entry wide, and r = 2 a one-entry antisymmetric half
-    contexts = map(spectral_context, range(3))
-    halves = [(ctx.twist_sym, ctx.twist_anti) for ctx in contexts]
-    assert halves == [((), ()), ((), ()), (((-1, 4),), ((1,),))]
-    for r in range(61):
+def _assert_twist_kernels_agree(degrees):
+    for r in degrees:
         part = twist_part(r)
         oracle = fraction_kernel(part)
         assert _integer_kernel(part) == _cleared(oracle), r
         assert kernel_basis(part) == oracle, r
         _assert_halves_span_the_twist_kernel(r)
+
+
+def test_integer_kernel_of_the_twist_parts():
+    # r = 0 has no antisymmetric form and X = 0, r = 1 has W = 0 on halves
+    # one entry wide, and r = 2 a one-entry antisymmetric half: the form
+    # -x^2 + 4xy - y^2 from (-1, 4), and x^2 - y^2 from (1,)
+    contexts = list(map(spectral_context, range(3)))
+    halves = [(ctx.twist_sym, ctx.twist_anti) for ctx in contexts]
+    assert halves == [((), ()), ((), ()), (((-1, 4),), ((1,),))]
+    assert twist_forms(contexts[2]) == [(1, [-1, 4, -1]), (-1, [-1, 0, 1])]
+    # the oracles cost most at the top, so the default sweep samples it
+    _assert_twist_kernels_agree([*range(21), 30, 45, 60])
+
+
+@pytest.mark.extended
+def test_integer_kernel_of_the_twist_parts_up_to_r60():
+    _assert_twist_kernels_agree(range(61))
 
 
 @pytest.mark.extended
@@ -379,7 +395,7 @@ def test_solve_linear_against_its_definition():
 
 
 def test_charpoly_goldens():
-    _, phi_sym3 = sym_quotient(3)
+    phi_sym3 = sym_quotient(3)
     assert charpoly(phi_sym3) == IntPolynomial([0, -7, 1])
     assert charpoly(RationalMatrix.identity(2)) == IntPolynomial([1, -2, 1])
     assert charpoly(phi_matrix(2)) == IntPolynomial([-2, 7, -6, 1])
@@ -426,7 +442,7 @@ def test_charpoly_clears_denominators():
 
 def test_minpoly_goldens():
     assert minpoly(RationalMatrix.identity(7)) == IntPolynomial([-1, 1])
-    _, phi_sym3 = sym_quotient(3)
+    phi_sym3 = sym_quotient(3)
     assert minpoly(phi_sym3) == IntPolynomial([0, -7, 1])
     # distinct eigenvalues 0, 1, 7 with 0 repeated: degree drops from 4 to 3
     p = minpoly(phi_matrix(3))

@@ -287,7 +287,7 @@ def test_mine_all_monomials_builds_each_object_once(monkeypatch, r):
 
 def test_annihilator_takes_the_quotient_matrix():
     for r in range(1, 13):
-        assert annihilator_recurrence(r, sym_quotient(r)[1]) == annihilator_recurrence(r)
+        assert annihilator_recurrence(r, sym_quotient(r)) == annihilator_recurrence(r)
 
 
 def test_mined_length_never_exceeds_annihilator_length():
@@ -301,7 +301,7 @@ def test_mining_result_json_shape():
     (m,) = mine_all_monomials(1)
     d = m.to_json_dict()
     assert d["monomial"] == "x"
-    assert d["recurrence"]["coefficients"] == ["3"]
+    assert d["recurrence"]["coefficients"] == [3]
     assert d["within_bound"] is True
 
 

@@ -64,6 +64,7 @@ from sternsums.spectra import (
     spectral_context,
     verify_single,
 )
+from test_forms import fold_matrix, swap_projection
 from test_linalg import _block_diag, _conjugate, _jordan, horner_at_matrix
 
 
@@ -83,7 +84,7 @@ def _full_eigenspace_dims(r: int) -> dict:
     twist = operator_matrix(RHO_TWIST, r)
     x_mat = twist @ twist + twist + ident
     iota_m = operator_matrix(IOTA, r)
-    projection, _ = sym_quotient(r)
+    projection = swap_projection(r, 1)
     x_basis = kernel_basis(x_mat)
     yp_basis = kernel_basis(iota_m - ident)
     ym_basis = kernel_basis(iota_m + ident)
@@ -129,7 +130,7 @@ def full_matrix_report(r: int) -> VerificationReport:
     """verify_single on the full transfer matrix, without the swap split."""
     n = r + 1
     phi = phi_matrix(r)
-    projection, phi_sym = sym_quotient(r)
+    projection, phi_sym = swap_projection(r, 1), sym_quotient(r)
     preds = predicted_bounds(r)
     twist = operator_matrix(RHO_TWIST, r)
     ident = RationalMatrix.identity(n)
@@ -221,8 +222,8 @@ def test_eigenspace_dims_equal_the_full_matrix_route_past_20():
 def test_blocks_split_the_spectrum_of_phi():
     for r in range(1, 21):
         phi = phi_matrix(r)
-        _, sym = sym_quotient(r)
-        q, anti = anti_quotient(r)
+        sym = sym_quotient(r)
+        q, anti = swap_projection(r, -1), anti_quotient(r)
         assert q @ phi == anti @ q, r
         assert sym.nrows + anti.nrows == r + 1, r
         assert charpoly(phi) == charpoly(sym) * charpoly(anti), r
@@ -231,10 +232,11 @@ def test_blocks_split_the_spectrum_of_phi():
 
 def test_anti_quotient_goldens():
     # by hand at r = 3: the rows of Q @ phi are phi[3] - phi[0] and phi[2] - phi[1]
-    q, anti = anti_quotient(3)
+    q, anti = RationalMatrix(fold_matrix(3, -1)), anti_quotient(3)
     assert q.to_lists() == [[-1, 0, 0, 1], [0, -1, 1, 0]]
+    assert q @ phi_matrix(3) == anti @ q
     assert anti.to_lists() == [[1, 0], [0, 0]]
-    assert anti_quotient(1)[1].to_lists() == [[1]]
+    assert anti_quotient(1).to_lists() == [[1]]
     with pytest.raises(ValueError):
         anti_quotient(0)
 
@@ -361,7 +363,7 @@ def test_verify_fails_when_a_block_has_a_jordan_block(monkeypatch, capsys):
     # r = 4 has the anti block diag(1, -1); a 2x2 Jordan block at 1 in its
     # place has no squarefree minimal polynomial
     jordan = RationalMatrix([[1, 1], [0, 1]])
-    monkeypatch.setattr(spectra, "anti_quotient", lambda r, phi=None: (None, jordan))
+    monkeypatch.setattr(spectra, "anti_quotient", lambda r, phi=None: jordan)
     code = main(["verify", "4", "4", "--json"])
     report = json.loads(capsys.readouterr().out)["results"]["reports"][0]
     assert code == EXIT_VERIFICATION_FAILED
