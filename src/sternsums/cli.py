@@ -10,17 +10,19 @@ fixed.
 Exit codes: 0 success (and, for verify/mine, every check passed);
 1 a verified bound or equality failed, an exact certificate or identity
 failed, or the two routes of `sums --both` disagree; 2 usage or input error;
-3 resource limit (a row index past DEFAULT_ROW_CAP, or a degree or term
-count past the caps below).  Commands return, and `main` alone renders and
-reports.  A command returns the parameters and results of its JSON report,
-its text or CSV lines as a lazy iterable (so a JSON query renders no text),
-and its exit code.  A command that fails raises, and `main` writes
-`error: <message>` on stderr and exits with the code of the exception's kind.
+3 resource limit (a row index past DEFAULT_ROW_CAP, or a degree, a term
+count or the direct route's work past the caps below).  Commands return,
+and `main` alone renders and reports.  A command returns the parameters and
+results of its JSON report, its text or CSV lines as a lazy iterable (so a
+JSON query renders no text), and its exit code.  A command that fails
+raises, and `main` writes `error: <message>` on stderr and exits with the
+code of the exception's kind.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -62,18 +64,27 @@ MINE_MAX_TERMS = 200
 # EXIT_RESOURCE.  `phi` stops where its text output is still a few MB and
 # under a second; its size grows as the cube of the degree.  The verify cap
 # rises only to a degree no dearer than its top degree was before the last
-# speed-up.  Since the twist kernel is split by the swap, verify_single in a
-# fresh process on one core of a 2-core Xeon takes 6.1-6.5 s at 130 (11.1 to
-# 12.6 s before) and 9.8-11.4 s at 140, a range that overlaps the old one at
-# 130, so the cap stays at 130.
+# speed-up.  Since the multiplicities are certified from a charpoly mod p,
+# `verify r r` in a fresh process on one core of a 2-core Xeon costs most at
+# odd r, where the twist half kernels dominate: medians of 3.9 s at 181
+# (7 runs), 4.5 s at 185 (5) and 4.7 s at 189 (8), against 5.0 s (4.3 to
+# 6.7 s, 12 runs) for the previous version at 130; 191 took 6.1 s and 199
+# 6.5 s.  Even degrees cost less: 1.8 s at 190, 2.2 s at 200.
 PHI_MAX_DEGREE = 400
-VERIFY_MAX_DEGREE = 130
+VERIFY_MAX_DEGREE = 190
 # Caps on `sums`: the form's degree and n_max; past either one it exits
 # EXIT_RESOURCE.  The degree cap bounds the charpoly behind the transfer
 # route's recurrence, and a higher term cap would only admit more outputs
 # past the 4300 digits that Python renders.
 SUMS_MAX_DEGREE = 100
 SUMS_MAX_TERMS = 800
+# Cap on the direct route's work (`sums --direct` and `--both`): the form's
+# nonzero terms times the 2^(n_max+1) - 2 consecutive pairs of rows
+# 1..n_max that it sums them over.  On the same machine a monomial reaches
+# the row cap within it (x^100 over rows 1..20: 2.1 s), a dense degree-100
+# form stops at n_max = 13 (2.0 s; 14 would take about 4.5 s), and a dense
+# degree-10 form at 16 (0.6 s).
+SUMS_MAX_DIRECT_WORK = 2**21
 
 
 def encode_rational(x) -> str:
@@ -206,6 +217,12 @@ def cmd_sums(args):
     _check_cap("n_max", args.n_max, "SUMS_MAX_TERMS", SUMS_MAX_TERMS)
     mode = args.mode
     if mode != "fast":
+        # past the row cap the row walk refuses instead, naming that cap
+        if args.n_max <= DEFAULT_ROW_CAP:
+            work = sum(1 for c in f.coeffs if c) * (2 ** (args.n_max + 1) - 2)
+            _check_cap(
+                "direct-route work", work, "SUMS_MAX_DIRECT_WORK", SUMS_MAX_DIRECT_WORK
+            )
         # first, so that an n_max past the row cap raises RowCapError before
         # any power sum is computed
         values = power_sum_direct_sequence(f, args.n_max)
@@ -427,9 +444,15 @@ def _park_stdout_on_devnull() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and kept: building costs about
+    # twenty times what parsing does
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         parameters, results, lines, code = args.func(args)
         if args.format == "json":

@@ -7,10 +7,12 @@ dependence that elimination finds, with an annihilation certificate built
 into the cyclic-vector loop.  Kernel vectors are back-substituted
 fraction-free too, in integers scaled by a Bareiss pivot (Cramer's rule),
 and only kernel_basis and solve_linear divide by it.  Characteristic
-polynomials come from the division-free Samuelson-Berkowitz recursion.
-Polynomial gcds come from Brown's modular algorithm, certified by exact
-division.  No floating point anywhere; the modular steps only propose, and
-exact integer checks decide.
+polynomials come from the division-free Samuelson-Berkowitz recursion, and
+their images mod a prime from a Hessenberg reduction over GF(p) (for
+spectra's multiplicity certificate).  Polynomial gcds come from Brown's
+modular algorithm, certified by exact division.  No floating point
+anywhere; the modular steps only propose or bound, and exact integer checks
+decide.
 
 All functions are pure; matrices and polynomials are immutable after
 construction and safe to share between threads.
@@ -22,6 +24,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -568,10 +571,19 @@ def root_power(p: IntPolynomial, lam: Rational) -> int:
     quotient's coefficients, and the last one is the remainder p(lam).  The
     zero polynomial counts as having no root.
     """
-    coeffs = p.coeffs
+    return _root_power(p.coeffs, lam)
+
+
+def _root_power(coeffs: Sequence, lam: Rational, prime: int = 0) -> int:
+    """root_power of a coefficient list (lowest degree first) over Z, or over
+    GF(prime) when a prime is given."""
+    def step(acc, c):
+        acc = acc * lam + c
+        return acc % prime if prime else acc
+
     k = 0
     while len(coeffs) > 1:
-        horner = list(accumulate(reversed(coeffs), lambda acc, c: acc * lam + c))
+        horner = list(accumulate(reversed(coeffs), step))
         if horner[-1]:
             break
         coeffs = horner[-2::-1]
@@ -661,6 +673,61 @@ def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list:
         a, b = b, a
     inv = pow(a[-1], -1, p)
     return [x * inv % p for x in a]
+
+
+def _charpoly_mod(rows: Sequence[Sequence[int]], p: int) -> list:
+    """Characteristic polynomial of an integer matrix over GF(p), lowest
+    degree first.
+
+    Elimination by similarity transforms over GF(p) brings the matrix to
+    upper Hessenberg form H: for each column c, a row swap and the matching
+    column swap put a nonzero subdiagonal pivot at (c + 1, c), then
+    row_i -= u row_(c+1) clears (i, c) below it and col_(c+1) += u col_i
+    undoes that on the right.  The charpolys p_k of H's leading k x k minors
+    follow p_(k+1) = (x - H[k][k]) p_k - sum over i = 1..k of
+    H[k-i][k] H[k][k-1] ... H[k-i+1][k-i] p_(k-i) (H. Cohen, A Course in
+    Computational Algebraic Number Theory, Algorithm 2.2.9).  Cubic in the
+    size, on words of 31 bits.
+    """
+    h = [[x % p for x in row] for row in rows]
+    n = len(h)
+    for c in range(n - 2):
+        k = c + 1
+        piv = next((i for i in range(k, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[piv], h[k] = h[k], h[piv]
+            for row in h:
+                row[piv], row[k] = row[k], row[piv]
+        inv = pow(h[k][c], -1, p)
+        pivot_row = h[k][c:]  # zero left of c, as is every row below it
+        cols, factors = [], []
+        for i in range(k + 1, n):
+            u = h[i][c] * inv % p
+            if u:
+                h[i][c:] = [(a - u * b) % p for a, b in zip(h[i][c:], pivot_row)]
+                cols.append(i)
+                factors.append(u)
+        if cols:
+            for row in h:
+                row[k] = (row[k] + sum(map(mul, factors, [row[i] for i in cols]))) % p
+    polys = [[1]]
+    for k in range(n):
+        new = [0, *polys[k]]
+        for j, c in enumerate(polys[k]):
+            new[j] -= h[k][k] * c
+        chain = 1  # H[k][k-1] ... H[k-i+1][k-i]
+        for i in range(1, k + 1):
+            chain = chain * h[k - i + 1][k - i] % p
+            if not chain:
+                break
+            coef = h[k - i][k] * chain % p
+            if coef:
+                for j, c in enumerate(polys[k - i]):
+                    new[j] -= coef * c
+        polys.append([x % p for x in new])
+    return polys[n]
 
 
 def polynomial_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:

@@ -7,19 +7,27 @@ a function [a_1, ..., a_p] restricted to one parity class of r has period
 2p, with a_1 at r == 0 (mod 2p) on the even class and a_1 at r == 1 (mod 2p)
 on the odd class.
 
-Verification is entirely rational.  Geometric multiplicities are kernel
-dimensions, algebraic ones come from repeated exact division of the
-characteristic polynomial, and the two diagonalizability witnesses are the
-integer symmetry identity a!(r-a)! M[a][b] == b!(r-b)! M[b][a] and
-squarefreeness of the minimal polynomials.  The second is certified from the
-characteristic polynomial cp without computing a minimal polynomial (see
-SwapBlock.minpoly_squarefree).  A root of cp of multiplicity k + 1 is a root
-of g = gcd(cp, cp') of multiplicity k, and on every degree swept g has no
-roots but the eigenvalues 0 and +-1 that verify checks anyway; then the
-matrix is diagonalizable iff each repeated one has nullity(M - lam I) equal
-to k + 1, a nullity the multiplicity check has already computed.  Should g
-have any other factor, the squarefreeness of the Krylov minimal polynomial
-decides instead.
+Verification is exact.  Parts of the twist halves (see below) lie in
+eigenspaces of the transfer matrix once check_annihilation_identities has
+passed: it kills W for odd r, and acts by -1 on X n Y+ and by +1 on
+X n Y- for even r.  Their dimensions bound each block's geometric
+multiplicities from below.  The
+characteristic polynomial cp_p of the block mod the prime 2^31 - 1 bounds
+the algebraic ones from above, as cp is monic over the integers, and bounds
+deg gcd(cp, cp') too.  Where the two bounds meet at every reported
+eigenvalue, and the repeated roots of cp_p are those eigenvalues alone,
+geometric and algebraic multiplicities are pinned, and the block is
+diagonalizable (see SwapBlock).  So no exact characteristic polynomial,
+nullity or minimal polynomial is computed; on every degree swept up to
+VERIFY_MAX_DEGREE the bounds meet.  A block where they do not falls back
+to exact arithmetic: geometric multiplicities are kernel dimensions,
+algebraic ones come from repeated exact division of the Berkowitz
+characteristic polynomial, and the squarefreeness of the minimal
+polynomial is certified from cp without computing it (see
+SwapBlock.minpoly_squarefree), from the block nullities at the roots 0 and
++-1 of g = gcd(cp, cp'), or from the Krylov minimal polynomial if g has
+another root.  The other diagonalizability witness is the integer
+symmetry identity a!(r-a)! M[a][b] == b!(r-b)! M[b][a].
 
 The spectral work runs on two blocks of about half the size of the transfer
 matrix.  The swap J: f(x, y) -> f(y, x) commutes with it, because
@@ -56,7 +64,7 @@ hold for RHO_TWIST's eigenspaces and are stated that way here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
@@ -72,8 +80,12 @@ from .forms import (
 from .linalg import (
     IntPolynomial,
     RationalMatrix,
+    _charpoly_mod,
+    _gcd_mod,
     _integer_kernel,
+    _integer_rows,
     _normalize_entry,
+    _root_power,
     charpoly,
     eigen_multiplicity,
     is_squarefree,
@@ -195,37 +207,85 @@ def predicted_bounds(r: int) -> dict:
     }
 
 
+# The prime of the multiplicity certificate: below 2^31, so a charpoly mod
+# it has small coefficients, and above every block size, so each root of
+# cp_p adds its multiplicity less one to deg gcd(cp_p, cp_p').
+_CERTIFICATE_PRIME = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class SwapBlock:
     """The transfer matrix on one swap quotient, with its spectral data.
 
-    The charpoly, the squarefreeness of the minimal polynomial and each
-    eigenvalue's multiplicities are computed on first use and kept, so a
-    context built for a check that needs none of them (odd_case_dims, say)
-    does not pay for them, and verify_single and the squarefree witness
-    share each block nullity.
+    eigenvectors maps each eigenvalue that verify reports on this block (an
+    integer) to the number of linearly independent eigenvectors that the
+    caller has certified for it; it is empty when the caller knows none.
+    When these counts meet the characteristic polynomial mod
+    _CERTIFICATE_PRIME (see _pinned), each of those multiplicities is
+    pinned exactly and the minimal polynomial is squarefree, with no exact
+    charpoly, nullity or minimal polynomial.  Otherwise the charpoly, the squarefreeness of the minimal
+    polynomial and each eigenvalue's multiplicities are computed exactly on
+    first use and kept, so a context built for a check that needs none of
+    them (odd_case_dims, say) does not pay for them, and verify_single and
+    the squarefree witness share each block nullity.
     """
 
     matrix: RationalMatrix
+    eigenvectors: dict = field(default_factory=dict)
 
     @cached_property
     def charpoly(self) -> IntPolynomial:
         return charpoly(self.matrix)
 
     @cached_property
+    def _pinned(self) -> dict | None:
+        """{lam: multiplicity} for every lam of eigenvectors, or None.
+
+        With cp the charpoly of d times the block, for the least d that
+        makes it integral, and cp_p its image mod p = _CERTIFICATE_PRIME:
+        cp is monic in Z[x], so a root of cp of multiplicity k is one of
+        cp_p of multiplicity at least k, and deg gcd(cp, cp') is at most
+        deg gcd(cp_p, cp_p').  So eigenvectors[lam] <= geo(lam) <= alg(lam)
+        <= mult_p(d lam), and where the two ends meet, geo = alg = that
+        number.  If they meet at every lam, and deg gcd(cp_p, cp_p') is the
+        sum of mult_p - 1 over those lam with mult_p >= 1, then, as p
+        exceeds every multiplicity, cp_p has no other repeated root (0 and
+        +-1 included), and as deg gcd(cp, cp') is at most that sum, nor has
+        cp: the only repeated roots of cp are lams with geo = alg, so the
+        block is diagonalizable and its minimal polynomial squarefree.
+        Every step is exact; a failed one (an unlucky prime, or a real
+        defect) returns None, and the block falls back to exact arithmetic.
+        """
+        if not self.eigenvectors:
+            return None
+        rows, d = _integer_rows(self.matrix.rows)
+        p = _CERTIFICATE_PRIME
+        cp = _charpoly_mod(rows, p)
+        mult = {lam: _root_power(cp, lam * d, p) for lam in self.eigenvectors}
+        repeated = len(_gcd_mod(cp, [i * c for i, c in enumerate(cp)][1:], p)) - 1
+        if mult != self.eigenvectors or repeated != sum(k - 1 for k in mult.values() if k):
+            return None
+        return mult
+
+    @cached_property
     def _multiplicities(self) -> dict:
-        return {}
+        pinned = self._pinned or {}
+        return {lam: (k, k) for lam, k in pinned.items()}
 
     @cached_property
     def minpoly_squarefree(self) -> bool:
         """Whether the minimal polynomial is squarefree, without computing it.
 
-        A root of cp of multiplicity k + 1 is a root of g = gcd(cp, cp') of
-        multiplicity k.  When g has no roots but 0 and +-1, the only
-        eigenvalues that verify checks, the block is diagonalizable iff each
-        of them that g has is semisimple: nullity(block - lam I) is k + 1.
-        Otherwise the Krylov minimal polynomial decides.
+        True at once when the certificate pins the block (see _pinned).
+        Otherwise: a root of cp of multiplicity k + 1 is a root of
+        g = gcd(cp, cp') of multiplicity k.  When g has no roots but 0 and
+        +-1, the only eigenvalues that verify checks, the block is
+        diagonalizable iff each of them that g has is semisimple:
+        nullity(block - lam I) is k + 1.  Otherwise the Krylov minimal
+        polynomial decides.
         """
+        if self._pinned is not None:
+            return True
         cp = self.charpoly
         g = polynomial_gcd(cp, cp.derivative())
         repeated = {lam: root_power(g, lam) for lam in (0, 1, -1)}
@@ -255,6 +315,16 @@ class SpectralContext:
     (see forms._swap_fold): a vector w of the half of sign s = +-1 stands
     for the form v with v[r-i] = w[i] and v[i] = s w[i], for i <= r/2
     (i < r/2 for s = -1, whose middle entry is 0).
+
+    eigenvectors holds, for sym and for anti, {lam: the dimension of the
+    part of the half on which the transfer matrix acts as lam once
+    check_annihilation_identities has passed}: the whole half at 0 for odd
+    r; for even r, X_s n Y- at +1 and X_s n Y+ at -1, the parts of the half
+    of sign s on which the quarter turn acts as -1 and +1 (see
+    eigenspace_dims).  A half is folded one to one onto its block's
+    quotient, so each count bounds that block's geometric multiplicity from
+    below.  Until that check has passed they are mere counts, and the
+    blocks are built without them.
     """
 
     r: int
@@ -263,6 +333,7 @@ class SpectralContext:
     anti: SwapBlock | None
     twist_sym: tuple
     twist_anti: tuple
+    eigenvectors: tuple
 
     @property
     def blocks(self) -> tuple:
@@ -306,13 +377,24 @@ def spectral_context(r: int) -> SpectralContext:
     else:
         # substitution composes covariantly, so this is twist @ twist
         twist_part = operator_matrix(RHO_TWIST @ RHO_TWIST, r) + twist + ident
+    twist_sym = _half_kernel(twist_part, 1)
+    twist_anti = _half_kernel(twist_part, -1)
+    if r % 2:
+        eigenvectors = ({0: len(twist_sym)}, {0: len(twist_anti)})
+    else:
+        # on the half of sign s, the quarter turn acts on class i as s (-1)^i
+        eigenvectors = (
+            {1: _vanishing_dim(twist_sym, 0), -1: _vanishing_dim(twist_sym, 1)},
+            {1: _vanishing_dim(twist_anti, 1), -1: _vanishing_dim(twist_anti, 0)},
+        )
     return SpectralContext(
         r=r,
         phi=phi,
         sym=SwapBlock(sym_quotient(r, phi)),
         anti=SwapBlock(anti_quotient(r, phi)) if r else None,
-        twist_sym=_half_kernel(twist_part, 1),
-        twist_anti=_half_kernel(twist_part, -1),
+        twist_sym=twist_sym,
+        twist_anti=twist_anti,
+        eigenvectors=eigenvectors,
     )
 
 
@@ -339,17 +421,16 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
       onto fold X n fold Y+-.  The swap commutes with the quarter turn, so
       X n Y+- is (X_sym n Y+-) + (X_anti n Y+-).  On the half of sign s,
       Y+ is where the classes i with s (-1)^i = -1 vanish, and Y- where
-      the others do; as r is even, (-1)^i is also (-1)^(r-i).
+      the others do; as r is even, (-1)^i is also (-1)^(r-i).  These are
+      the ranks behind ctx.eigenvectors, which keys X_s n Y+ by -1 and
+      X_s n Y- by +1.
     """
     r = ctx.r
     if r < 2 or r % 2:
         raise ValueError("even degree at least 2 required")
     half = r // 2
     sym, anti = ctx.twist_sym, ctx.twist_anti
-    dim_x_yp_sym = _vanishing_dim(sym, 1)
-    dim_x_ym_sym = _vanishing_dim(sym, 0)
-    dim_x_yp = dim_x_yp_sym + _vanishing_dim(anti, 0)
-    dim_x_ym = dim_x_ym_sym + _vanishing_dim(anti, 1)
+    caps_sym, caps_anti = ctx.eigenvectors
 
     def formula(fn, computed):
         return {"formula": _dim_value(fn, r), "computed": computed}
@@ -364,10 +445,10 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
         "dim_X_sym": formula(DIM_X_SYM, len(sym)),
         "dim_Y_plus_sym": formula(DIM_Y_PLUS_SYM, half // 2 + 1),
         "dim_Y_minus_sym": formula(DIM_Y_MINUS_SYM, (half + 1) // 2),
-        "dim_X_cap_Y_plus": bound(DIM_X_CAP_Y_PLUS, dim_x_yp),
-        "dim_X_cap_Y_minus": bound(DIM_X_CAP_Y_MINUS, dim_x_ym),
-        "dim_X_cap_Y_plus_sym": bound(DIM_X_CAP_Y_PLUS_SYM, dim_x_yp_sym),
-        "dim_X_cap_Y_minus_sym": bound(DIM_X_CAP_Y_MINUS_SYM, dim_x_ym_sym),
+        "dim_X_cap_Y_plus": bound(DIM_X_CAP_Y_PLUS, caps_sym[-1] + caps_anti[-1]),
+        "dim_X_cap_Y_minus": bound(DIM_X_CAP_Y_MINUS, caps_sym[1] + caps_anti[1]),
+        "dim_X_cap_Y_plus_sym": bound(DIM_X_CAP_Y_PLUS_SYM, caps_sym[-1]),
+        "dim_X_cap_Y_minus_sym": bound(DIM_X_CAP_Y_MINUS_SYM, caps_sym[1]),
     }
 
 
@@ -437,8 +518,9 @@ def check_diagonalizability(ctx: SpectralContext) -> tuple:
     square roots of k!(r-k)!).  The second checks squarefreeness of the
     minimal polynomials of both swap blocks (their lcm is the minimal
     polynomial of the transfer matrix, and the symmetric block is its
-    quotient) by SwapBlock.minpoly_squarefree: the block nullities at the
-    repeated eigenvalues 0 and +-1, or the radical if another one repeats.
+    quotient) by SwapBlock.minpoly_squarefree: the certificate mod p where
+    it pins the block, else the block nullities at the repeated eigenvalues
+    0 and +-1, or the Krylov minimal polynomial if another one repeats.
     """
     r = ctx.r
     phi = ctx.phi
@@ -451,6 +533,11 @@ def check_diagonalizability(ctx: SpectralContext) -> tuple:
     )
     squarefree = all(block.minpoly_squarefree for block in ctx.blocks)
     return symmetric, squarefree
+
+
+def _holds(annihilation: dict) -> bool:
+    """Whether every identity that check_annihilation_identities reports holds."""
+    return all(v for v in annihilation.values() if isinstance(v, bool))
 
 
 @dataclass(frozen=True)
@@ -521,7 +608,7 @@ class VerificationReport:
             self.bounds_hold
             and self.all_equal
             and self.diagonalizable_witnessed
-            and all(v for k, v in self.annihilation.items() if isinstance(v, bool))
+            and _holds(self.annihilation)
         )
 
     def to_json_dict(self) -> dict:
@@ -541,11 +628,25 @@ class VerificationReport:
 
 
 def verify_single(r: int) -> VerificationReport:
-    """Run every check for one degree, on one spectral context."""
+    """Run every check for one degree, on one spectral context.
+
+    Once check_annihilation_identities has passed, the parts of the twist
+    halves that ctx.eigenvectors counts lie in eigenspaces of the transfer
+    matrix, and each block carries those counts into its multiplicity
+    certificate (see SwapBlock).
+    """
     if r < 1:
         raise ValueError("degree must be at least 1")
     ctx = spectral_context(r)
     preds = predicted_bounds(r)
+    annihilation = check_annihilation_identities(ctx)
+    if _holds(annihilation):
+        sym_counts, anti_counts = ctx.eigenvectors
+        ctx = replace(
+            ctx,
+            sym=SwapBlock(ctx.sym.matrix, sym_counts),
+            anti=SwapBlock(ctx.anti.matrix, anti_counts),
+        )
 
     # phi's multiplicities are the sums over its two swap blocks; phi_sym is
     # the symmetric block alone.
@@ -591,7 +692,6 @@ def verify_single(r: int) -> VerificationReport:
         dims = eigenspace_dims(ctx)
 
     symmetric, squarefree = check_diagonalizability(ctx)
-    annihilation = check_annihilation_identities(ctx)
 
     return VerificationReport(
         r=r,

@@ -24,6 +24,7 @@ from sternsums.cli import (
     MINE_MAX_TERMS,
     PHI_MAX_DEGREE,
     SUMS_MAX_DEGREE,
+    SUMS_MAX_DIRECT_WORK,
     SUMS_MAX_TERMS,
     VERIFY_MAX_DEGREE,
     encode_rational,
@@ -97,6 +98,27 @@ def test_sums_rejects_bad_coefficients_with_exit_2(monkeypatch, capsys):
 
 
 # -- row ----------------------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # a usage error or --help on the kept parser leaves it as it was
+    calls = []
+    real = cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: calls.append(1) or real())
+    cli_mod._parser.cache_clear()
+    outputs = []
+    try:
+        for _ in range(2):
+            outputs.append(run(capsys, "row", "3"))
+            for argv in (["verify", "--help"], ["sums", "x", "3", "--cap", "2"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                outputs.append((exc.value.code, *capsys.readouterr()))
+    finally:
+        cli_mod._parser.cache_clear()
+    assert calls == [1]
+    assert outputs[:3] == outputs[3:]
+    assert [code for code, _, _ in outputs[:3]] == [EXIT_OK, 0, EXIT_USAGE]
 
 
 def test_row_text(capsys):
@@ -283,6 +305,48 @@ def test_sums_terms_cap(monkeypatch, capsys):
         assert f"SUMS_MAX_TERMS={SUMS_MAX_TERMS}" in err
 
 
+def test_sums_direct_work_cap(monkeypatch, capsys):
+    # work is nonzero terms times the 2^(n+1) - 2 pairs of rows 1..n; past
+    # the row cap the row cap speaks, before any row
+    dense = "coeffs=[" + ",".join(["1"] * 101) + "]"
+    _block_rows(monkeypatch)
+    code, _, err = run(capsys, "sums", dense, str(DEFAULT_ROW_CAP + 1), "--direct")
+    assert code == EXIT_RESOURCE and f"configured cap {DEFAULT_ROW_CAP}" in err
+    reached = []
+
+    def stub(f, n):
+        reached.append((f.degree, n))
+        return [0] * n
+
+    monkeypatch.setattr(cli_mod, "power_sum_direct_sequence", stub)
+    monkeypatch.setattr(cli_mod, "power_sum_sequence", stub)
+    dense10 = "coeffs=[" + ",".join(["3"] * 11) + "]"
+    # a monomial reaches the row cap, a dense degree-100 form n = 13, and a
+    # dense degree-10 form n = 16, the largest --both shape of the benchmark
+    admitted = [("x^100", DEFAULT_ROW_CAP), (dense, 13), (dense10, 16)]
+    for spec, n in admitted:
+        for mode in ("--direct", "--both"):
+            code, _, err = run(capsys, "sums", spec, str(n), mode)
+            assert code == EXIT_OK and err == "", (spec, n)
+    assert [n for _, n in reached] == [20, 20, 20, 13, 13, 13, 16, 16, 16]
+    reached.clear()
+    for spec, n in ((dense, 14), (dense10, 18)):
+        work = (spec.count(",") + 1) * (2 ** (n + 1) - 2)
+        assert work > SUMS_MAX_DIRECT_WORK
+        for mode in ("--direct", "--both"):
+            code, out, err = run(capsys, "sums", spec, str(n), mode)
+            assert code == EXIT_RESOURCE and out == ""
+            assert err == (
+                f"error: direct-route work {work} is above the cap "
+                f"SUMS_MAX_DIRECT_WORK={SUMS_MAX_DIRECT_WORK}\n"
+            )
+        assert run(capsys, "sums", spec, str(n), "--fast")[0] == EXIT_OK
+    # zero coefficients do no work
+    sparse = "coeffs=[" + ",".join(["0"] * 100) + ",1]"
+    assert run(capsys, "sums", sparse, "20", "--direct")[0] == EXIT_OK
+    assert reached == [(100, 14), (10, 18), (100, 20)]
+
+
 def _coeffs_spec(kind, d):
     """A degree-d form with mixed signs: integer, or with denominators 2..8."""
     num = [(-1) ** i * (1 + (7 if kind == "dense" else 5) * i % 9) for i in range(d + 1)]
@@ -393,6 +457,9 @@ def test_verify_json_payload(capsys):
 
 
 def test_verify_degree_cap(monkeypatch, capsys):
+    # raised from 130 once the multiplicities were certified mod p; cli.py
+    # and README give the timings behind it
+    assert VERIFY_MAX_DEGREE == 190
     monkeypatch.setattr(cli_mod, "verify_range", _no_matrix)
     monkeypatch.setattr(spectra, "spectral_context", _no_matrix)
     for r_min in (1, VERIFY_MAX_DEGREE + 1):

@@ -2,7 +2,8 @@
 
 The fraction-free (Bareiss) route is cross-checked against a plain rational
 Gaussian eliminator written here, and the Berkowitz characteristic
-polynomial against a cofactor expansion over polynomial entries.  Minimal
+polynomial against a cofactor expansion over polynomial entries, and the
+Hessenberg charpoly mod p against the Berkowitz one reduced mod p.  Minimal
 polynomials and linear solves, which run on the same Bareiss elimination,
 are checked against their definitions, and the integer back substitution of
 kernel vectors against back substitution in Fractions.  The modular
@@ -17,7 +18,6 @@ from fractions import Fraction
 
 import pytest
 
-from sternsums.cli import VERIFY_MAX_DEGREE
 from sternsums.forms import RHO_TWIST, operator_matrix, phi_matrix, sym_quotient
 from sternsums.linalg import (
     InexactDivisionError,
@@ -25,9 +25,11 @@ from sternsums.linalg import (
     NonSquareMatrixError,
     RationalMatrix,
     _bareiss_echelon,
+    _charpoly_mod,
     _integer_kernel,
     _integer_rows,
     _kernel_vector,
+    _root_power,
     charpoly,
     divide_out,
     eigen_multiplicity,
@@ -37,6 +39,7 @@ from sternsums.linalg import (
     nullity,
     polynomial_gcd,
     rank,
+    root_power,
     solve_linear,
 )
 from sternsums.spectra import spectral_context
@@ -338,8 +341,9 @@ def test_integer_kernel_of_the_twist_parts_up_to_r60():
 
 
 @pytest.mark.extended
-def test_twist_halves_span_the_twist_kernel_up_to_the_verify_cap():
-    for r in range(61, VERIFY_MAX_DEGREE + 1):
+def test_twist_halves_span_the_twist_kernel_up_to_r130():
+    # up to the old verify cap: the full-width oracle kernel costs most
+    for r in range(61, 131):
         _assert_halves_span_the_twist_kernel(r)
 
 
@@ -435,6 +439,27 @@ def test_charpoly_clears_denominators():
         charpoly(m)
     ok = RationalMatrix([[Fraction(4, 2), Fraction(1, 1)], [0, 3]])
     assert charpoly(ok) == IntPolynomial([6, -5, 1])
+
+
+def test_charpoly_mod_p_is_the_image_of_the_charpoly():
+    # integer scalings of the seeded matrices (Jordan, nilpotent, scalar
+    # and derogatory ones) and the swap blocks; the small primes make
+    # pivots and subdiagonals vanish mod p
+    mats = [_integer_rows(m.rows)[0] for m in _seeded_square_matrices()]
+    mats += [b.matrix.rows for r in range(21) for b in spectral_context(r).blocks]
+    for rows in mats:
+        cp = charpoly(RationalMatrix(rows)).coeffs
+        for p in (2**31 - 1, 7, 2):
+            assert _charpoly_mod(rows, p) == [c % p for c in cp], (rows, p)
+
+
+def test_root_power_mod_p_bounds_the_exact_one():
+    # (x - 1)^2 (x - 8) (x + 1): 8 is 1 mod 7, and -1 is 1 but 8 is 0 mod 2
+    p = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) * IntPolynomial([-8, 1])
+    p = p * IntPolynomial([1, 1])
+    assert [root_power(p, lam) for lam in (1, 8, -1, 0)] == [2, 1, 1, 0]
+    assert [_root_power(p.coeffs, 1, q) for q in (2**31 - 1, 7, 2)] == [2, 3, 3]
+    assert _root_power([c % 7 for c in p.coeffs], -1, 7) == 1
 
 
 # -- minimal polynomial -----------------------------------------------------

@@ -8,7 +8,10 @@ Fraction vectors kernel_basis returns, the twist kernel eliminated full
 width.  The squarefree witness of each block, certified from its block
 nullities (or, for a repeated eigenvalue other than 0 and +-1, from its
 Krylov minimal polynomial), is checked against the radical evaluated at the
-block and the squarefreeness of the minimal polynomial.
+block and the squarefreeness of the minimal polynomial.  The certificate
+that pins each block's multiplicities and witness from the twist halves and
+a charpoly mod p is checked against that exact route (Berkowitz, the block
+nullities and the witness), and forced to refuse.
 """
 
 import json
@@ -322,11 +325,12 @@ def _seeded_witness_cases():
 
 
 @pytest.mark.extended
-def test_minpoly_squarefree_never_falls_back_up_to_the_verify_cap(monkeypatch):
-    # every degree `verify` admits past the default sweep: no block repeats
-    # an eigenvalue other than 0 and +-1, so none falls back to its minpoly
+def test_minpoly_squarefree_never_falls_back_up_to_r130(monkeypatch):
+    # past the default sweep, up to the old verify cap (the exact charpolys
+    # cost hours past it): no block repeats an eigenvalue other than 0 and
+    # +-1, so none falls back to its minpoly
     calls = _count_minpoly(monkeypatch)
-    for r in range(61, VERIFY_MAX_DEGREE + 1):
+    for r in range(61, 131):
         for block in spectral_context(r).blocks:
             assert block.minpoly_squarefree, r
             assert calls["minpoly"] == 0, r
@@ -371,6 +375,113 @@ def test_verify_fails_when_a_block_has_a_jordan_block(monkeypatch, capsys):
     assert report["passed"] is False
 
 
+# -- the multiplicity certificate -----------------------------------------------
+
+
+def _certified_blocks(r):
+    """The blocks of degree r with the counts of the twist halves, as
+    verify_single builds them once the annihilation identities hold."""
+    ctx = spectral_context(r)
+    assert spectra._holds(spectra.check_annihilation_identities(ctx)), r
+    return [SwapBlock(b.matrix, counts) for b, counts in zip(ctx.blocks, ctx.eigenvectors)]
+
+
+def _count_exact_route(monkeypatch) -> Counter:
+    """Counts the exact charpolys and eigenvalue multiplicities of the blocks."""
+    calls = Counter()
+    for name in ("charpoly", "eigen_multiplicity"):
+        original = getattr(spectra, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(spectra, name, counted)
+    return calls
+
+
+def _withhold_an_eigenvector(monkeypatch):
+    """Each block built with counts gets one eigenvector fewer at each
+    eigenvalue, so the certificate refuses it and it takes the exact route."""
+    real = spectra.SwapBlock
+
+    def withheld(matrix, eigenvectors=None):
+        return real(matrix, {lam: k - 1 for lam, k in (eigenvectors or {}).items()})
+
+    monkeypatch.setattr(spectra, "SwapBlock", withheld)
+
+
+def _miscount_a_root(monkeypatch):
+    """Every multiplicity mod p comes out one too high."""
+    real = spectra._root_power
+    monkeypatch.setattr(spectra, "_root_power", lambda *args: real(*args) + 1)
+
+
+def test_certificate_pins_what_the_exact_route_computes(monkeypatch):
+    # Berkowitz, the block nullities and the squarefree witness of the bare
+    # block are the oracle; a pinned block computes none of them
+    for r in [*range(1, 21), 30, 45, 60]:
+        for block in _certified_blocks(r):
+            with monkeypatch.context() as patch:
+                calls = _count_exact_route(patch)
+                pinned = {lam: block.multiplicity(lam) for lam in block.eigenvectors}
+                assert block.minpoly_squarefree is True, r
+                assert not calls, r
+            assert pinned == {lam: eigen_multiplicity(block.matrix, lam) for lam in pinned}, r
+            assert SwapBlock(block.matrix).minpoly_squarefree is True, r
+
+
+@pytest.mark.parametrize("r", [11, 12, 20, 21])
+@pytest.mark.parametrize("refuse", [_withhold_an_eigenvector, _miscount_a_root])
+def test_refused_certificate_leaves_the_report_unchanged(monkeypatch, r, refuse):
+    expected = verify_single(r).to_json_dict()
+    refuse(monkeypatch)
+    calls = _count_exact_route(monkeypatch)
+    assert verify_single(r).to_json_dict() == expected
+    assert calls["charpoly"] == 2  # each block takes the exact route
+
+
+@pytest.mark.parametrize("r", [11, 12])
+def test_certificate_waits_for_the_annihilation_identities(monkeypatch, r):
+    # the twist halves bound nothing until the identities hold
+    expected = verify_single(r).to_json_dict()
+    real = spectra.check_annihilation_identities
+
+    def failed(ctx):
+        return {k: False if isinstance(v, bool) else v for k, v in real(ctx).items()}
+
+    monkeypatch.setattr(spectra, "check_annihilation_identities", failed)
+    calls = _count_exact_route(monkeypatch)
+    report = verify_single(r).to_json_dict()
+    assert calls["charpoly"] == 2
+    assert report["passed"] is False
+    assert report["multiplicities"] == expected["multiplicities"]
+
+
+def test_certificate_refuses_or_agrees_on_seeded_matrices():
+    # the exact geometric multiplicities at 0 and +-1 are the largest counts
+    # a caller could certify; Jordan blocks must be refused whatever they are
+    outcomes = Counter()
+    for m, expected in _seeded_witness_cases():
+        exact = {lam: eigen_multiplicity(m, lam) for lam in (0, 1, -1)}
+        block = SwapBlock(m, {lam: geo for lam, (geo, _) in exact.items()})
+        pinned = block._pinned
+        if pinned is not None:
+            assert expected is True, m
+            assert {lam: (k, k) for lam, k in pinned.items()} == exact, m
+        assert block.minpoly_squarefree is expected, m
+        outcomes[pinned is not None, expected] += 1
+    assert outcomes[True, True] and outcomes[False, True] and outcomes[False, False]
+
+
+@pytest.mark.extended
+def test_certificate_never_falls_back_up_to_the_verify_cap(monkeypatch):
+    calls = _count_exact_route(monkeypatch)
+    for r in range(1, VERIFY_MAX_DEGREE + 1):
+        assert verify_single(r).passed, r
+        assert not calls, r
+
+
 # -- the certificate of the split -------------------------------------------------
 
 
@@ -402,16 +513,19 @@ def test_verify_exits_1_naming_the_degree_when_the_swap_certificate_fails(
 
 @pytest.mark.parametrize("r", [11, 12])
 def test_verify_single_builds_each_object_once(monkeypatch, r):
+    # one charpoly mod p per block, and no exact one: the certificate pins
+    # every multiplicity
     calls = Counter()
     charpoly_widths = []
     modules = (forms, linalg, spectra)
-    for name in ("phi_matrix", "sym_quotient", "charpoly", "minpoly", "is_squarefree"):
+    names = ("phi_matrix", "sym_quotient", "charpoly", "_charpoly_mod", "minpoly", "is_squarefree")
+    for name in names:
         original = getattr(forms if name in ("phi_matrix", "sym_quotient") else linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            if _name == "charpoly":
-                charpoly_widths.append(args[0].ncols)
+            if _name == "_charpoly_mod":
+                charpoly_widths.append(len(args[0]))
             return _original(*args, **kwargs)
 
         for module in modules:
@@ -420,7 +534,8 @@ def test_verify_single_builds_each_object_once(monkeypatch, r):
     verify_single(r)
     assert calls["phi_matrix"] <= 2
     assert calls["sym_quotient"] <= 1
-    assert calls["charpoly"] == 2
+    assert calls["_charpoly_mod"] == 2
+    assert calls["charpoly"] == 0
     assert calls["minpoly"] == 0
     assert calls["is_squarefree"] == 0
     assert max(charpoly_widths) <= (r + 2) // 2
@@ -431,9 +546,9 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
     # the quarter turn is a sign per entry of each swap half, and the twist
     # kernel is computed as its two halves and nothing else, never r + 1
     # columns wide.  The dimensions are read off them: for even r four
-    # block nullities and four ranks each at most half as wide as a half,
-    # for odd r two nullities and no rank.  No two matrices are multiplied:
-    # twist^2 is the substitution of RHO_TWIST^2.
+    # ranks each at most half as wide as a half, for odd r no rank, and no
+    # block nullity, as the certificate pins every multiplicity.  No two
+    # matrices are multiplied: twist^2 is the substitution of RHO_TWIST^2.
     gammas = []
     kernels = Counter()
     rank_widths = {linalg: [], spectra: []}
@@ -471,9 +586,7 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
     assert verify_single(r).passed
     assert IOTA not in gammas and gammas
     assert kernels == Counter([r // 2 + 1, (r + 1) // 2])
-    # one nullity per swap block and eigenvalue checked: 0, or +1 and -1
-    nullity_widths = [r // 2 + 1, (r + 1) // 2] * (1 if r % 2 else 2)
-    assert sorted(rank_widths[linalg]) == sorted(nullity_widths)
+    assert not rank_widths[linalg]
     assert len(rank_widths[spectra]) == (0 if r % 2 else 4)
     assert max(rank_widths[spectra], default=0) <= (r // 2 + 2) // 2
     assert not products
@@ -481,9 +594,10 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
 
 @pytest.mark.parametrize("r", [12, 20])
 def test_verify_single_witness_shares_the_block_nullities(monkeypatch, r):
-    # the squarefree witness computes no minimal polynomial, and the
-    # nullities at +-1 it reads (r = 20 repeats both) are the ones the
-    # multiplicity check computes, once per block
+    # with the certificate refused, the squarefree witness computes no
+    # minimal polynomial, and the nullities at +-1 it reads (r = 20 repeats
+    # both) are the ones the multiplicity check computes, once per block
+    _withhold_an_eigenvector(monkeypatch)
     calls = _count_minpoly(monkeypatch)
     original = spectra.eigen_multiplicity
 
