@@ -80,10 +80,11 @@ SUMS_MAX_DEGREE = 100
 SUMS_MAX_TERMS = 800
 # Cap on the direct route's work (`sums --direct` and `--both`): the form's
 # nonzero terms times the 2^(n_max+1) - 2 consecutive pairs of rows
-# 1..n_max that it sums them over.  On the same machine a monomial reaches
-# the row cap within it (x^100 over rows 1..20: 2.1 s), a dense degree-100
-# form stops at n_max = 13 (2.0 s; 14 would take about 4.5 s), and a dense
-# degree-10 form at 16 (0.6 s).
+# 1..n_max that it sums them over.  The unit does not weigh the degree, and
+# the dearest shape it admits is the self-paired x^50*y^50 over rows 1..20:
+# 1.2 to 1.6 s and 77 MB in a fresh process on the same machine.  There
+# x^100 takes 0.6 s and 69 MB, a dense degree-100 form stops at n_max = 13
+# (0.4 to 0.6 s), and a dense degree-10 form at 16 (0.2 s).
 SUMS_MAX_DIRECT_WORK = 2**21
 
 
