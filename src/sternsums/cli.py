@@ -81,10 +81,10 @@ SUMS_MAX_TERMS = 800
 # Cap on the direct route's work (`sums --direct` and `--both`): the form's
 # nonzero terms times the 2^(n_max+1) - 2 consecutive pairs of rows
 # 1..n_max that it sums them over.  The unit does not weigh the degree, and
-# the dearest shape it admits is the self-paired x^50*y^50 over rows 1..20:
-# 1.2 to 1.6 s and 77 MB in a fresh process on the same machine.  There
-# x^100 takes 0.6 s and 69 MB, a dense degree-100 form stops at n_max = 13
-# (0.4 to 0.6 s), and a dense degree-10 form at 16 (0.2 s).
+# the dearest shape it admits is x^50*y^50 over rows 1..20: 1.1 to 1.3 s
+# and 78 MB in a fresh process on the same machine.  There x^100 takes 0.6
+# to 0.8 s and 78 MB, a dense degree-100 form stops at n_max = 13 (0.4 to
+# 0.5 s), and a dense degree-10 form at 16 (0.2 s).
 SUMS_MAX_DIRECT_WORK = 2**21
 
 

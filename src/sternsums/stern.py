@@ -14,19 +14,15 @@ generated rows, and the transfer route, which iterates the boundary
 functional g -> g(0,1) + g(1,0) as a row vector through the transfer
 matrix on the swap-symmetric quotient.  The direct route reads each power
 from a table over the row's distinct values, which are few (at most
-F(n+1)), so it maps every row once per needed exponent instead of calling
-pow on every pair.  Step n of the transfer iteration holds S_n of every
-monomial class at once (power_sum_table).  power_sum_sequence contracts
-each step with the form's coefficients folded onto the swap classes
-(forms._swap_fold), but only over a short head: it then extends the sums
-by the degree's shortened annihilator, the paper's recurrence of length
-about r/3, once an exact certificate on the head proves that the
-recurrence holds for every later n.  The quotient's columns and that
-recurrence are built once per degree and process, in a bounded memo
-(_degree); every call still steps its own head and checks the certificate
-on it.  The agreement of the two routes is a core test invariant; the
-per-form iteration of the full transfer matrix is the transfer route's
-oracle in the tests.
+F(n+1)), instead of calling pow on every entry.  Step n of the transfer
+iteration holds S_n of every monomial class at once (power_sum_table).
+power_sum_sequence contracts each step with the form's coefficients folded
+onto the swap classes (forms._swap_fold), but only over a short head: it
+then extends the sums by the degree's shortened annihilator, the paper's
+recurrence of length about r/3, once an exact certificate on the head
+proves that the recurrence holds for every later n.  The agreement of the
+two routes is a core test invariant; the per-form iteration of the full
+transfer matrix is the transfer route's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -34,8 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add, mul
 from typing import Union
 
@@ -119,34 +114,20 @@ def _row_power_sum(row: list, f: HomogPoly) -> Rational:
 
     The row is padded with s(n, 0) = s(n, 2^n) = 0, and each term
     c x^a y^(r-a) of f is summed over the consecutive pairs at C level.
-    Powers are read from a table over the row's distinct values, which are
+    Powers are read from tables over the row's distinct values, which are
     few: every entry of row n is at most F(n+1), so row 16 has 65535
-    entries but at most 1597 distinct values.  Each needed exponent e maps
-    the row once.  The terms of exponents a and r - a share their two
-    mapped rows, the y side reading them shifted by one; a mapped row is
-    kept as a list only when it is read twice, by the self-paired term or
-    by both terms of a pair, so at most two are alive at a time, and a
-    monomial other than the middle one keeps none.
+    entries but at most 1597 distinct values.
     """
     padded = [0, *row, 0]
+    xs, ys = padded[:-1], padded[1:]
     values = set(padded)
     r = f.degree
-    coeffs = f.coeffs
     total = 0
-    for a in range(r // 2 + 1):
-        b = r - a
-        ca, cb = coeffs[a], coeffs[b]
-        if not (ca or cb):
-            continue
-        pa = map({v: v**a for v in values}.__getitem__, padded)
-        pb = pa if a == b else map({v: v**b for v in values}.__getitem__, padded)
-        if ca and cb:  # true for a == b: each mapped row is read twice
-            pa = list(pa)
-            pb = pa if a == b else list(pb)
-        if ca:
-            total += ca * sum(map(mul, pa, islice(pb, 1, None)))
-        if cb and a != b:
-            total += cb * sum(map(mul, pb, islice(pa, 1, None)))
+    for a, c in enumerate(f.coeffs):
+        if c:
+            tx = {v: v**a for v in values}
+            ty = {v: v ** (r - a) for v in values}
+            total += c * sum(map(mul, map(tx.__getitem__, xs), map(ty.__getitem__, ys)))
     return total
 
 
@@ -165,48 +146,16 @@ def power_sum_direct_sequence(f: HomogPoly, n_max: int) -> list:
     return [_row_power_sum(row, f) for row in _rows(n_max)]
 
 
-class _Degree:
-    """What power_sum_sequence reads of degree r: the columns of
-    sym_quotient(r), and annihilator_recurrence(r) once a horizon needs it.
-
-    Both are read only.  The recurrence is built on first use, so a degree
-    whose horizons the iteration alone covers never pays for the charpoly
-    behind it.
-    """
-
-    def __init__(self, r: int):
-        self.r = r
-        self.phi_sym = sym_quotient(r)
-        self.cols = list(zip(*self.phi_sym.rows))
-
-    @cached_property
-    def recurrence(self):
-        # recurrences imports this module, so the name is read at call time
-        from .recurrences import annihilator_recurrence
-
-        return annihilator_recurrence(self.r, self.phi_sym)
-
-
-@lru_cache(maxsize=128)
-def _degree(r: int) -> _Degree:
-    """The per-degree data of power_sum_sequence, built once per process.
-
-    128 entries hold every degree up to 127, which covers the degree cap of
-    `sternsums sums`.  It holds degree data only, never a form's sums: every
-    call still steps its own head and certifies the recurrence on it.
-    """
-    return _Degree(r)
-
-
-def _boundary_steps(r: int, n_max: int, cols):
+def _boundary_steps(r: int, n_max: int, phi_sym: RationalMatrix):
     """Yield u_1 .. u_n_max, the boundary functional's steps on the quotient.
 
     S_n(f) = l . phi^(n-1) . f with l = e_0 + e_r.  The swap fixes l and
     commutes with phi, so l . phi^(n-1) . f = u_n . _swap_fold(f, 1) for
     the block phi_sym of sym_quotient(r), and u_(n+1) = u_n @ phi_sym runs
-    ceil((r+1)/2) wide on integers; cols are the columns of phi_sym.  The
-    start is u_1 = e_0, or [2] for r = 0, where l = 2 e_0.
+    ceil((r+1)/2) wide on integers.  The start is u_1 = e_0, or [2] for
+    r = 0, where l = 2 e_0.
     """
+    cols = list(zip(*phi_sym.rows))
     u = [2 if r == 0 else 1] + [0] * (len(cols) - 1)
     yield u
     for _ in range(n_max - 1):
@@ -251,8 +200,7 @@ def power_sum_sequence(f: HomogPoly, n_max: int) -> list:
     denominators, and each sum is divided by d at the end.
 
     Past the head, each sum is a combination of the last L sums, for the
-    recurrence rec = annihilator_recurrence(r) of length L and offset n0,
-    built once per degree and process (see _degree):
+    recurrence rec = annihilator_recurrence(r) of length L and offset n0:
     L multiplications per term instead of the m^2 of a step, m =
     ceil((r+1)/2).  The head holds W = n0 + L + m - 1 steps, and rec is
     checked exactly on its last m indices n0 + L .. W.  That check proves
@@ -268,23 +216,23 @@ def power_sum_sequence(f: HomogPoly, n_max: int) -> list:
     r = 0, and any n_max <= 2m, stay on the iteration alone: for odd r the
     head is 2m steps anyway, and the charpoly costs about as much as 2m
     steps or more (measured at r = 10 .. 100), so the recurrence cannot pay
-    for itself there.  Past 2m it pays once the degree's recurrence is
-    built; the first call of a degree in a process pays for the charpoly,
-    which on a dense degree-100 form outweighs the steps saved up to
-    somewhere between 200 and 300 terms.
+    for itself there.
     """
+    # recurrences imports this module, so the name is read at call time
+    from .recurrences import annihilator_recurrence
+
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     r = f.degree
-    degree = _degree(r)
+    phi_sym = sym_quotient(r)
     [coeffs], d = _integer_rows([f.coeffs])
     g = _swap_fold(coeffs, 1)
     m = len(g)
     window = n_max
     if r and n_max > 2 * m:
-        rec = degree.recurrence
+        rec = annihilator_recurrence(r, phi_sym)
         window = min(n_max, rec.first_checked_index + m - 1)
-    out = [sum(map(mul, u, g)) for u in _boundary_steps(r, window, degree.cols)]
+    out = [sum(map(mul, u, g)) for u in _boundary_steps(r, window, phi_sym)]
     if window < n_max:
         out = _extend_certified(out, rec, n_max, r)
     return out if d == 1 else [Fraction(s, d) for s in out]
@@ -307,5 +255,4 @@ def power_sum_table(r: int, n_max: int, phi_sym: RationalMatrix) -> list:
             f"quotient matrix is {phi_sym.nrows}x{phi_sym.ncols} but degree "
             f"{r} needs {m}x{m}"
         )
-    cols = list(zip(*phi_sym.rows))
-    return [list(seq) for seq in zip(*_boundary_steps(r, n_max, cols))]
+    return [list(seq) for seq in zip(*_boundary_steps(r, n_max, phi_sym))]

@@ -215,7 +215,6 @@ def test_sums_json_and_csv(capsys):
     assert out.splitlines() == ["n,value", "1,1", "2,3", "3,21"]
 
 
-@pytest.mark.usefixtures("fresh_degree_memo")
 def test_sums_exits_1_naming_the_degree_when_the_certificate_fails(monkeypatch, capsys):
     # a recurrence that does not hold on the head must not extend the sums
     real = recurrences.annihilator_recurrence
@@ -322,9 +321,9 @@ def test_sums_direct_work_cap(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "power_sum_direct_sequence", stub)
     monkeypatch.setattr(cli_mod, "power_sum_sequence", stub)
     dense10 = "coeffs=[" + ",".join(["3"] * 11) + "]"
-    # a monomial reaches the row cap (the self-paired x^50 y^50 is the
-    # dearest shape admitted), a dense degree-100 form n = 13, and a dense
-    # degree-10 form n = 16, the largest --both shape of the benchmark
+    # a monomial reaches the row cap (x^50 y^50 is the dearest shape
+    # admitted), a dense degree-100 form n = 13, and a dense degree-10 form
+    # n = 16, the largest --both shape of the benchmark
     cap = DEFAULT_ROW_CAP
     admitted = [("x^100", cap), ("x^50*y^50", cap), (dense, 13), (dense10, 16)]
     for spec, n in admitted:
@@ -384,7 +383,6 @@ def test_sums_json_matches_the_recorded_digests(capsys, kind, d, n_max, digest):
     ["x^7", "x^3y^9", _coeffs_spec("dense", 13), _coeffs_spec("rational", 13)],
     ids=["x^7", "x^3y^9", "dense13", "rational13"],
 )
-@pytest.mark.usefixtures("fresh_degree_memo")
 def test_sums_builds_each_matrix_once(monkeypatch, capsys, spec):
     calls = Counter()
     for name in ("phi_matrix", "sym_quotient"):

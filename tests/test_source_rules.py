@@ -16,11 +16,6 @@ function or the benchmark's tracer wraps it.
 
 The benchmark's tracer wraps the functions its LAYERS table names, so every
 one of them must still resolve in the package.
-
-A memo holds its entries for the life of the process: every
-`functools.lru_cache` names a finite maxsize, and `functools.cache`, which
-has none, may decorate only a function of no arguments, whose one entry is
-all it can hold.
 """
 
 import ast
@@ -186,42 +181,6 @@ def test_every_public_definition_has_a_use():
     assert defined
     unused = [q for q, name in defined if name not in referenced and q not in traced]
     assert unused == []
-
-
-def _functools_name(node) -> str | None:
-    """'cache' or 'lru_cache' when node names that functools memo, else None."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
-        name = node.attr
-    else:
-        name = getattr(node, "id", None)
-    return name if name in ("cache", "lru_cache") else None
-
-
-def test_every_memo_is_bounded():
-    memos, found = [], []
-    for path, node in _nodes():
-        if isinstance(node, ast.Call) and _functools_name(node) == "lru_cache":
-            given = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
-            bounded = [v for v in given if isinstance(v, ast.Constant) and type(v.value) is int]
-            memos.append(f"{path.name}:{node.lineno}")
-            if not bounded:
-                found.append(f"{path.name}:{node.lineno} lru_cache without a finite maxsize")
-        if isinstance(node, ast.Call) and _functools_name(node.func) == "cache":
-            found.append(f"{path.name}:{node.lineno} cache called, not a decorator")
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for decorator in node.decorator_list:
-            name = _functools_name(decorator)
-            if name == "lru_cache" and not isinstance(decorator, ast.Call):
-                found.append(f"{path.name}:{node.lineno} lru_cache without a finite maxsize")
-            if name == "cache":
-                memos.append(f"{path.name}:{node.lineno}")
-                a = node.args
-                if a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
-                    found.append(f"{path.name}:{node.lineno} cache on {node.name}(...)")
-    assert memos and found == []
 
 
 def test_public_api_snapshot():

@@ -1,7 +1,6 @@
 """Stern rows and the two power-sum routes."""
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -154,9 +153,9 @@ def test_dual_path_agreement_small():
     # the termwise row sum against f evaluated pair by pair, on rows with
     # zeros, negative entries and repeated values as well as on Stern rows.
     # The row sum reads powers from a table over the row's values: SINGLE_TERMS
-    # hold the self-paired x^2 y^2 and the degree-0 forms, where 0**0 == 1
-    # counts the boundary pairs; the dense forms add a self-paired middle
-    # term beside terms whose swap partner has coefficient 0.
+    # hold x^2 y^2, whose two sides read one exponent, and the degree-0
+    # forms, where 0**0 == 1 counts the boundary pairs; the dense forms add
+    # a middle term among zero coefficients and a rational degree-0 form.
     rows = [[1], [0], [2, 3], [-4, 5, 0, 7, -1], [3, 3, -2, 3, 0, 0, -2, 3]]
     dense = [
         HomogPoly([2, -1, 0, 3]),
@@ -315,7 +314,6 @@ def test_extension_certifies_the_recurrence_first():
                 _extend_certified(head, bad, 90, r)
 
 
-@pytest.mark.usefixtures("fresh_degree_memo")
 def test_power_sum_sequence_raises_naming_r_when_the_certificate_fails(monkeypatch):
     def skewed(r, phi_sym=None):
         rec = annihilator_recurrence(r, phi_sym)
@@ -327,49 +325,6 @@ def test_power_sum_sequence_raises_naming_r_when_the_certificate_fails(monkeypat
         power_sum_sequence(HomogPoly.monomial(9, 9), 100)
     # a horizon the head covers never reads the recurrence
     assert power_sum_sequence(X3, 4) == [1, 3, 21, 147]
-
-
-@pytest.mark.usefixtures("fresh_degree_memo")
-def test_power_sum_sequence_builds_each_degree_once_and_certifies_every_call(monkeypatch):
-    calls = Counter()
-    real_quotient, real_annihilator = stern.sym_quotient, recurrences.annihilator_recurrence
-
-    def counted_quotient(*args):
-        calls["sym_quotient"] += 1
-        return real_quotient(*args)
-
-    def counted_annihilator(r, phi_sym=None):
-        calls["annihilator"] += 1
-        return real_annihilator(r, phi_sym)
-
-    def skewed(r, phi_sym=None):
-        calls["annihilator"] += 1
-        rec = real_annihilator(r, phi_sym)
-        coeffs = (rec.coefficients[0] + 1,) + rec.coefficients[1:]
-        return LinearRecurrence(rec.length, coeffs, rec.n0)
-
-    monkeypatch.setattr(stern, "sym_quotient", counted_quotient)
-    monkeypatch.setattr(recurrences, "annihilator_recurrence", counted_annihilator)
-    first, second = HomogPoly([1 + i % 4 for i in range(10)]), HomogPoly.monomial(2, 9)
-    assert power_sum_sequence(first, 100) == per_form_power_sums(first, 100)
-    assert calls == {"sym_quotient": 1, "annihilator": 1}
-    # a second form of the same degree builds nothing
-    assert power_sum_sequence(second, 100) == per_form_power_sums(second, 100)
-    assert calls == {"sym_quotient": 1, "annihilator": 1}
-    # a horizon the iteration alone covers (n_max = 2m) never builds the
-    # recurrence
-    short = HomogPoly.monomial(5, 12)
-    assert power_sum_sequence(short, 14) == per_form_power_sums(short, 14)
-    assert calls == {"sym_quotient": 2, "annihilator": 1}
-    # a wrong recurrence in the memo fails its certificate on every call
-    stern._degree.cache_clear()
-    monkeypatch.setattr(recurrences, "annihilator_recurrence", skewed)
-    with pytest.raises(ArithmeticError, match="r=9:"):
-        power_sum_sequence(first, 100)
-    monkeypatch.setattr(recurrences, "annihilator_recurrence", counted_annihilator)
-    with pytest.raises(ArithmeticError, match="r=9:"):
-        power_sum_sequence(second, 100)
-    assert calls == {"sym_quotient": 3, "annihilator": 2}
 
 
 # -- the shared table on the swap-symmetric quotient ---------------------------
