@@ -64,14 +64,15 @@ MINE_MAX_TERMS = 200
 # EXIT_RESOURCE.  `phi` stops where its text output is still a few MB and
 # under a second; its size grows as the cube of the degree.  The verify cap
 # rises only to a degree no dearer than its top degree was before the last
-# speed-up.  Since the multiplicities are certified from a charpoly mod p,
-# `verify r r` in a fresh process on one core of a 2-core Xeon costs most at
-# odd r, where the twist half kernels dominate: medians of 3.9 s at 181
-# (7 runs), 4.5 s at 185 (5) and 4.7 s at 189 (8), against 5.0 s (4.3 to
-# 6.7 s, 12 runs) for the previous version at 130; 191 took 6.1 s and 199
-# 6.5 s.  Even degrees cost less: 1.8 s at 190, 2.2 s at 200.
+# speed-up.  Since the twist halves are taken from an image pinned mod p,
+# `verify r r --json` in a fresh process on one core of a 2-core Xeon costs
+# most at even r, where the charpolys mod p, the twist halves mod p, the
+# annihilation products and the exact ranks of the halves' parities share
+# the cost: medians of 5 runs, 4.4 s at 340, 4.2 s at 350 and 5.2 s at
+# 360, against 4.4 s (4.1 to 5.0 s) for the previous version at 189, in
+# alternation with them.  Odd degrees cost less: 3.0 to 4.2 s at 351.
 PHI_MAX_DEGREE = 400
-VERIFY_MAX_DEGREE = 190
+VERIFY_MAX_DEGREE = 350
 # Caps on `sums`: the form's degree and n_max; past either one it exits
 # EXIT_RESOURCE.  The degree cap bounds the charpoly behind the transfer
 # route's recurrence, and a higher term cap would only admit more outputs

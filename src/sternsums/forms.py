@@ -210,6 +210,31 @@ def phi_matrix(r: int) -> RationalMatrix:
     )
 
 
+def twist_columns(r: int) -> tuple[list, list]:
+    """The columns of the twist t, the substitution of RHO_TWIST, and of t^2.
+
+    RHO_TWIST sends x^b y^(r-b) to y^b (y - x)^(r-b), so column b of t has
+    entry (-1)^a C(r-b, a) at a; RHO_TWIST @ RHO_TWIST sends it to
+    (y - x)^b (-x)^(r-b), so column b of t^2 has entry (-1)^a C(b, a+b-r).
+    Both are read off Pascal's rows; agreement with operator_matrix is a
+    test invariant.
+    """
+    if r < 0:
+        raise ValueError("degree must be nonnegative")
+    pascal = [[1]]
+    for _ in range(r):
+        row = pascal[-1]
+        pascal.append([1, *map(int.__add__, row, row[1:]), 1])
+    signed = [[-c if a % 2 else c for a, c in enumerate(row)] for row in pascal]
+    # (-1)^a at a = (r - b) + i is (-1)^(r-b) times the sign of i
+    t = [signed[r - b] + [0] * b for b in range(r + 1)]
+    t2 = [
+        [0] * (r - b) + (signed[b] if (r - b) % 2 == 0 else [-c for c in signed[b]])
+        for b in range(r + 1)
+    ]
+    return t, t2
+
+
 def sym_dimension(r: int) -> int:
     """Dimension of the swap-symmetric quotient: ceil((r+1)/2)."""
     return (r + 2) // 2

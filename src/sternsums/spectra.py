@@ -45,12 +45,21 @@ J phi J == phi, and raises ArithmeticError naming the degree when it fails.
 verify_single builds that context once per degree, and every check reads
 phi, the blocks, their polynomials and the twist kernel from it.  As
 J rho J = rho^-1 for rho = RHO_TWIST, J maps the twist kernel onto itself,
-so it is eliminated as its symmetric and antisymmetric halves, indexed by
-swap class as the blocks are; the symmetric fold is injective on the first
-and kills the second.  On a form of swap sign s and even degree, the
-quarter turn f(x, y) -> f(y, -x) acts on entry a as s (-1)^a, which is
-s (-1)^i on both entries r - i and i of class i, so every dimension that
-involves its eigenspaces Y+- is a rank of one parity of a half's entries.
+so it is taken as its symmetric and antisymmetric halves, indexed by swap
+class as the blocks are; the symmetric fold is injective on the first and
+kills the second.  No elimination over Q computes them: the twist t has
+t^3 = (-1)^r, so the twist kernel is the image of the complementary factor
+of t^3 - (-1)^r, and each half is spanned by the folded columns of that
+image.  Their rank mod p, and that of the folded columns of the kernel's
+own factor, can only fall short of the exact ones, which sum to the half's
+width; where the two ranks mod p sum to it, both are exact, and the image
+columns kept are an exact basis (see _image_half).  Where they do not, the
+half is the exact kernel of the folded factor, which yields the same
+report.  On a form of swap sign s and even degree, the quarter turn
+f(x, y) -> f(y, -x) acts on entry a as s (-1)^a, which is s (-1)^i on both
+entries r - i and i of class i, so every dimension that involves its
+eigenspaces Y+- is a rank of one parity of a half's entries, and the
+annihilation identities are checked on the blocks.
 
 A composition subtlety drives the eigenspace computations.  With row-vector
 substitution the operators compose covariantly, so the operator that the
@@ -70,12 +79,12 @@ from functools import cached_property
 from typing import Union
 
 from .forms import (
-    RHO_TWIST,
     _swap_fold,
     anti_quotient,
-    operator_matrix,
     phi_matrix,
+    sym_dimension,
     sym_quotient,
+    twist_columns,
 )
 from .linalg import (
     IntPolynomial,
@@ -314,7 +323,13 @@ class SpectralContext:
     respectively X).  Both are indexed by swap class, as the blocks are
     (see forms._swap_fold): a vector w of the half of sign s = +-1 stands
     for the form v with v[r-i] = w[i] and v[i] = s w[i], for i <= r/2
-    (i < r/2 for s = -1, whose middle entry is 0).
+    (i < r/2 for s = -1, whose middle entry is 0).  Each half comes from the
+    image of the complementary factor, t^2 - t + 1 for odd r and t - 1 for
+    even r: its folded columns, fewest bits first, pinned mod
+    _CERTIFICATE_PRIME by the sandwich of _image_half.  A half whose
+    sandwich does not close falls back to _half_kernel, the exact kernel of
+    the folded factor; the basis differs, but every check reads only its
+    span, so the report does not.
 
     eigenvectors holds, for sym and for anti, {lam: the dimension of the
     part of the half on which the transfer matrix acts as lam once
@@ -347,6 +362,69 @@ def _half_kernel(part: RationalMatrix, sign: int) -> tuple:
     return tuple(_integer_kernel(RationalMatrix(folded))) if folded[0] else ()
 
 
+def _extend_echelon(echelon: list, vec: list, p: int) -> bool:
+    """Reduce vec mod p by echelon, whose entries (pivot, tail) are rows mod
+    p that are zero left of pivot, 1 at it and zero at every earlier pivot,
+    with tail the row from pivot on; append what is left, if anything, and
+    say whether it was."""
+    v = [x % p for x in vec]
+    for piv, tail in echelon:
+        c = v[piv]
+        if c:
+            v[piv:] = [(x - c * y) % p for x, y in zip(v[piv:], tail)]
+    piv = next((i for i, x in enumerate(v) if x), None)
+    if piv is None:
+        return False
+    inv = pow(v[piv], -1, p)
+    echelon.append((piv, [x * inv % p for x in v[piv:]]))
+    return True
+
+
+def _image_half(image: list, factor: list, sign: int) -> tuple | None:
+    """The half of sign s of im(image) = ker(factor), from their columns, or
+    None where the certificate refuses.
+
+    image and factor are the columns of two coprime polynomials in the
+    twist t whose product vanishes at t (see spectral_context), so the forms
+    are the direct sum of their kernels, im image = ker factor and
+    im factor = ker image.  The swap maps each of these onto itself, so the
+    forms of sign s, of dimension width (the number of classes of sign s),
+    split the same way, and the parts of sign s of the two images are
+    spanned by the half vectors w[i] = u[r-i] + s u[i] of their columns u
+    (the middle class too, so that w stands for u + s Ju).  So their ranks
+    over Q sum to width.  A rank mod p = _CERTIFICATE_PRIME can only be
+    lower, so the columns go, in pairs, into two echelons mod p until the
+    ranks sum to width: then both are exact, and the image's half vectors
+    that raised its rank, being independent mod p, are independent over Q
+    and as many as the half is wide.  They are returned divided by their
+    content, with the last nonzero entry positive, as _half_kernel's are.
+    """
+    r = len(image) - 1
+    width = sym_dimension(r) if sign == 1 else (r + 1) // 2
+    p = _CERTIFICATE_PRIME
+    kept, image_echelon, factor_echelon = [], [], []
+    # the smallest columns first: the exact ranks of _vanishing_dim and the
+    # annihilation identities run on the basis kept
+    order = sorted(range(r + 1), key=lambda b: max(map(abs, image[b])))
+    for b in order:
+        if len(image_echelon) + len(factor_echelon) == width:
+            break
+        u, x = image[b], factor[b]
+        w = [u[r - i] + sign * u[i] for i in range(width)]
+        if _extend_echelon(image_echelon, w, p):
+            kept.append(w)
+        _extend_echelon(factor_echelon, [x[r - i] + sign * x[i] for i in range(width)], p)
+    if len(image_echelon) + len(factor_echelon) != width:
+        return None
+    basis = []
+    for w in kept:
+        g = math.gcd(*w)
+        if next(x for x in reversed(w) if x) < 0:
+            g = -g
+        basis.append(tuple(x // g for x in w))
+    return tuple(basis)
+
+
 def spectral_context(r: int) -> SpectralContext:
     """The per-degree context, after certifying that phi commutes with the swap.
 
@@ -370,15 +448,24 @@ def spectral_context(r: int) -> SpectralContext:
             f"phi[{r - a}][{r - b}] = {rows[r - a][r - b]} "
             f"but phi[{a}][{b}] = {rows[a][b]}"
         )
-    twist = operator_matrix(RHO_TWIST, r)
-    ident = RationalMatrix.identity(n)
-    if r % 2:
-        twist_part = twist + ident
-    else:
-        # substitution composes covariantly, so this is twist @ twist
-        twist_part = operator_matrix(RHO_TWIST @ RHO_TWIST, r) + twist + ident
-    twist_sym = _half_kernel(twist_part, 1)
-    twist_anti = _half_kernel(twist_part, -1)
+    # t^3 = e for e = (-1)^r, as RHO_TWIST^3 = -I, and
+    # x^3 - e = (x - e)(x^2 + e x + 1): W = ker(t + 1) = im(t^2 - t + 1) for
+    # odd r, X = ker(t^2 + t + 1) = im(t - 1) for even r
+    t, t2 = twist_columns(r)
+    e = -1 if r % 2 else 1
+    linear = [[x - e * (a == b) for a, x in enumerate(c)] for b, c in enumerate(t)]
+    quadratic = [
+        [y + e * x + (a == b) for a, (x, y) in enumerate(zip(c, c2))]
+        for b, (c, c2) in enumerate(zip(t, t2))
+    ]
+    factor, image = (linear, quadratic) if r % 2 else (quadratic, linear)
+    halves = []
+    for sign in (1, -1):
+        half = _image_half(image, factor, sign)
+        if half is None:
+            half = _half_kernel(RationalMatrix(zip(*factor)), sign)
+        halves.append(half)
+    twist_sym, twist_anti = halves
     if r % 2:
         eigenvectors = ({0: len(twist_sym)}, {0: len(twist_anti)})
     else:
@@ -482,32 +569,34 @@ def check_annihilation_identities(ctx: SpectralContext) -> dict:
 
     Odd r: the transfer matrix kills every kernel vector of (twist + 1).
     Even r: (transfer + quarter-turn) kills every kernel vector of
-    twist^2 + twist + 1, where the quarter turn acts on entry a of a form
-    of swap sign s as s (-1)^a.  Each form is rebuilt from its half, class
-    i giving the entries r - i and i; the check is vacuously true when the
-    eigenspace is zero.  The degree is ctx.r.
+    twist^2 + twist + 1.  Both are checked on the swap blocks: a vector w of
+    the half of sign s stands for a form v of swap sign s, phi v has sign s
+    too (phi commutes with the swap, as spectral_context certifies), and the
+    fold of sign s is one to one on such forms, with
+    fold(phi v) = block_s fold(v).  fold(v) is 2 w[i] at class i, and w[i]
+    at the middle class, and the quarter turn multiplies class i of it by
+    s (-1)^i.  The check is vacuously true when the eigenspace is zero.  The
+    degree is ctx.r.
     """
     r = ctx.r
     if r < 1:
         raise ValueError("degree must be at least 1")
-    forms = []
-    for sign, basis in ((1, ctx.twist_sym), (-1, ctx.twist_anti)):
-        for w in basis:
-            v = [0] * (r + 1)
-            for i, x in enumerate(w):
-                v[r - i], v[i] = x, sign * x
-            forms.append((sign, v))
+    folded = [
+        (sign, block.matrix, [x if 2 * i == r else 2 * x for i, x in enumerate(w)])
+        for sign, block, basis in ((1, ctx.sym, ctx.twist_sym), (-1, ctx.anti, ctx.twist_anti))
+        for w in basis
+    ]
     if r % 2:
-        ok = all(not any(ctx.phi.mat_vec(v)) for _, v in forms)
-        return {"phi_kills_W": ok, "space_dim": len(forms)}
+        ok = all(not any(block.mat_vec(u)) for _, block, u in folded)
+        return {"phi_kills_W": ok, "space_dim": len(folded)}
     ok = all(
         not any(
-            p + (-sign if a % 2 else sign) * x
-            for a, (p, x) in enumerate(zip(ctx.phi.mat_vec(v), v))
+            p + (-sign if i % 2 else sign) * x
+            for i, (p, x) in enumerate(zip(block.mat_vec(u), u))
         )
-        for sign, v in forms
+        for sign, block, u in folded
     )
-    return {"phi_plus_iota_kills_X": ok, "space_dim": len(forms)}
+    return {"phi_plus_iota_kills_X": ok, "space_dim": len(folded)}
 
 
 def check_diagonalizability(ctx: SpectralContext) -> tuple:

@@ -459,9 +459,10 @@ def test_verify_json_payload(capsys):
 
 
 def test_verify_degree_cap(monkeypatch, capsys):
-    # raised from 130 once the multiplicities were certified mod p; cli.py
-    # and README give the timings behind it
-    assert VERIFY_MAX_DEGREE == 190
+    # raised from 130 once the multiplicities were certified mod p, and
+    # from 190 once the twist halves were; cli.py and README give the
+    # timings behind it
+    assert VERIFY_MAX_DEGREE == 350
     monkeypatch.setattr(cli_mod, "verify_range", _no_matrix)
     monkeypatch.setattr(spectra, "spectral_context", _no_matrix)
     for r_min in (1, VERIFY_MAX_DEGREE + 1):

@@ -21,6 +21,7 @@ from sternsums.forms import (
     phi_matrix,
     substitute,
     sym_quotient,
+    twist_columns,
 )
 from sternsums.linalg import RationalMatrix
 
@@ -133,6 +134,20 @@ def test_phi_matrix_goldens():
 def test_phi_matrix_equals_sum_of_shear_operators():
     for r in range(0, 41):
         assert phi_matrix(r) == operator_matrix(SIGMA, r) + operator_matrix(TAU, r)
+
+
+def test_twist_columns_equal_the_operator_matrices():
+    square = RHO_TWIST @ RHO_TWIST
+    for r in range(0, 61):
+        t, t2 = twist_columns(r)
+        assert RationalMatrix(zip(*t)) == operator_matrix(RHO_TWIST, r), r
+        assert RationalMatrix(zip(*t2)) == operator_matrix(square, r), r
+    # t^3 = (-1)^r, on which spectra's image route for the twist halves rests
+    for r in range(0, 31):
+        t, t2 = (RationalMatrix(zip(*cols)) for cols in twist_columns(r))
+        assert t2 @ t == RationalMatrix.identity(r + 1) * (-1) ** r, r
+    with pytest.raises(ValueError):
+        twist_columns(-1)
 
 
 def test_swap_inverts_the_twist():

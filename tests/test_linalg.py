@@ -42,7 +42,7 @@ from sternsums.linalg import (
     root_power,
     solve_linear,
 )
-from sternsums.spectra import spectral_context
+from sternsums.spectra import _half_kernel, spectral_context
 
 
 # -- oracles ----------------------------------------------------------------
@@ -307,11 +307,17 @@ def twist_forms(ctx) -> list:
 def _assert_halves_span_the_twist_kernel(r: int):
     part = twist_part(r)
     kernel = _integer_kernel(part)
-    forms = [v for _, v in twist_forms(spectral_context(r))]
+    ctx = spectral_context(r)
+    forms = [v for _, v in twist_forms(ctx)]
     # in the kernel, independent and as many as its dimension: a basis of it
     assert all(not any(part.mat_vec(v)) for v in forms), r
     assert len(forms) == len(kernel), r
     assert not forms or rank(RationalMatrix(forms)) == len(forms), r
+    # each half spans what the exact half kernel, the fallback, spans
+    for sign, half in ((1, ctx.twist_sym), (-1, ctx.twist_anti)):
+        oracle = _half_kernel(part, sign)
+        assert len(half) == len(oracle), (r, sign)
+        assert not half or rank(RationalMatrix(half + oracle)) == len(half), (r, sign)
 
 
 def _assert_twist_kernels_agree(degrees):

@@ -1,11 +1,13 @@
 """Periodic bracket formulas and the multiplicity verifier."""
 
 import json
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from sternsums.forms import IOTA, RHO, RHO_TWIST, operator_matrix, phi_matrix
+from sternsums.forms import IOTA, RHO, RHO_TWIST, operator_matrix, phi_matrix, sym_dimension
 from sternsums.linalg import RationalMatrix, kernel_basis
 from test_linalg import twist_forms
 from sternsums.spectra import (
@@ -18,6 +20,7 @@ from sternsums.spectra import (
     DIM_Y_PLUS,
     PeriodicFn,
     _dim_value,
+    _holds,
     check_annihilation_identities,
     check_diagonalizability,
     eigenspace_dims,
@@ -189,6 +192,50 @@ def test_annihilation_identities():
     assert a2 == {"phi_plus_iota_kills_X": True, "space_dim": 2}
     a1 = check_annihilation_identities(spectral_context(1))
     assert a1["phi_kills_W"] and a1["space_dim"] == 0  # vacuous
+
+
+def full_width_annihilation(ctx) -> dict:
+    """The identities on the full transfer matrix, each half vector rebuilt
+    as its form, and the quarter turn as its substitution matrix: the oracle
+    of check_annihilation_identities, which checks them on the swap blocks."""
+    r = ctx.r
+    forms = [v for _, v in twist_forms(ctx)]
+    if r % 2:
+        return {
+            "phi_kills_W": all(not any(ctx.phi.mat_vec(v)) for v in forms),
+            "space_dim": len(forms),
+        }
+    combo = ctx.phi + operator_matrix(IOTA, r)
+    return {
+        "phi_plus_iota_kills_X": all(not any(combo.mat_vec(v)) for v in forms),
+        "space_dim": len(forms),
+    }
+
+
+def test_block_annihilation_check_equals_the_full_width_one():
+    for r in [*range(1, 21), 30, 45, 60]:
+        ctx = spectral_context(r)
+        assert check_annihilation_identities(ctx) == full_width_annihilation(ctx), r
+
+
+def test_block_annihilation_check_fails_forged_vectors():
+    # every class unit vector, alone and added to a genuine half vector, the
+    # middle class of even r included: the block check agrees with the full
+    # width one, so it passes no form that the full-width one fails
+    failed = Counter()
+    for r in range(3, 13):
+        ctx = spectral_context(r)
+        for sign, name in ((1, "twist_sym"), (-1, "twist_anti")):
+            basis = getattr(ctx, name)
+            width = sym_dimension(r) if sign == 1 else (r + 1) // 2
+            for i in range(width):
+                unit = tuple(int(j == i) for j in range(width))
+                for forged in (unit, *(tuple(map(sum, zip(w, unit))) for w in basis[:1])):
+                    fake = replace(ctx, **{name: basis + (forged,)})
+                    got = check_annihilation_identities(fake)
+                    assert got == full_width_annihilation(fake), (r, sign, forged)
+                    failed[r % 2, sign] += not _holds(got)
+    assert all(failed[parity, sign] for parity in (0, 1) for sign in (1, -1)), failed
 
 
 def test_transfer_factors_through_twist_plus_one():

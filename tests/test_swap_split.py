@@ -474,12 +474,51 @@ def test_certificate_refuses_or_agrees_on_seeded_matrices():
     assert outcomes[True, True] and outcomes[False, True] and outcomes[False, False]
 
 
+def _count_half_kernels(monkeypatch) -> Counter:
+    """Counts the exact half kernels, the fallback of the twist halves, by sign."""
+    calls = Counter()
+    real = spectra._half_kernel
+
+    def counted(part, sign):
+        calls[sign] += 1
+        return real(part, sign)
+
+    monkeypatch.setattr(spectra, "_half_kernel", counted)
+    return calls
+
+
+def _cap_the_echelons(monkeypatch):
+    """Each echelon mod p keeps one vector at most, so the ranks of the
+    image and the factor never sum to a half wider than 2."""
+    real = spectra._extend_echelon
+
+    def capped(echelon, vec, p):
+        return not echelon and real(echelon, vec, p)
+
+    monkeypatch.setattr(spectra, "_extend_echelon", capped)
+
+
+@pytest.mark.parametrize("r", [11, 12])
+def test_refused_twist_half_falls_back_to_the_half_kernel(monkeypatch, capsys, r):
+    def outputs():
+        argv = ["verify", str(r), str(r)]
+        return [(main(argv + fmt), capsys.readouterr()) for fmt in ([], ["--json"])]
+
+    expected = outputs()
+    _cap_the_echelons(monkeypatch)
+    calls = _count_half_kernels(monkeypatch)
+    assert outputs() == expected
+    assert calls == Counter({1: 2, -1: 2})  # both halves, in each of the two runs
+
+
 @pytest.mark.extended
 def test_certificate_never_falls_back_up_to_the_verify_cap(monkeypatch):
     calls = _count_exact_route(monkeypatch)
+    half_kernels = _count_half_kernels(monkeypatch)
     for r in range(1, VERIFY_MAX_DEGREE + 1):
         assert verify_single(r).passed, r
         assert not calls, r
+        assert not half_kernels, r
 
 
 # -- the certificate of the split -------------------------------------------------
@@ -544,11 +583,12 @@ def test_verify_single_builds_each_object_once(monkeypatch, r):
 @pytest.mark.parametrize("r", [11, 12, 20])
 def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
     # the quarter turn is a sign per entry of each swap half, and the twist
-    # kernel is computed as its two halves and nothing else, never r + 1
-    # columns wide.  The dimensions are read off them: for even r four
-    # ranks each at most half as wide as a half, for odd r no rank, and no
-    # block nullity, as the certificate pins every multiplicity.  No two
-    # matrices are multiplied: twist^2 is the substitution of RHO_TWIST^2.
+    # kernel is taken as its two halves from the image of the complementary
+    # factor, pinned mod p: no substitution matrix, no exact kernel.  The
+    # dimensions are read off the halves: for even r four ranks each at
+    # most half as wide as a half, for odd r no rank, and no block nullity,
+    # as the certificate pins every multiplicity.  No two matrices are
+    # multiplied: t and t^2 come from binomials.
     gammas = []
     kernels = Counter()
     rank_widths = {linalg: [], spectra: []}
@@ -584,8 +624,8 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
 
         monkeypatch.setattr(module, "rank", counted_rank)
     assert verify_single(r).passed
-    assert IOTA not in gammas and gammas
-    assert kernels == Counter([r // 2 + 1, (r + 1) // 2])
+    assert not gammas
+    assert not kernels
     assert not rank_widths[linalg]
     assert len(rank_widths[spectra]) == (0 if r % 2 else 4)
     assert max(rank_widths[spectra], default=0) <= (r // 2 + 2) // 2
