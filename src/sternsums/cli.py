@@ -24,9 +24,24 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
+from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
 
 from .forms import HomogPoly, phi_matrix, sym_quotient
@@ -40,8 +55,8 @@ from .spectra import verify_range
 from .stern import (
     DEFAULT_ROW_CAP,
     RowCapError,
+    _transfer_sums,
     power_sum_direct_sequence,
-    power_sum_sequence,
     stern_row,
 )
 
@@ -74,9 +89,12 @@ MINE_MAX_TERMS = 200
 PHI_MAX_DEGREE = 400
 VERIFY_MAX_DEGREE = 350
 # Caps on `sums`: the form's degree and n_max; past either one it exits
-# EXIT_RESOURCE.  The degree cap bounds the charpoly behind the transfer
-# route's recurrence, and a higher term cap would only admit more outputs
-# past the 4300 digits that Python renders.
+# EXIT_RESOURCE.  At both caps the transfer route costs most in the
+# recurrence's multiply-adds on values of up to about 17 000 digits: a
+# dense degree-100 form over 800 terms takes 1.2 to 1.4 s in a fresh
+# process on one core of a 2-core Xeon, 0.2 s of it the 102 quotient steps
+# of the head and 0.05 s the recurrence's lift.  A higher term cap would
+# only admit more outputs past the 4300 digits that Python renders.
 SUMS_MAX_DEGREE = 100
 SUMS_MAX_TERMS = 800
 # Cap on the direct route's work (`sums --direct` and `--both`): the form's
@@ -89,16 +107,54 @@ SUMS_MAX_TERMS = 800
 SUMS_MAX_DIRECT_WORK = 2**21
 
 
+# `sums` extends the transfer route in Decimal, whose str() takes linear
+# time where that of int is quadratic.  Every operation on these integers
+# is exact: one that would round raises instead.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+
+
+@dataclass(frozen=True)
+class _DecimalFraction:
+    """A non-integral rational whose numerator is an integral Decimal, in
+    lowest terms with a positive denominator, as Fraction keeps it."""
+
+    numerator: Decimal
+    denominator: int
+
+
+def _decimal_quotient(s: Decimal, d: int):
+    """s / d for integral s and d > 0: a Decimal if d divides s, otherwise a
+    _DecimalFraction.  Call under _EXACT."""
+    g = math.gcd(int(s % d), d)
+    return s // d if g == d else _DecimalFraction(s // g, d // g)
+
+
 def encode_rational(x) -> str:
-    """Decimal-string form: integers plain, non-integers as p/q in lowest terms."""
+    """Decimal-string form: integers plain, non-integers as p/q in lowest terms.
+
+    A Decimal must be integral with exponent 0, as `sums` makes them: it
+    renders as the int it equals, and a _DecimalFraction as the Fraction it
+    equals.  An integer with more digits than a nonzero
+    sys.get_int_max_str_digits() raises the ValueError that str(int) raises,
+    as a Decimal or not.
+    """
     if isinstance(x, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(x, int):
         return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, Decimal):
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and x.adjusted() >= limit:
+            str(int(x))  # raises str(int)'s own refusal
+        return str(x) if x else "0"  # never "-0"
+    if isinstance(x, (Fraction, _DecimalFraction)):
+        numerator = encode_rational(x.numerator)
+        return numerator if x.denominator == 1 else f"{numerator}/{x.denominator}"
     raise TypeError(f"cannot encode {type(x).__name__} as a rational")
 
 
@@ -106,7 +162,7 @@ def encode_payload(value):
     """Recursively stringify every rational in a results payload."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction, Decimal, _DecimalFraction)):
         return encode_rational(value)
     if isinstance(value, dict):
         return {k: encode_payload(v) for k, v in value.items()}
@@ -229,12 +285,14 @@ def cmd_sums(args):
         # any power sum is computed
         values = power_sum_direct_sequence(f, args.n_max)
     if mode != "direct":
-        # an ArithmeticError names r: the recurrence that extends the sums
-        # failed its exact certificate
-        fast = power_sum_sequence(f, args.n_max)
-        if mode == "both" and fast != values:
-            raise ArithmeticError("direct and fast power sums disagree")
-        values = fast
+        # an ArithmeticError names r: no recurrence to extend the sums
+        # passed its exact certificate
+        with localcontext(_EXACT):
+            sums, d = _transfer_sums(f, args.n_max, Decimal)
+            if mode == "fast":
+                values = sums if d == 1 else [_decimal_quotient(s, d) for s in sums]
+            elif sums != [v * d for v in values]:
+                raise ArithmeticError("direct and fast power sums disagree")
     results = {"values": values, "mode": mode}
     if mode == "both":
         results["paths_agree"] = True

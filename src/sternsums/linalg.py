@@ -646,11 +646,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _gcd_primes():
-    """The primes below 2**31, descending."""
+def _primes_below_2_31():
+    """The primes below 2**31, descending: the moduli of the modular lifts."""
     for n in range(2**31 - 1, 7, -2):
         if _is_prime(n):
             yield n
+
+
+def _crt_step(
+    lifted: list, modulus: int, image: Sequence[int], prime: int
+) -> tuple[list, int, list]:
+    """One Chinese remaindering step of a modular lift (Brown).
+
+    lifted holds residues mod modulus, and image residues of the same
+    integers mod prime.  Returns the residues mod modulus * prime, that
+    modulus, and the candidate: each residue's representative of least
+    absolute value.
+    """
+    step = pow(modulus, -1, prime)
+    lifted = [u + modulus * ((v - u) * step % prime) for u, v in zip(lifted, image)]
+    modulus *= prime
+    half = modulus // 2
+    return lifted, modulus, [x - modulus if x > half else x for x in lifted]
 
 
 def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list:
@@ -754,7 +771,7 @@ def polynomial_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     b = q.primitive().coeffs
     lc = math.gcd(a[-1], b[-1])
     size = None  # length of the images being lifted
-    for prime in _gcd_primes():
+    for prime in _primes_below_2_31():
         if not a[-1] % prime or not b[-1] % prime:
             continue
         image = _gcd_mod(a, b, prime)
@@ -764,14 +781,10 @@ def polynomial_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
             continue  # the prime divides a resultant: its image is too large
         if size is None or len(image) < size:
             size, modulus, lifted, candidate = len(image), 1, [0] * len(image), None
-        step = pow(modulus, -1, prime)
-        lifted = [
-            u + modulus * ((v * lc - u) * step % prime) for u, v in zip(lifted, image)
-        ]
-        modulus *= prime
-        half = modulus // 2
         previous = candidate
-        candidate = [x - modulus if x > half else x for x in lifted]
+        lifted, modulus, candidate = _crt_step(
+            lifted, modulus, [v * lc for v in image], prime
+        )
         if candidate == previous:
             g = IntPolynomial(candidate).primitive()
             if (

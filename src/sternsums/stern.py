@@ -17,12 +17,17 @@ from a table over the row's distinct values, which are few (at most
 F(n+1)), instead of calling pow on every entry.  Step n of the transfer
 iteration holds S_n of every monomial class at once (power_sum_table).
 power_sum_sequence contracts each step with the form's coefficients folded
-onto the swap classes (forms._swap_fold), but only over a short head: it
-then extends the sums by the degree's shortened annihilator, the paper's
-recurrence of length about r/3, once an exact certificate on the head
-proves that the recurrence holds for every later n.  The agreement of the
-two routes is a core test invariant; the per-form iteration of the full
-transfer matrix is the transfer route's oracle in the tests.
+onto the swap classes (forms._swap_fold), but only over a head of 2m
+steps, m = ceil((r+1)/2).  It then extends the sums by the form's own
+minimal recurrence, of length at most m (about r/3 in practice, the
+paper's bound), found by Berlekamp-Massey mod primes below 2^31 and
+Chinese remaindering, and used only once an exact check on the head proves
+that it holds for every later n; no characteristic polynomial is computed.
+The extension runs on whichever exact integer type it is given: int for
+power_sum_sequence, Decimal for the command line, whose values then print
+in linear time.  The agreement of the two routes is a core test
+invariant; the per-form iteration of the full transfer matrix is the
+transfer route's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
-from typing import Union
+from typing import Sequence, Union
 
 from .forms import HomogPoly, _swap_fold, sym_dimension, sym_quotient
-from .linalg import RationalMatrix, _integer_rows
+from .linalg import RationalMatrix, _crt_step, _integer_rows, _primes_below_2_31
 
 Rational = Union[int, Fraction]
 
@@ -163,33 +168,109 @@ def _boundary_steps(r: int, n_max: int, phi_sym: RationalMatrix):
         yield u
 
 
-def _extend_certified(head: list, rec, n_max: int, r: int) -> list:
-    """head, the sums S_1 .. S_W, extended to S_1 .. S_n_max by rec.
+def _berlekamp_massey_mod(seq: Sequence[int], p: int) -> list:
+    """The shortest linear recurrence of seq over GF(p), in window order.
 
-    One expression both checks and extends: rec must reproduce every sum of
-    head from rec.first_checked_index on before it produces a new one.
-    power_sum_sequence sizes head so that the check covers sym_dimension(r)
-    consecutive indices, which proves rec for every later n.  Raises
-    ArithmeticError naming r when the check fails.
+    Returns [w_1, ..., w_L], residues mod p, with seq[n] = w_1 seq[n-L] +
+    ... + w_L seq[n-1] mod p at every index n from L on, for the linear
+    complexity L of seq mod p (J. L. Massey, IEEE Trans. Inf. Theory 15,
+    1969).  L = 0 means that seq vanishes mod p.
     """
-    length = rec.length
-    coeffs = rec.coefficients[::-1]
-    out = list(head)
-    for n in range(rec.first_checked_index, n_max + 1):
-        value = sum(map(mul, coeffs, out[n - 1 - length:n - 1]))
-        if n > len(head):
-            out.append(value)
-        elif value != out[n - 1]:
-            raise ArithmeticError(
-                f"r={r}: the annihilator recurrence of length {length} fails "
-                f"its certificate at S_{n}"
-            )
-    return out
+    s = [x % p for x in seq]
+    c, b = [1], [1]  # connection polynomials, lowest degree first
+    length, shift, last = 0, 1, 1
+    for n in range(len(s)):
+        d = sum(map(mul, c, s[n::-1])) % p
+        if not d:
+            shift += 1
+            continue
+        coef = d * pow(last, -1, p) % p
+        new = c + [0] * (len(b) + shift - len(c))
+        for i, x in enumerate(b):
+            new[i + shift] = (new[i + shift] - coef * x) % p
+        if 2 * length <= n:
+            length, b, last, shift = n + 1 - length, c, d, 1
+        else:
+            shift += 1
+        c = new
+    c += [0] * (length + 1 - len(c))
+    return [-x % p for x in reversed(c[1:length + 1])]
+
+
+def _form_recurrence(head: list, r: int) -> list:
+    """The minimal recurrence of head, 2m sums of a degree-r form, lifted
+    from its images mod p and certified on head.
+
+    Returns [w_1, ..., w_L] in window order: head[n] = w_1 head[n-L] + ... +
+    w_L head[n-1].  The minimal polynomial of the sums divides that of the
+    quotient matrix, which is monic of degree at most m, so by Gauss's lemma
+    it is monic in Z[x] and the w_j are integers.  Berlekamp-Massey runs
+    mod each prime of _primes_below_2_31.  An image mod p is never longer
+    than the true recurrence, and one of the same length is its reduction,
+    as both generate 2m >= 2L terms; so a longer image restarts the lift,
+    and a shorter one comes from an unlucky prime and is skipped.  The
+    images are combined by Chinese remaindering, and once the candidate
+    stops changing it is checked exactly: it must have L <= m and reproduce
+    head at every index L + 1 .. 2m (1-based), at least m consecutive ones.
+    power_sum_sequence says why that proves it for every later index.  A
+    candidate is checked at most once.  Raises ArithmeticError naming r if
+    the primes run out first.
+    """
+    m = len(head) // 2
+    size, refused = -1, None
+    for prime in _primes_below_2_31():
+        image = _berlekamp_massey_mod(head, prime)
+        if len(image) < size:
+            continue  # an unlucky prime
+        if len(image) > size:
+            size, modulus, lifted, candidate = len(image), 1, [0] * len(image), None
+        previous = candidate
+        lifted, modulus, candidate = _crt_step(lifted, modulus, image, prime)
+        if candidate != previous or candidate == refused:
+            continue
+        if size <= m and all(
+            sum(map(mul, candidate, head[n - size:n])) == head[n]
+            for n in range(size, len(head))
+        ):
+            return candidate
+        refused = candidate
+    raise ArithmeticError(
+        f"r={r}: no recurrence lifted from Berlekamp-Massey images mod the "
+        f"primes below 2**31 passed its certificate on the head"
+    )
+
+
+def _transfer_sums(f: HomogPoly, n_max: int, num=int) -> tuple[list, int]:
+    """(sums, d): d S_1(f), ..., d S_n_max(f) as values of type num, for the
+    lcm d of f's denominators.
+
+    The head, S_1 .. S_min(n_max, 2m), comes from the quotient steps in
+    int.  Past it, the recurrence of _form_recurrence extends the sums in
+    num, which must be int or a type that does exact integer arithmetic
+    with int: Decimal under a context that traps rounding, as the command
+    line uses, because its str() takes linear time and that of int
+    quadratic time.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    r = f.degree
+    phi_sym = sym_quotient(r)
+    [coeffs], d = _integer_rows([f.coeffs])
+    g = _swap_fold(coeffs, 1)
+    m = len(g)
+    head = [sum(map(mul, u, g)) for u in _boundary_steps(r, min(n_max, 2 * m), phi_sym)]
+    sums = list(map(num, head))
+    if n_max > 2 * m:
+        rec = list(map(num, _form_recurrence(head, r)))
+        length, zero = len(rec), num()  # zero: an empty rec extends in num too
+        for n in range(2 * m, n_max):
+            sums.append(sum(map(mul, rec, sums[n - length:n]), zero))
+    return sums, d
 
 
 def power_sum_sequence(f: HomogPoly, n_max: int) -> list:
-    """[S_1(f), ..., S_n_max(f)]: a head of quotient steps, then a certified
-    recurrence.
+    """[S_1(f), ..., S_n_max(f)]: a head of quotient steps, then the form's
+    own certified recurrence.
 
     No row is generated: the cost is polynomial in the degree and linear in
     n_max, so large n is cheap.  A caller that needs only S_n takes the last
@@ -199,43 +280,23 @@ def power_sum_sequence(f: HomogPoly, n_max: int) -> list:
     form is contracted on integers as d*f, for the lcm d of its
     denominators, and each sum is divided by d at the end.
 
-    Past the head, each sum is a combination of the last L sums, for the
-    recurrence rec = annihilator_recurrence(r) of length L and offset n0:
-    L multiplications per term instead of the m^2 of a step, m =
-    ceil((r+1)/2).  The head holds W = n0 + L + m - 1 steps, and rec is
-    checked exactly on its last m indices n0 + L .. W.  That check proves
-    rec for every later n: the residual b_n = S_n - (a_1 S_(n-1) + ... +
-    a_L S_(n-L)) is u_1 . A^(n-L-1) . q(A) . g for the quotient matrix A,
-    rec's polynomial q and the folded form g, so by Cayley-Hamilton it
-    satisfies the charpoly of A, of degree m, and m consecutive zeros force
-    every later b_n to vanish.  For odd r rec holds by Cayley-Hamilton
-    anyway; for even r it rests on the paper's semisimplicity at +-1, which
-    the check certifies for this query.  A failed check raises
-    ArithmeticError naming r.
-
-    r = 0, and any n_max <= 2m, stay on the iteration alone: for odd r the
-    head is 2m steps anyway, and the charpoly costs about as much as 2m
-    steps or more (measured at r = 10 .. 100), so the recurrence cannot pay
-    for itself there.
+    For n_max <= 2m, m = ceil((r+1)/2), every sum is a step.  Past that,
+    the head is exactly 2m steps, and each later sum is a combination of
+    the last L, for the minimal recurrence w of the form's own sums
+    (_form_recurrence): L multiplications per term instead of the m^2 of
+    a step, and L <= m.  w is found by Berlekamp-Massey mod primes and
+    Chinese remaindering, with no characteristic polynomial, and is
+    accepted only when it reproduces the head exactly at every index L + 1
+    .. 2m.  That check proves w for every later n, whatever produced it:
+    the residual b_n = S_n - (w_L S_(n-1) + ... + w_1 S_(n-L)) is
+    u_1 . A^(n-L-1) . q(A) . g for the quotient matrix A, w's polynomial q
+    and the folded form g, so by Cayley-Hamilton it satisfies the charpoly
+    of A, of degree m, and the 2m - L >= m consecutive zeros that the check
+    finds force every later b_n to vanish.  If no lifted candidate passes
+    before the primes run out, ArithmeticError names r.
     """
-    # recurrences imports this module, so the name is read at call time
-    from .recurrences import annihilator_recurrence
-
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    r = f.degree
-    phi_sym = sym_quotient(r)
-    [coeffs], d = _integer_rows([f.coeffs])
-    g = _swap_fold(coeffs, 1)
-    m = len(g)
-    window = n_max
-    if r and n_max > 2 * m:
-        rec = annihilator_recurrence(r, phi_sym)
-        window = min(n_max, rec.first_checked_index + m - 1)
-    out = [sum(map(mul, u, g)) for u in _boundary_steps(r, window, phi_sym)]
-    if window < n_max:
-        out = _extend_certified(out, rec, n_max, r)
-    return out if d == 1 else [Fraction(s, d) for s in out]
+    sums, d = _transfer_sums(f, n_max)
+    return sums if d == 1 else [Fraction(s, d) for s in sums]
 
 
 def power_sum_table(r: int, n_max: int, phi_sym: RationalMatrix) -> list:

@@ -3,7 +3,10 @@
 import ast
 import hashlib
 import json
+import re
+import sys
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 
 import sternsums.cli as cli_mod
 import sternsums.forms as forms
+import sternsums.linalg as linalg
 import sternsums.recurrences as recurrences
 import sternsums.spectra as spectra
 import sternsums.stern as stern
@@ -33,6 +37,7 @@ from sternsums.cli import (
 )
 from sternsums.forms import HomogPoly
 from sternsums.linalg import InexactDivisionError
+from sternsums.stern import power_sum_sequence
 
 
 def run(capsys, *argv):
@@ -52,6 +57,23 @@ def test_rational_encoding_round_trips():
         assert "/1" not in s
     assert encode_rational(Fraction(4, 2)) == "2"
     assert encode_rational(Fraction(-1, 3)) == "-1/3"
+
+
+def test_decimal_encoding_matches_int_and_fraction():
+    # `sums` renders its transfer route from integral Decimals
+    with localcontext(cli_mod._EXACT):
+        for s in (0, 1, -7, 3 * 7**20, -(10**4300 - 1)):
+            for d in (1, 2, 6, 7):
+                q = s if d == 1 else cli_mod._decimal_quotient(Decimal(s), d)
+                assert encode_rational(q) == str(Fraction(s, d)), (s, d)
+        zero = -1 * Decimal(0)
+        assert str(zero) == "-0" and encode_rational(zero) == "0"
+        with pytest.raises(ValueError) as refusal:
+            str(10**4300)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal.value))}$"):
+            encode_rational(Decimal(-(10**4300)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal.value))}$"):
+            encode_rational(cli_mod._decimal_quotient(Decimal(10**4300 + 1), 3))
 
 
 # -- f-spec grammar -----------------------------------------------------------
@@ -158,7 +180,7 @@ def _no_rows(*args, **kwargs):
 def _block_rows(monkeypatch):
     # every row past row 1 is built by stern._expand
     monkeypatch.setattr(stern, "_expand", _no_rows)
-    monkeypatch.setattr(cli_mod, "power_sum_sequence", _no_rows)
+    monkeypatch.setattr(cli_mod, "_transfer_sums", _no_rows)
 
 
 def test_cap_is_not_an_option(monkeypatch, capsys):
@@ -216,15 +238,12 @@ def test_sums_json_and_csv(capsys):
 
 
 def test_sums_exits_1_naming_the_degree_when_the_certificate_fails(monkeypatch, capsys):
-    # a recurrence that does not hold on the head must not extend the sums
-    real = recurrences.annihilator_recurrence
+    # with one prime the lift never settles, so no recurrence is certified
+    # and none extends the sums
+    def one_prime():
+        yield 2**31 - 1
 
-    def skewed(r, phi_sym=None):
-        rec = real(r, phi_sym)
-        coeffs = (rec.coefficients[0] + 1,) + rec.coefficients[1:]
-        return recurrences.LinearRecurrence(rec.length, coeffs, rec.n0)
-
-    monkeypatch.setattr(recurrences, "annihilator_recurrence", skewed)
+    monkeypatch.setattr(stern, "_primes_below_2_31", one_prime)
     for mode in ("--fast", "--both"):
         code, out, err = run(capsys, "sums", "x^4y^3", "20", mode)
         assert code == EXIT_VERIFICATION_FAILED and out == ""
@@ -245,7 +264,7 @@ def test_sums_bad_fspec(capsys):
 
 def test_sums_refuses_malformed_separators_with_exit_2(monkeypatch, capsys):
     # an empty entry would shift every later coefficient to a lower power of x
-    monkeypatch.setattr(cli_mod, "power_sum_sequence", _no_form)
+    monkeypatch.setattr(cli_mod, "_transfer_sums", _no_form)
     for spec in ("coeffs=[1,,2]", "coeffs=[1,2,]", "coeffs=[ ,1]", "coeffs=[,]"):
         code, out, err = run(capsys, "sums", spec, "3")
         assert code == EXIT_USAGE and out == ""
@@ -261,7 +280,7 @@ def _no_sums(*args, **kwargs):
 
 
 def _block_sums(monkeypatch):
-    monkeypatch.setattr(cli_mod, "power_sum_sequence", _no_sums)
+    monkeypatch.setattr(cli_mod, "_transfer_sums", _no_sums)
     monkeypatch.setattr(cli_mod, "power_sum_direct_sequence", _no_sums)
     monkeypatch.setattr(stern, "sym_quotient", _no_sums)
 
@@ -319,7 +338,7 @@ def test_sums_direct_work_cap(monkeypatch, capsys):
         return [0] * n
 
     monkeypatch.setattr(cli_mod, "power_sum_direct_sequence", stub)
-    monkeypatch.setattr(cli_mod, "power_sum_sequence", stub)
+    monkeypatch.setattr(cli_mod, "_transfer_sums", lambda f, n, num: (stub(f, n), 1))
     dense10 = "coeffs=[" + ",".join(["3"] * 11) + "]"
     # a monomial reaches the row cap (x^50 y^50 is the dearest shape
     # admitted), a dense degree-100 form n = 13, and a dense degree-10 form
@@ -398,6 +417,109 @@ def test_sums_builds_each_matrix_once(monkeypatch, capsys, spec):
     code, _, _ = run(capsys, "sums", spec, "40")
     assert code == EXIT_OK
     assert calls == {"phi_matrix": 1, "sym_quotient": 1}
+
+
+def _expected_output(spec: str, n_max: int, fmt: str, values=None) -> str:
+    """What `sums spec n_max` prints in fmt: power_sum_sequence rendered by
+    str, the oracle of the command's own rendering."""
+    if values is None:
+        values = power_sum_sequence(parse_fspec(spec), n_max)
+    texts = [str(v) for v in values]
+    if fmt == "json":
+        params = {"f": spec, "n_max": str(n_max), "mode": "fast"}
+        doc = {
+            "schema_version": "1",
+            "command": "sums",
+            "parameters": params,
+            "results": {"values": texts, "mode": "fast"},
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        return "".join(f"{line}\n" for line in ["n,value", *map("{},{}".format, range(1, n_max + 1), texts)])
+    return " ".join(texts) + "\n"
+
+
+FORMAT_ARGS = {"json": ["--json"], "text": [], "csv": ["--format", "csv"]}
+
+
+def _rendering_grid() -> list:
+    """(spec, n_max): monomials on both sides of the middle, dense forms with
+    mixed signs and rational forms at odd and even r, forms whose sums all
+    vanish, and r = 0, each at n_max = 2m, 2m + 1 and 300."""
+    specs = ["coeffs=[5]", "coeffs=[-3/4]", "coeffs=[1,0,-1]", "coeffs=[2,0,0,-2]"]
+    for r in (1, 2, 7, 12, 21, 40):
+        specs += [f"x^{r}", f"y^{r}", f"x^{r // 3}y^{r - r // 3}", f"x^{(r + 1) // 2}y^{r // 2}"]
+        specs += [_coeffs_spec("dense", r), _coeffs_spec("rational", r)]
+    grid = []
+    for spec in specs:
+        m = (parse_fspec(spec).degree + 2) // 2
+        grid += [(spec, n) for n in (2 * m, 2 * m + 1, 300)]
+    return grid
+
+
+def test_sums_renders_what_power_sum_sequence_computes(capsys):
+    for spec, n_max in _rendering_grid():
+        for fmt, extra in FORMAT_ARGS.items():
+            code, out, err = run(capsys, "sums", spec, str(n_max), *extra)
+            assert (code, err) == (EXIT_OK, ""), (spec, n_max, fmt)
+            assert out == _expected_output(spec, n_max, fmt), (spec, n_max, fmt)
+    # sums that all vanish print as 0, never as -0
+    code, out, _ = run(capsys, "sums", "coeffs=[1,0,-1]", "300")
+    assert out.split() == ["0"] * 300
+
+
+def test_sums_past_the_digit_limit_exits_2_as_str_refuses(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert limit  # the interpreter's default, 4300
+    with pytest.raises(ValueError) as refusal:
+        str(10**limit)
+    message = f"error: {refusal.value}\n"
+    values = power_sum_sequence(HomogPoly.monomial(40, 40), 600)
+    printable = []
+    for v in values:
+        try:
+            printable.append(str(v))
+        except ValueError:
+            break
+    assert 0 < len(printable) < 600
+    for fmt, extra in FORMAT_ARGS.items():
+        code, out, err = run(capsys, "sums", "x^40", "600", *extra)
+        assert (code, err) == (EXIT_USAGE, message), fmt
+        if fmt == "csv":
+            # rows print until the first value past the limit
+            lines = ["n,value", *map("{},{}".format, range(1, len(printable) + 1), printable)]
+            assert out == "".join(f"{line}\n" for line in lines)
+        else:
+            assert out == ""
+    sys.set_int_max_str_digits(0)
+    try:
+        for spec, n_max in (("x^40", 600), ("x^100", 300), (_coeffs_spec("rational", 12), 800)):
+            expected = power_sum_sequence(parse_fspec(spec), n_max)
+            for fmt, extra in FORMAT_ARGS.items():
+                code, out, err = run(capsys, "sums", spec, str(n_max), *extra)
+                assert (code, err) == (EXIT_OK, "")
+                assert out == _expected_output(spec, n_max, fmt, expected)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _no_charpoly(*args, **kwargs):
+    raise AssertionError("sums computed a characteristic polynomial")
+
+
+def test_sums_computes_no_charpoly(monkeypatch, capsys):
+    for owner, name in (
+        (linalg, "charpoly"),
+        (linalg, "_berkowitz"),
+        (linalg, "_charpoly_mod"),
+        (recurrences, "charpoly"),
+        (recurrences, "annihilator_recurrence"),
+    ):
+        monkeypatch.setattr(owner, name, _no_charpoly)
+    for spec in ("x^40", "x^7y^30", _coeffs_spec("dense", 33), _coeffs_spec("rational", 20)):
+        for extra in (["--json"], ["--both"]):
+            code, _, err = run(capsys, "sums", spec, "300" if extra == ["--json"] else "12", *extra)
+            assert (code, err) == (EXIT_OK, ""), (spec, extra)
 
 
 # -- phi -----------------------------------------------------------------------

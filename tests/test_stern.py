@@ -1,20 +1,24 @@
 """Stern rows and the two power-sum routes."""
 
 import random
+from decimal import MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+import sternsums.linalg as linalg
 import sternsums.recurrences as recurrences
 import sternsums.stern as stern
 from sternsums.forms import HomogPoly, phi_matrix, sym_dimension, sym_quotient
-from sternsums.recurrences import LinearRecurrence, annihilator_recurrence
 from sternsums.stern import (
     DEFAULT_ROW_CAP,
     RowCapError,
     SternRow,
-    _extend_certified,
+    _berlekamp_massey_mod,
+    _form_recurrence,
     _row_power_sum,
+    _transfer_sums,
     power_sum_direct,
     power_sum_direct_sequence,
     power_sum_sequence,
@@ -251,23 +255,15 @@ def test_power_sum_sequence_against_the_per_form_iteration():
 # -- the certified recurrence past the head ------------------------------------
 
 
-def _window(r: int) -> int:
-    """W = n0 + L + m - 1: the head that certifies the degree's recurrence."""
-    rec = annihilator_recurrence(r)
-    return rec.first_checked_index + sym_dimension(r) - 1
-
-
 def test_power_sum_sequence_around_the_recurrence_window():
-    # Horizons below, at and past the window W, and past 2m, where the
+    # Horizons below, at and past the head of 2m steps, where the form's own
     # recurrence takes over, for every monomial class plus one dense and one
-    # rational form per degree.  Odd r has n0 > 1, from the power of x
-    # divided out of the charpoly.
+    # rational form per degree.
     rng = random.Random(1729)
     for r in range(0, 31):
         m = sym_dimension(r)
         phi = phi_matrix(r)
-        w = _window(r) if r else 1
-        horizons = sorted({n for n in (w - 1, w, w + 1, 2 * m + 1, 2 * m + 12) if n >= 1})
+        horizons = sorted({n for n in (2 * m - 1, 2 * m, 2 * m + 1, 2 * m + 2, 2 * m + 12) if n >= 1})
         forms = [HomogPoly.monomial(r - i, r) for i in range(m)]
         forms.append(HomogPoly([rng.randint(-9, 9) for _ in range(r + 1)]))
         fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(r + 1)]
@@ -289,42 +285,182 @@ def test_power_sum_sequence_steps_only_the_head(monkeypatch, r):
 
     monkeypatch.setattr(stern, "_boundary_steps", counted)
     f = HomogPoly([1 + i % 5 for i in range(r + 1)])
-    assert power_sum_sequence(f, 300) == per_form_power_sums(f, 300)
-    assert heads == [_window(r)]
     m = sym_dimension(r)
-    if r % 2:
-        assert heads == [2 * m]
+    expected = per_form_power_sums(f, 300)
+    for n_max in (2 * m - 1, 2 * m, 2 * m + 1, 300):
+        assert power_sum_sequence(f, n_max) == expected[:n_max]
+    assert heads == [2 * m - 1, 2 * m, 2 * m, 2 * m]
 
 
-def test_extension_certifies_the_recurrence_first():
+def _head(f: HomogPoly) -> list:
+    """The 2m integer sums that power_sum_sequence steps before it extends."""
+    return power_sum_sequence(f, 2 * sym_dimension(f.degree))
+
+
+def _primes(monkeypatch, primes) -> list:
+    """Make the lift walk only the given primes; returns the list of the
+    primes it took, in order."""
+    taken = []
+
+    def walk():
+        for p in primes:
+            taken.append(p)
+            yield p
+
+    monkeypatch.setattr(stern, "_primes_below_2_31", walk)
+    return taken
+
+
+def _residuals(w: list, seq: list) -> list:
+    """seq[n] - (w_1 seq[n-L] + ... + w_L seq[n-1]) at every n from L on."""
+    return [seq[n] - sum(map(mul, w, seq[n - len(w):n])) for n in range(len(w), len(seq))]
+
+
+def test_berlekamp_massey_mod_p_against_the_exact_one():
+    # The exact, fraction-free run is the oracle: over Q its connection
+    # polynomial c, divided by c[0], reduces to the image mod p.
+    rng = random.Random(4142)
+    p = 2**31 - 1
+    heads = [_head(HomogPoly([rng.randint(-9, 9) for _ in range(r + 1)])) for r in range(25)]
+    others = [[rng.randint(-50, 50) for _ in range(rng.randint(0, 30))] for _ in range(40)]
+    others += [[0] * 6, [0, 0, 0, 5, 1], [3, 6, 12, 24]]
+    for seq in heads + others:
+        c = recurrences._berlekamp_massey(seq)
+        inv = pow(c[0], -1, p)
+        expected = [-x * inv % p for x in reversed(c[1:])]
+        assert _berlekamp_massey_mod(seq, p) == expected, seq
+        for q in (2, 3, 7):
+            assert all(x % q == 0 for x in _residuals(_berlekamp_massey_mod(seq, q), seq))
+    # a head has an integer recurrence of at most half its length, so a
+    # small prime may see a shorter one, never a longer one
+    for seq in heads:
+        for q in (2, 3, 7):
+            assert len(_berlekamp_massey_mod(seq, q)) < len(recurrences._berlekamp_massey(seq))
+
+
+def test_an_unlucky_prime_is_skipped_and_the_next_one_is_used(monkeypatch):
+    # Every sum of 7 x^2 y^3 + 14 y^5 is a multiple of 7, so its image mod 7
+    # is the empty recurrence, shorter than the true one.
+    f = HomogPoly([14, 0, 7, 0, 0, 0])
+    expected = per_form_power_sums(f, 60)
+    big = [p for p, _ in zip(linalg._primes_below_2_31(), range(40))]
+    first = _primes(monkeypatch, [7, *big])
+    assert power_sum_sequence(f, 60) == expected
+    assert first[0] == 7 and len(first) >= 3  # the lift restarted past 7
+    middle = _primes(monkeypatch, [big[0], 7, *big[1:]])
+    assert power_sum_sequence(f, 60) == expected
+    assert middle[:3] == [big[0], 7, big[1]]  # 7 was skipped, not lifted
+    assert len(middle) == len(first)
+
+
+def test_a_forged_image_never_reaches_the_output(monkeypatch):
+    # a short image at the first prime starts a lift that the next prime,
+    # with the true length, restarts
+    f = HomogPoly([3, -1, 4, 1, -5, 9, 2])
+    real = stern._berlekamp_massey_mod
+    images = []
+
+    def shortened_once(seq, p):
+        image = real(seq, p)
+        images.append(len(image))
+        return image[1:] if len(images) == 1 else image
+
+    monkeypatch.setattr(stern, "_berlekamp_massey_mod", shortened_once)
+    taken = _primes(monkeypatch, [p for p, _ in zip(linalg._primes_below_2_31(), range(40))])
+    assert power_sum_sequence(f, 80) == per_form_power_sums(f, 80)
+    assert len(taken) >= 3 and images[0] == images[1]
+
+
+def test_extension_certifies_the_recurrence_first(monkeypatch):
+    rng = random.Random(3)
+    for r in (0, 1, 5, 12, 21, 40):
+        m = sym_dimension(r)
+        for f in (HomogPoly.monomial(r, r), HomogPoly([rng.randint(-9, 9) for _ in range(r + 1)])):
+            head = _head(f)
+            w = _form_recurrence(head, r)
+            assert len(w) <= m and not any(_residuals(w, head))
+            assert len(w) == len(recurrences._berlekamp_massey(head)) - 1
+    # sums that all vanish have the empty recurrence
+    assert _form_recurrence(_head(HomogPoly([1, 0, -1])), 2) == []
+    # an image that is wrong mod every prime lifts to a stable candidate
+    # that the exact check refuses before any term is extended; the walk
+    # runs out and names r
+    real = stern._berlekamp_massey_mod
+
+    def skewed(seq, p):
+        image = real(seq, p)
+        return [(image[0] + 1) % p, *image[1:]]
+
+    monkeypatch.setattr(stern, "_berlekamp_massey_mod", skewed)
     for r in (5, 12):
         f = HomogPoly([3 - i for i in range(r + 1)])
-        rec = annihilator_recurrence(r)
-        w = _window(r)
-        head = power_sum_sequence(f, w)
-        assert _extend_certified(head, rec, 90, r) == per_form_power_sums(f, 90)
-        # one wrong coefficient, or one coefficient dropped, fails the check
-        # before any term is produced
-        wrong = LinearRecurrence(
-            rec.length, rec.coefficients[:-1] + (rec.coefficients[-1] + 1,), rec.n0
-        )
-        short = LinearRecurrence(rec.length - 1, rec.coefficients[:-1], rec.n0)
-        for bad in (wrong, short):
-            with pytest.raises(ArithmeticError, match=f"r={r}:"):
-                _extend_certified(head, bad, 90, r)
+        taken = _primes(monkeypatch, [p for p, _ in zip(linalg._primes_below_2_31(), range(12))])
+        with pytest.raises(ArithmeticError, match=f"r={r}: .*certificate"):
+            power_sum_sequence(f, 90)
+        assert len(taken) == 12
 
 
 def test_power_sum_sequence_raises_naming_r_when_the_certificate_fails(monkeypatch):
-    def skewed(r, phi_sym=None):
-        rec = annihilator_recurrence(r, phi_sym)
-        coeffs = (rec.coefficients[0] + 1,) + rec.coefficients[1:]
-        return LinearRecurrence(rec.length, coeffs, rec.n0)
-
-    monkeypatch.setattr(recurrences, "annihilator_recurrence", skewed)
-    with pytest.raises(ArithmeticError, match="r=9:"):
+    # one prime can never show a stable lift, so nothing is ever certified
+    taken = _primes(monkeypatch, [2**31 - 1])
+    with pytest.raises(ArithmeticError, match="r=9: .*certificate"):
         power_sum_sequence(HomogPoly.monomial(9, 9), 100)
-    # a horizon the head covers never reads the recurrence
+    assert taken == [2**31 - 1]
+    # a horizon the head covers never reads a prime
+    taken.clear()
+    assert power_sum_sequence(HomogPoly.monomial(9, 9), 10) == per_form_power_sums(
+        HomogPoly.monomial(9, 9), 10
+    )
     assert power_sum_sequence(X3, 4) == [1, 3, 21, 147]
+    assert taken == []
+
+
+def test_transfer_sums_extend_in_the_type_given():
+    f = HomogPoly([Fraction(1, 2), Fraction(-1, 3), 5])
+    sums, d = _transfer_sums(f, 40)
+    assert d == 6 and all(type(s) is int for s in sums)
+    assert [Fraction(s, d) for s in sums] == per_form_power_sums(f, 40)
+    with localcontext(Context(prec=MAX_PREC, traps=[Inexact, Rounded])):
+        decimals, d = _transfer_sums(f, 40, Decimal)
+    assert d == 6 and all(type(s) is Decimal for s in decimals)
+    assert decimals == sums
+
+
+@pytest.mark.extended
+def test_power_sum_sequence_sweep_to_the_degree_cap(monkeypatch):
+    # Every degree up to SUMS_MAX_DEGREE, one dense form and three monomial
+    # classes each, just past the head and at 3m, against the per-form
+    # iteration.  Prints the most primes one lift took and the lifts that
+    # restarted on a longer image or skipped a shorter one.
+    real_walk, real_image = stern._primes_below_2_31, stern._berlekamp_massey_mod
+    lengths = []
+
+    def walk():
+        lengths.clear()
+        yield from real_walk()
+
+    def image(seq, p):
+        w = real_image(seq, p)
+        lengths.append(len(w))
+        return w
+
+    monkeypatch.setattr(stern, "_primes_below_2_31", walk)
+    monkeypatch.setattr(stern, "_berlekamp_massey_mod", image)
+    rng = random.Random(100)
+    most, uneven = (0, None), []
+    for r in range(1, 101):
+        m = sym_dimension(r)
+        phi = phi_matrix(r)
+        forms = [HomogPoly([rng.randint(-9, 9) for _ in range(r + 1)])]
+        forms += [HomogPoly.monomial(a, r) for a in sorted({r, (r + 1) // 2, r // 3})]
+        for f in forms:
+            expected = per_form_power_sums(f, 3 * m, phi)
+            for n_max in (2 * m + 1, 3 * m):
+                assert power_sum_sequence(f, n_max) == expected[:n_max], (f, n_max)
+                most = max(most, (len(lengths), r))
+                if len(set(lengths)) > 1:
+                    uneven.append((r, tuple(lengths)))
+    print(f"most primes in one lift: {most[0]} (r={most[1]}); uneven lifts: {uneven}")
 
 
 # -- the shared table on the swap-symmetric quotient ---------------------------
