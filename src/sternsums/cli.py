@@ -79,13 +79,14 @@ MINE_MAX_TERMS = 200
 # EXIT_RESOURCE.  `phi` stops where its text output is still a few MB and
 # under a second; its size grows as the cube of the degree.  The verify cap
 # rises only to a degree no dearer than its top degree was before the last
-# speed-up.  Since the twist halves are taken from an image pinned mod p,
-# `verify r r --json` in a fresh process on one core of a 2-core Xeon costs
-# most at even r, where the charpolys mod p, the twist halves mod p, the
-# annihilation products and the exact ranks of the halves' parities share
-# the cost: medians of 5 runs, 4.4 s at 340, 4.2 s at 350 and 5.2 s at
-# 360, against 4.4 s (4.1 to 5.0 s) for the previous version at 189, in
-# alternation with them.  Odd degrees cost less: 3.0 to 4.2 s at 351.
+# speed-up.  `verify r r --json` in a fresh process on one core of a 2-core
+# Xeon costs most at even r, where the charpolys mod p, the twist halves
+# mod p, the annihilation products and the exact ranks of the halves'
+# parities share the cost.  With every modular step mod a prime below 2^30,
+# 350 takes 4.2 s (median of 5 runs, 3.8 to 5.1 s), against 6.0 s (4.7 to
+# 6.6 s) mod 2^31 - 1 in alternation with them; mod 2^31 - 1 on a quieter
+# host it took 4.4 s at 340, 4.2 s at 350 and 5.2 s at 360, and 3.0 to
+# 4.2 s at the odd 351.
 PHI_MAX_DEGREE = 400
 VERIFY_MAX_DEGREE = 350
 # Caps on `sums`: the form's degree and n_max; past either one it exits

@@ -143,11 +143,7 @@ class RationalMatrix:
 
 
 def _dot(a, b):
-    s = 0
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
+    return sum(map(mul, a, b))
 
 
 def _poly_mul(a: Sequence, b: Sequence, size: int | None = None) -> list:
@@ -646,9 +642,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes_below_2_31():
-    """The primes below 2**31, descending: the moduli of the modular lifts."""
-    for n in range(2**31 - 1, 7, -2):
+def _primes_below_2_30():
+    """The primes below 2**30, descending: the moduli of every modular step."""
+    # each is one 30-bit digit of a CPython int, so % p divides by one digit
+    for n in range(2**30 - 1, 7, -2):
         if _is_prime(n):
             yield n
 
@@ -704,7 +701,8 @@ def _charpoly_mod(rows: Sequence[Sequence[int]], p: int) -> list:
     follow p_(k+1) = (x - H[k][k]) p_k - sum over i = 1..k of
     H[k-i][k] H[k][k-1] ... H[k-i+1][k-i] p_(k-i) (H. Cohen, A Course in
     Computational Algebraic Number Theory, Algorithm 2.2.9).  Cubic in the
-    size, on words of 31 bits.
+    size, on residues of one CPython digit for the primes of
+    _primes_below_2_30.
     """
     h = [[x % p for x in row] for row in rows]
     n = len(h)
@@ -771,7 +769,7 @@ def polynomial_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     b = q.primitive().coeffs
     lc = math.gcd(a[-1], b[-1])
     size = None  # length of the images being lifted
-    for prime in _primes_below_2_31():
+    for prime in _primes_below_2_30():
         if not a[-1] % prime or not b[-1] % prime:
             continue
         image = _gcd_mod(a, b, prime)
@@ -792,7 +790,7 @@ def polynomial_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
                 and _exact_quotient(b, g.coeffs) is not None
             ):
                 return g * c
-    raise ArithmeticError("polynomial_gcd ran out of primes below 2**31")
+    raise ArithmeticError("polynomial_gcd ran out of primes below 2**30")
 
 
 def is_squarefree(p: IntPolynomial) -> bool:

@@ -12,7 +12,7 @@ eigenspaces of the transfer matrix once check_annihilation_identities has
 passed: it kills W for odd r, and acts by -1 on X n Y+ and by +1 on
 X n Y- for even r.  Their dimensions bound each block's geometric
 multiplicities from below.  The
-characteristic polynomial cp_p of the block mod the prime 2^31 - 1 bounds
+characteristic polynomial cp_p of the block mod the prime 2^30 - 35 bounds
 the algebraic ones from above, as cp is monic over the integers, and bounds
 deg gcd(cp, cp') too.  Where the two bounds meet at every reported
 eigenvalue, and the repeated roots of cp_p are those eigenvalues alone,
@@ -94,6 +94,7 @@ from .linalg import (
     _integer_kernel,
     _integer_rows,
     _normalize_entry,
+    _primes_below_2_30,
     _root_power,
     charpoly,
     eigen_multiplicity,
@@ -216,10 +217,11 @@ def predicted_bounds(r: int) -> dict:
     }
 
 
-# The prime of the multiplicity certificate: below 2^31, so a charpoly mod
-# it has small coefficients, and above every block size, so each root of
-# cp_p adds its multiplicity less one to deg gcd(cp_p, cp_p').
-_CERTIFICATE_PRIME = 2**31 - 1
+# The prime of the multiplicity certificate: the first of linalg's walk,
+# 2^30 - 35, so a charpoly mod it has one-digit coefficients, and above
+# every block size, so each root of cp_p adds its multiplicity less one to
+# deg gcd(cp_p, cp_p').
+_CERTIFICATE_PRIME = next(_primes_below_2_30())
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ power_sum_sequence contracts each step with the form's coefficients folded
 onto the swap classes (forms._swap_fold), but only over a head of 2m
 steps, m = ceil((r+1)/2).  It then extends the sums by the form's own
 minimal recurrence, of length at most m (about r/3 in practice, the
-paper's bound), found by Berlekamp-Massey mod primes below 2^31 and
+paper's bound), found by Berlekamp-Massey mod primes below 2^30 and
 Chinese remaindering, and used only once an exact check on the head proves
 that it holds for every later n; no characteristic polynomial is computed.
 The extension runs on whichever exact integer type it is given: int for
@@ -40,7 +40,7 @@ from operator import add, mul
 from typing import Sequence, Union
 
 from .forms import HomogPoly, _swap_fold, sym_dimension, sym_quotient
-from .linalg import RationalMatrix, _crt_step, _integer_rows, _primes_below_2_31
+from .linalg import RationalMatrix, _crt_step, _integer_rows, _primes_below_2_30
 
 Rational = Union[int, Fraction]
 
@@ -205,7 +205,7 @@ def _form_recurrence(head: list, r: int) -> list:
     w_L head[n-1].  The minimal polynomial of the sums divides that of the
     quotient matrix, which is monic of degree at most m, so by Gauss's lemma
     it is monic in Z[x] and the w_j are integers.  Berlekamp-Massey runs
-    mod each prime of _primes_below_2_31.  An image mod p is never longer
+    mod each prime of _primes_below_2_30.  An image mod p is never longer
     than the true recurrence, and one of the same length is its reduction,
     as both generate 2m >= 2L terms; so a longer image restarts the lift,
     and a shorter one comes from an unlucky prime and is skipped.  The
@@ -218,7 +218,7 @@ def _form_recurrence(head: list, r: int) -> list:
     """
     m = len(head) // 2
     size, refused = -1, None
-    for prime in _primes_below_2_31():
+    for prime in _primes_below_2_30():
         image = _berlekamp_massey_mod(head, prime)
         if len(image) < size:
             continue  # an unlucky prime
@@ -236,7 +236,7 @@ def _form_recurrence(head: list, r: int) -> list:
         refused = candidate
     raise ArithmeticError(
         f"r={r}: no recurrence lifted from Berlekamp-Massey images mod the "
-        f"primes below 2**31 passed its certificate on the head"
+        f"primes below 2**30 passed its certificate on the head"
     )
 
 

@@ -241,9 +241,9 @@ def test_sums_exits_1_naming_the_degree_when_the_certificate_fails(monkeypatch, 
     # with one prime the lift never settles, so no recurrence is certified
     # and none extends the sums
     def one_prime():
-        yield 2**31 - 1
+        yield spectra._CERTIFICATE_PRIME
 
-    monkeypatch.setattr(stern, "_primes_below_2_31", one_prime)
+    monkeypatch.setattr(stern, "_primes_below_2_30", one_prime)
     for mode in ("--fast", "--both"):
         code, out, err = run(capsys, "sums", "x^4y^3", "20", mode)
         assert code == EXIT_VERIFICATION_FAILED and out == ""

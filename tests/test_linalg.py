@@ -15,6 +15,7 @@ RationalMatrix arithmetic, here in the tests only.
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -29,6 +30,7 @@ from sternsums.linalg import (
     _integer_kernel,
     _integer_rows,
     _kernel_vector,
+    _primes_below_2_30,
     _root_power,
     charpoly,
     divide_out,
@@ -42,7 +44,7 @@ from sternsums.linalg import (
     root_power,
     solve_linear,
 )
-from sternsums.spectra import _half_kernel, spectral_context
+from sternsums.spectra import _CERTIFICATE_PRIME, _half_kernel, spectral_context
 
 
 # -- oracles ----------------------------------------------------------------
@@ -455,7 +457,7 @@ def test_charpoly_mod_p_is_the_image_of_the_charpoly():
     mats += [b.matrix.rows for r in range(21) for b in spectral_context(r).blocks]
     for rows in mats:
         cp = charpoly(RationalMatrix(rows)).coeffs
-        for p in (2**31 - 1, 7, 2):
+        for p in (_CERTIFICATE_PRIME, 7, 2):
             assert _charpoly_mod(rows, p) == [c % p for c in cp], (rows, p)
 
 
@@ -464,7 +466,7 @@ def test_root_power_mod_p_bounds_the_exact_one():
     p = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) * IntPolynomial([-8, 1])
     p = p * IntPolynomial([1, 1])
     assert [root_power(p, lam) for lam in (1, 8, -1, 0)] == [2, 1, 1, 0]
-    assert [_root_power(p.coeffs, 1, q) for q in (2**31 - 1, 7, 2)] == [2, 3, 3]
+    assert [_root_power(p.coeffs, 1, q) for q in (_CERTIFICATE_PRIME, 7, 2)] == [2, 3, 3]
     assert _root_power([c % 7 for c in p.coeffs], -1, 7) == 1
 
 
@@ -652,9 +654,10 @@ def _seeded_gcd_pairs():
         yield a, b
 
 
-def _largest_primes_below_2_31(k: int) -> list:
+def _largest_primes_below_2_30(k: int) -> list:
+    """The k largest primes below 2**30, by trial division."""
     out = []
-    n = 2**31 - 1
+    n = 2**30 - 1
     while len(out) < k:
         if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
             out.append(n)
@@ -664,7 +667,7 @@ def _largest_primes_below_2_31(k: int) -> list:
 
 def _adversarial_prime_pairs():
     """Pairs that mislead the modular gcd on the first primes it tries."""
-    p1, p2 = _largest_primes_below_2_31(2)
+    p1, p2 = _largest_primes_below_2_30(2)
     x = IntPolynomial.x()
     g = x + IntPolynomial([p1 * p2])
     h = IntPolynomial([1, p1])  # 1 + p1*x is the constant 1 mod the first prime
@@ -682,6 +685,8 @@ def _adversarial_prime_pairs():
 
 
 def test_polynomial_gcd_against_prs_oracle():
+    # the adversarial pairs mislead only the primes that the walk tries first
+    assert _largest_primes_below_2_30(2) == list(islice(_primes_below_2_30(), 2))
     pairs = list(_seeded_gcd_pairs()) + _adversarial_prime_pairs()
     zero = IntPolynomial()
     pairs += [(zero, zero), (IntPolynomial([0, 0, 6]), zero)]

@@ -9,6 +9,7 @@ import pytest
 
 import sternsums.linalg as linalg
 import sternsums.recurrences as recurrences
+import sternsums.spectra as spectra
 import sternsums.stern as stern
 from sternsums.forms import HomogPoly, phi_matrix, sym_dimension, sym_quotient
 from sternsums.stern import (
@@ -307,7 +308,7 @@ def _primes(monkeypatch, primes) -> list:
             taken.append(p)
             yield p
 
-    monkeypatch.setattr(stern, "_primes_below_2_31", walk)
+    monkeypatch.setattr(stern, "_primes_below_2_30", walk)
     return taken
 
 
@@ -320,7 +321,7 @@ def test_berlekamp_massey_mod_p_against_the_exact_one():
     # The exact, fraction-free run is the oracle: over Q its connection
     # polynomial c, divided by c[0], reduces to the image mod p.
     rng = random.Random(4142)
-    p = 2**31 - 1
+    p = spectra._CERTIFICATE_PRIME
     heads = [_head(HomogPoly([rng.randint(-9, 9) for _ in range(r + 1)])) for r in range(25)]
     others = [[rng.randint(-50, 50) for _ in range(rng.randint(0, 30))] for _ in range(40)]
     others += [[0] * 6, [0, 0, 0, 5, 1], [3, 6, 12, 24]]
@@ -343,7 +344,7 @@ def test_an_unlucky_prime_is_skipped_and_the_next_one_is_used(monkeypatch):
     # is the empty recurrence, shorter than the true one.
     f = HomogPoly([14, 0, 7, 0, 0, 0])
     expected = per_form_power_sums(f, 60)
-    big = [p for p, _ in zip(linalg._primes_below_2_31(), range(40))]
+    big = [p for p, _ in zip(linalg._primes_below_2_30(), range(40))]
     first = _primes(monkeypatch, [7, *big])
     assert power_sum_sequence(f, 60) == expected
     assert first[0] == 7 and len(first) >= 3  # the lift restarted past 7
@@ -366,7 +367,7 @@ def test_a_forged_image_never_reaches_the_output(monkeypatch):
         return image[1:] if len(images) == 1 else image
 
     monkeypatch.setattr(stern, "_berlekamp_massey_mod", shortened_once)
-    taken = _primes(monkeypatch, [p for p, _ in zip(linalg._primes_below_2_31(), range(40))])
+    taken = _primes(monkeypatch, [p for p, _ in zip(linalg._primes_below_2_30(), range(40))])
     assert power_sum_sequence(f, 80) == per_form_power_sums(f, 80)
     assert len(taken) >= 3 and images[0] == images[1]
 
@@ -394,7 +395,7 @@ def test_extension_certifies_the_recurrence_first(monkeypatch):
     monkeypatch.setattr(stern, "_berlekamp_massey_mod", skewed)
     for r in (5, 12):
         f = HomogPoly([3 - i for i in range(r + 1)])
-        taken = _primes(monkeypatch, [p for p, _ in zip(linalg._primes_below_2_31(), range(12))])
+        taken = _primes(monkeypatch, [p for p, _ in zip(linalg._primes_below_2_30(), range(12))])
         with pytest.raises(ArithmeticError, match=f"r={r}: .*certificate"):
             power_sum_sequence(f, 90)
         assert len(taken) == 12
@@ -402,10 +403,10 @@ def test_extension_certifies_the_recurrence_first(monkeypatch):
 
 def test_power_sum_sequence_raises_naming_r_when_the_certificate_fails(monkeypatch):
     # one prime can never show a stable lift, so nothing is ever certified
-    taken = _primes(monkeypatch, [2**31 - 1])
+    taken = _primes(monkeypatch, [spectra._CERTIFICATE_PRIME])
     with pytest.raises(ArithmeticError, match="r=9: .*certificate"):
         power_sum_sequence(HomogPoly.monomial(9, 9), 100)
-    assert taken == [2**31 - 1]
+    assert taken == [spectra._CERTIFICATE_PRIME]
     # a horizon the head covers never reads a prime
     taken.clear()
     assert power_sum_sequence(HomogPoly.monomial(9, 9), 10) == per_form_power_sums(
@@ -432,7 +433,7 @@ def test_power_sum_sequence_sweep_to_the_degree_cap(monkeypatch):
     # classes each, just past the head and at 3m, against the per-form
     # iteration.  Prints the most primes one lift took and the lifts that
     # restarted on a longer image or skipped a shorter one.
-    real_walk, real_image = stern._primes_below_2_31, stern._berlekamp_massey_mod
+    real_walk, real_image = stern._primes_below_2_30, stern._berlekamp_massey_mod
     lengths = []
 
     def walk():
@@ -444,7 +445,7 @@ def test_power_sum_sequence_sweep_to_the_degree_cap(monkeypatch):
         lengths.append(len(w))
         return w
 
-    monkeypatch.setattr(stern, "_primes_below_2_31", walk)
+    monkeypatch.setattr(stern, "_primes_below_2_30", walk)
     monkeypatch.setattr(stern, "_berlekamp_massey_mod", image)
     rng = random.Random(100)
     most, uneven = (0, None), []

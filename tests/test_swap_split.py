@@ -31,6 +31,7 @@ from sternsums.forms import (
     anti_quotient,
     operator_matrix,
     phi_matrix,
+    sym_dimension,
     sym_quotient,
 )
 from sternsums.linalg import (
@@ -415,6 +416,14 @@ def _miscount_a_root(monkeypatch):
     """Every multiplicity mod p comes out one too high."""
     real = spectra._root_power
     monkeypatch.setattr(spectra, "_root_power", lambda *args: real(*args) + 1)
+
+
+def test_certificate_prime_is_the_first_of_the_walk_and_above_every_block():
+    # _pinned needs p above every block size, hence every multiplicity; the
+    # symmetric block is the larger, and widest at the cap
+    p = spectra._CERTIFICATE_PRIME
+    assert p == next(linalg._primes_below_2_30()) == 2**30 - 35
+    assert sym_dimension(VERIFY_MAX_DEGREE) < p < 2**30
 
 
 def test_certificate_pins_what_the_exact_route_computes(monkeypatch):
