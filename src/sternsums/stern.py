@@ -12,17 +12,25 @@ included; for n = 1 the sum is f(0, 1) + f(1, 0).
 Two independent evaluation routes are provided: direct summation over
 generated rows, and the transfer route, which iterates the boundary
 functional g -> g(0,1) + g(1,0) as a row vector through the transfer
-matrix on the swap-symmetric quotient.  The direct route reads each power
-from a table over the row's distinct values, which are few (at most
-F(n+1)), instead of calling pow on every entry.  Step n of the transfer
-iteration holds S_n of every monomial class at once (power_sum_table).
-power_sum_sequence contracts each step with the form's coefficients folded
-onto the swap classes (forms._swap_fold), but only over a head of 2m
-steps, m = ceil((r+1)/2).  It then extends the sums by the form's own
-minimal recurrence, of length at most m (about r/3 in practice, the
-paper's bound), found by Berlekamp-Massey mod primes below 2^30 and
-Chinese remaindering, and used only once an exact check on the head proves
-that it holds for every later n; no characteristic polynomial is computed.
+matrix on the swap-symmetric quotient.  The direct route sums only the
+pairs that each row adds to the one before: every pair (a, b) has the
+Calkin-Wilf children (a, a+b) and (a+b, b) in the next row (N. Calkin and
+H. Wilf, Recounting the rationals, Amer. Math. Monthly 107, 2000), so row
+n repeats row n-1's pairs and adds twice those of s(n, 2^(n-2)) ..
+s(n, 2^(n-1)), 2^(n-2) pairs where the row has 2^n (the proof is in
+power_sum_direct_sequence).  It reads each power from a table over the
+segment's distinct values, which are few (at most F(n+1)), instead of
+calling pow on every entry.
+
+Step n of the transfer iteration holds S_n of every monomial class at
+once (power_sum_table).  power_sum_sequence contracts each step with the
+form's coefficients folded onto the swap classes (forms._swap_fold), but
+only over a head of 2m steps, m = ceil((r+1)/2).  It then extends the
+sums by the form's own minimal recurrence, of length at most m (about
+r/3 in practice, the paper's bound), found by Berlekamp-Massey mod primes
+below 2^30 and Chinese remaindering, and used only once an exact check on
+the head proves that it holds for every later n; no characteristic
+polynomial is computed.
 The extension runs on whichever exact integer type it is given: int for
 power_sum_sequence, Decimal for the command line, whose values then print
 in linear time.  The agreement of the two routes is a core test
@@ -114,18 +122,17 @@ def stern_row(n: int) -> SternRow:
     return SternRow(n, tuple(_last_row(n)))
 
 
-def _row_power_sum(row: list, f: HomogPoly) -> Rational:
-    """S_n(f) over the entries of row n, boundary pairs included.
+def _row_power_sum(segment: list, f: HomogPoly) -> Rational:
+    """The sum of f over the consecutive pairs of segment, a slice of a
+    padded row.
 
-    The row is padded with s(n, 0) = s(n, 2^n) = 0, and each term
-    c x^a y^(r-a) of f is summed over the consecutive pairs at C level.
-    Powers are read from tables over the row's distinct values, which are
-    few: every entry of row n is at most F(n+1), so row 16 has 65535
+    Each term c x^a y^(r-a) of f is summed over the pairs at C level.
+    Powers are read from tables over the segment's distinct values, which
+    are few: every entry of row n is at most F(n+1), so row 16 has 65535
     entries but at most 1597 distinct values.
     """
-    padded = [0, *row, 0]
-    xs, ys = padded[:-1], padded[1:]
-    values = set(padded)
+    xs, ys = segment[:-1], segment[1:]
+    values = set(segment)
     r = f.degree
     total = 0
     for a, c in enumerate(f.coeffs):
@@ -137,18 +144,39 @@ def _row_power_sum(row: list, f: HomogPoly) -> Rational:
 
 
 def power_sum_direct(n: int, f: HomogPoly) -> Rational:
-    """S_n(f) by brute force over the generated row, boundary pairs included."""
-    return _row_power_sum(_last_row(n), f)
+    """S_n(f) by brute force over the generated rows, boundary pairs
+    included: the last of power_sum_direct_sequence(f, n)."""
+    return power_sum_direct_sequence(f, n)[-1]
 
 
 def power_sum_direct_sequence(f: HomogPoly, n_max: int) -> list:
     """[S_1(f), ..., S_n_max(f)] by brute force over rows 1 .. n_max.
 
+    S_1 is the sum over padded row 1, [0, 1, 0], and for n >= 2
+
+        S_n = S_(n-1) + 2 * (sum of f over the consecutive pairs of
+              s(n, 2^(n-2)) .. s(n, 2^(n-1))).
+
+    Proof: the insertion step turns each pair (a, b) of a row into its
+    Calkin-Wilf children (a, a+b), (a+b, b), so the pairs of padded row n,
+    in order, are the depth-(n-1) descendants of (0, 1) and then those of
+    (1, 0).  The children of (0, 1) are (0, 1), (1, 1) and those of (1, 0)
+    are (1, 1), (1, 0).  So row n's pairs are row n-1's, the depth-(n-2)
+    descendants of (0, 1) and (1, 0), and twice the depth-(n-2)
+    descendants of (1, 1), which the first time are the pairs
+    (s(n, k), s(n, k+1)) for k = 2^(n-2) .. 2^(n-1) - 1.  So each row costs
+    2^(n-2) pair evaluations, not 2^n.
+
     One walk builds each row from the one before, so it costs about what
     generating row n_max alone does.  Raises RowCapError naming n_max, before
     any row is built, for n_max < 1 or n_max > DEFAULT_ROW_CAP.
     """
-    return [_row_power_sum(row, f) for row in _rows(n_max)]
+    rows = _rows(n_max)
+    sums = [_row_power_sum([0, *next(rows), 0], f)]
+    for n, row in enumerate(rows, start=2):
+        added = row[2 ** (n - 2) - 1 : 2 ** (n - 1)]  # row[k - 1] is s(n, k)
+        sums.append(sums[-1] + 2 * _row_power_sum(added, f))
+    return sums
 
 
 def _boundary_steps(r: int, n_max: int, phi_sym: RationalMatrix):

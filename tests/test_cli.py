@@ -203,6 +203,15 @@ def test_sums_both_agree(capsys):
     assert out.strip() == "1 3 21 147 (paths agree)"
 
 
+def test_sums_both_agree_at_the_dearest_direct_shapes(capsys):
+    # the dearest shapes SUMS_MAX_DIRECT_WORK admits, run on both routes
+    dense = "coeffs=[" + ",".join(["1"] * 101) + "]"
+    for spec, n in (("x^50*y^50", DEFAULT_ROW_CAP), ("x^100", DEFAULT_ROW_CAP), (dense, 13)):
+        code, out, err = run(capsys, "sums", spec, str(n), "--both")
+        assert code == EXIT_OK and err == "", spec
+        assert out.endswith(" (paths agree)\n"), spec
+
+
 def test_sums_default_fast(capsys):
     code, out, _ = run(capsys, "sums", "x^2y", "4")
     assert code == EXIT_OK and out.strip() == "0 2 14 98"

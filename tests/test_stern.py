@@ -1,6 +1,7 @@
 """Stern rows and the two power-sum routes."""
 
 import random
+from collections import Counter
 from decimal import MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from operator import mul
@@ -154,10 +155,17 @@ SINGLE_TERMS = [
 ] + [HomogPoly.monomial(2, 5) * Fraction(-5, 7), HomogPoly.monomial(4, 4) * Fraction(1, 2)]
 
 
+def direct_oracle(n: int, f: HomogPoly):
+    """The direct route's oracle: f summed pair by pair over the whole of
+    row n, padded with s(n, 0) = s(n, 2^n) = 0."""
+    padded = [0, *stern_row(n).entries, 0]
+    return sum(f(x, y) for x, y in zip(padded, padded[1:]))
+
+
 def test_dual_path_agreement_small():
-    # the termwise row sum against f evaluated pair by pair, on rows with
-    # zeros, negative entries and repeated values as well as on Stern rows.
-    # The row sum reads powers from a table over the row's values: SINGLE_TERMS
+    # the termwise segment sum against f evaluated pair by pair, on padded
+    # rows with zeros, negative entries and repeated values.  The segment
+    # sum reads powers from a table over the segment's values: SINGLE_TERMS
     # hold x^2 y^2, whose two sides read one exponent, and the degree-0
     # forms, where 0**0 == 1 counts the boundary pairs; the dense forms add
     # a middle term among zero coefficients and a rational degree-0 form.
@@ -172,10 +180,74 @@ def test_dual_path_agreement_small():
         for row in rows:
             padded = [0, *row, 0]
             expected = sum(f(x, y) for x, y in zip(padded, padded[1:]))
-            assert _row_power_sum(row, f) == expected, (f, row)
-        direct = [power_sum_direct(n, f) for n in range(1, 11)]
+            assert _row_power_sum(padded, f) == expected, (f, row)
+        direct = [direct_oracle(n, f) for n in range(1, 11)]
         assert direct == power_sum_sequence(f, 10), f
+        assert [power_sum_direct(n, f) for n in range(1, 11)] == direct, f
         assert power_sum_direct_sequence(f, 10) == direct, f
+
+
+def _pairs(seq):
+    return Counter(zip(seq, seq[1:]))
+
+
+def test_each_row_adds_two_copies_of_its_second_quarter():
+    # the pairs of padded row n are those of padded row n-1 and twice those
+    # of s(n, 2^(n-2)) .. s(n, 2^(n-1)); row n is a palindrome, and its
+    # first 2^(n-2) entries are row n-1's
+    prev = [0, 1, 0]
+    for n in range(2, 16):
+        row = stern_row(n).entries
+        padded = [0, *row, 0]
+        quarter = padded[2 ** (n - 2) : 2 ** (n - 1) + 1]
+        added = _pairs(quarter)
+        assert _pairs(padded) == _pairs(prev) + added + added, n
+        assert row == row[::-1], n
+        assert padded[: 2 ** (n - 2) + 1] == prev[: 2 ** (n - 2) + 1], n
+        prev = padded
+
+
+# Forms for the direct route's oracle: monomials, x^r and y^r among them;
+# degree-0 forms, where 0**0 == 1 counts the boundary pairs; dense forms with
+# negative and Fraction coefficients; zero coefficients between nonzero ones.
+ORACLE_FORMS = [
+    HomogPoly.monomial(0, 0),
+    HomogPoly([-7]),
+    HomogPoly([Fraction(2, 3)]),
+    HomogPoly.monomial(0, 1),
+    HomogPoly.monomial(4, 4),
+    HomogPoly.monomial(0, 5) * -2,
+    HomogPoly.monomial(2, 3),
+    HomogPoly.monomial(3, 6),
+    HomogPoly([3, -1, 4, -1, 5]),
+    HomogPoly([Fraction(1, 2), Fraction(-3, 5), 2, Fraction(7, 4)]),
+    HomogPoly([1, 0, 0, -2, 0, 3]),
+    HomogPoly([0, Fraction(-1, 3), 0, 0, 5, 0]),
+]
+
+
+def test_power_sum_direct_sequence_against_the_full_row_oracle():
+    for f in ORACLE_FORMS:
+        assert power_sum_direct_sequence(f, 14) == [
+            direct_oracle(n, f) for n in range(1, 15)
+        ], f
+
+
+def test_power_sum_direct_sequence_makes_one_row_walk(monkeypatch):
+    # every row of the sequence comes from the one capped walk, stern._rows:
+    # row n_max needs n_max - 1 insertion steps and no more
+    calls = []
+    expand = stern._expand
+
+    def counted(prev):
+        calls.append(len(prev))
+        return expand(prev)
+
+    monkeypatch.setattr(stern, "_expand", counted)
+    for n in range(1, 12):
+        calls.clear()
+        power_sum_direct_sequence(HomogPoly([1, -2, 3]), n)
+        assert len(calls) == n - 1, n
 
 
 def test_power_sum_direct_sequence_validates_its_horizon(monkeypatch):
