@@ -339,8 +339,9 @@ def cmd_verify(args):
     _check_cap(
         "degree", args.r_max, "VERIFY_MAX_DEGREE", VERIFY_MAX_DEGREE, "verification cap"
     )
-    # an ArithmeticError names r: an exact identity the verification rests
-    # on failed (for example the swap certificate of the block split)
+    # an ArithmeticError names r and its witness: a certificate the
+    # verification rests on refused (the swap commutation, a twist half, an
+    # annihilation identity or a block's multiplicities)
     reports = verify_range(args.r_min, args.r_max)
     all_ok = all(rep.passed for rep in reports)
     return (

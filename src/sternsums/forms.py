@@ -15,7 +15,7 @@ it drives every power-sum computation downstream.  It commutes with the
 swap f(x, y) -> f(y, x), and its blocks (sym_quotient, anti_quotient) act
 on the swap classes: class i holds x^(r-i) y^i and x^i y^(r-i).
 _swap_fold maps a form onto the classes of either sign, and it is the one
-fold that the blocks, the twist halves and the power sums share.
+fold that the blocks and the power sums share.
 """
 
 from __future__ import annotations

@@ -14,6 +14,13 @@ modular algorithm, certified by exact division.  No floating point
 anywhere; the modular steps only propose or bound, and exact integer checks
 decide.
 
+verify takes none of the exact spectral routines: counts of eigenvectors
+held against the charpoly mod p (its root powers and its gcd with its
+derivative) pin every multiplicity it reports (see spectra).  Berkowitz
+serves mine's annihilator; minpoly, nullity, eigen_multiplicity,
+is_squarefree and kernel_basis are the tests' exact oracles of that
+certificate.
+
 All functions are pure; matrices and polynomials are immutable after
 construction and safe to share between threads.
 """

@@ -7,27 +7,23 @@ a function [a_1, ..., a_p] restricted to one parity class of r has period
 2p, with a_1 at r == 0 (mod 2p) on the even class and a_1 at r == 1 (mod 2p)
 on the odd class.
 
-Verification is exact.  Parts of the twist halves (see below) lie in
-eigenspaces of the transfer matrix once check_annihilation_identities has
-passed: it kills W for odd r, and acts by -1 on X n Y+ and by +1 on
-X n Y- for even r.  Their dimensions bound each block's geometric
-multiplicities from below.  The
-characteristic polynomial cp_p of the block mod the prime 2^30 - 35 bounds
-the algebraic ones from above, as cp is monic over the integers, and bounds
+Verification is exact, and rests on certificates alone: where one is
+refused, spectral_context raises ArithmeticError naming the degree and
+the witness, and `sternsums verify` exits 1.  Parts of the twist halves (see
+below) lie in eigenspaces of the transfer matrix once
+check_annihilation_identities has passed: it kills W for odd r, and acts
+by -1 on X n Y+ and by +1 on X n Y- for even r.  Their dimensions bound
+each block's geometric multiplicities from below.  The characteristic
+polynomial cp_p of the block mod the prime 2^30 - 35 bounds the algebraic
+ones from above, as cp is monic over the integers, and bounds
 deg gcd(cp, cp') too.  Where the two bounds meet at every reported
 eigenvalue, and the repeated roots of cp_p are those eigenvalues alone,
 geometric and algebraic multiplicities are pinned, and the block is
-diagonalizable (see SwapBlock).  So no exact characteristic polynomial,
-nullity or minimal polynomial is computed; on every degree swept up to
-VERIFY_MAX_DEGREE the bounds meet.  A block where they do not falls back
-to exact arithmetic: geometric multiplicities are kernel dimensions,
-algebraic ones come from repeated exact division of the Berkowitz
-characteristic polynomial, and the squarefreeness of the minimal
-polynomial is certified from cp without computing it (see
-SwapBlock.minpoly_squarefree), from the block nullities at the roots 0 and
-+-1 of g = gcd(cp, cp'), or from the Krylov minimal polynomial if g has
-another root.  The other diagonalizability witness is the integer
-symmetry identity a!(r-a)! M[a][b] == b!(r-b)! M[b][a].
+diagonalizable (see _certify_block).  So no exact characteristic
+polynomial, nullity or minimal polynomial is computed; on every degree up
+to VERIFY_MAX_DEGREE the bounds meet.  The other diagonalizability
+witness is the integer symmetry identity
+a!(r-a)! M[a][b] == b!(r-b)! M[b][a].
 
 The spectral work runs on two blocks of about half the size of the transfer
 matrix.  The swap J: f(x, y) -> f(y, x) commutes with it, because
@@ -43,7 +39,7 @@ of the blocks' multiplicities.  The split is certified, not assumed:
 spectral_context checks phi[r-a][r-b] == phi[a][b] entrywise, which is
 J phi J == phi, and raises ArithmeticError naming the degree when it fails.
 verify_single builds that context once per degree, and every check reads
-phi, the blocks, their polynomials and the twist kernel from it.  As
+phi, the blocks, their multiplicities and the twist kernel from it.  As
 J rho J = rho^-1 for rho = RHO_TWIST, J maps the twist kernel onto itself,
 so it is taken as its symmetric and antisymmetric halves, indexed by swap
 class as the blocks are; the symmetric fold is injective on the first and
@@ -53,13 +49,12 @@ of t^3 - (-1)^r, and each half is spanned by the folded columns of that
 image.  Their rank mod p, and that of the folded columns of the kernel's
 own factor, can only fall short of the exact ones, which sum to the half's
 width; where the two ranks mod p sum to it, both are exact, and the image
-columns kept are an exact basis (see _image_half).  Where they do not, the
-half is the exact kernel of the folded factor, which yields the same
-report.  On a form of swap sign s and even degree, the quarter turn
-f(x, y) -> f(y, -x) acts on entry a as s (-1)^a, which is s (-1)^i on both
-entries r - i and i of class i, so every dimension that involves its
-eigenspaces Y+- is a rank of one parity of a half's entries, and the
-annihilation identities are checked on the blocks.
+columns kept are an exact basis (see _image_half).  Where they do not,
+spectral_context raises.  On a form of swap sign s and even degree, the
+quarter turn f(x, y) -> f(y, -x) acts on entry a as s (-1)^a, which is
+s (-1)^i on both entries r - i and i of class i, so every dimension that
+involves its eigenspaces Y+- is a rank of one parity of a half's entries,
+and the annihilation identities are checked on the blocks.
 
 A composition subtlety drives the eigenspace computations.  With row-vector
 substitution the operators compose covariantly, so the operator that the
@@ -73,13 +68,12 @@ hold for RHO_TWIST's eigenspaces and are stated that way here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
 from .forms import (
-    _swap_fold,
     anti_quotient,
     phi_matrix,
     sym_dimension,
@@ -87,22 +81,14 @@ from .forms import (
     twist_columns,
 )
 from .linalg import (
-    IntPolynomial,
     RationalMatrix,
     _charpoly_mod,
     _gcd_mod,
-    _integer_kernel,
     _integer_rows,
     _normalize_entry,
     _primes_below_2_30,
     _root_power,
-    charpoly,
-    eigen_multiplicity,
-    is_squarefree,
-    minpoly,
-    polynomial_gcd,
     rank,
-    root_power,
 )
 
 Rational = Union[int, Fraction]
@@ -226,92 +212,17 @@ _CERTIFICATE_PRIME = next(_primes_below_2_30())
 
 @dataclass(frozen=True)
 class SwapBlock:
-    """The transfer matrix on one swap quotient, with its spectral data.
+    """The transfer matrix on one swap quotient, and its multiplicities.
 
-    eigenvectors maps each eigenvalue that verify reports on this block (an
-    integer) to the number of linearly independent eigenvectors that the
-    caller has certified for it; it is empty when the caller knows none.
-    When these counts meet the characteristic polynomial mod
-    _CERTIFICATE_PRIME (see _pinned), each of those multiplicities is
-    pinned exactly and the minimal polynomial is squarefree, with no exact
-    charpoly, nullity or minimal polynomial.  Otherwise the charpoly, the squarefreeness of the minimal
-    polynomial and each eigenvalue's multiplicities are computed exactly on
-    first use and kept, so a context built for a check that needs none of
-    them (odd_case_dims, say) does not pay for them, and verify_single and
-    the squarefree witness share each block nullity.
+    multiplicities maps each eigenvalue that verify reports on this block
+    (an integer) to the number of linearly independent eigenvectors that
+    the twist halves hold for it; spectral_context certifies that this
+    number is both its geometric and its algebraic multiplicity, and that
+    the block's minimal polynomial is squarefree (see _certify_block).
     """
 
     matrix: RationalMatrix
-    eigenvectors: dict = field(default_factory=dict)
-
-    @cached_property
-    def charpoly(self) -> IntPolynomial:
-        return charpoly(self.matrix)
-
-    @cached_property
-    def _pinned(self) -> dict | None:
-        """{lam: multiplicity} for every lam of eigenvectors, or None.
-
-        With cp the charpoly of d times the block, for the least d that
-        makes it integral, and cp_p its image mod p = _CERTIFICATE_PRIME:
-        cp is monic in Z[x], so a root of cp of multiplicity k is one of
-        cp_p of multiplicity at least k, and deg gcd(cp, cp') is at most
-        deg gcd(cp_p, cp_p').  So eigenvectors[lam] <= geo(lam) <= alg(lam)
-        <= mult_p(d lam), and where the two ends meet, geo = alg = that
-        number.  If they meet at every lam, and deg gcd(cp_p, cp_p') is the
-        sum of mult_p - 1 over those lam with mult_p >= 1, then, as p
-        exceeds every multiplicity, cp_p has no other repeated root (0 and
-        +-1 included), and as deg gcd(cp, cp') is at most that sum, nor has
-        cp: the only repeated roots of cp are lams with geo = alg, so the
-        block is diagonalizable and its minimal polynomial squarefree.
-        Every step is exact; a failed one (an unlucky prime, or a real
-        defect) returns None, and the block falls back to exact arithmetic.
-        """
-        if not self.eigenvectors:
-            return None
-        rows, d = _integer_rows(self.matrix.rows)
-        p = _CERTIFICATE_PRIME
-        cp = _charpoly_mod(rows, p)
-        mult = {lam: _root_power(cp, lam * d, p) for lam in self.eigenvectors}
-        repeated = len(_gcd_mod(cp, [i * c for i, c in enumerate(cp)][1:], p)) - 1
-        if mult != self.eigenvectors or repeated != sum(k - 1 for k in mult.values() if k):
-            return None
-        return mult
-
-    @cached_property
-    def _multiplicities(self) -> dict:
-        pinned = self._pinned or {}
-        return {lam: (k, k) for lam, k in pinned.items()}
-
-    @cached_property
-    def minpoly_squarefree(self) -> bool:
-        """Whether the minimal polynomial is squarefree, without computing it.
-
-        True at once when the certificate pins the block (see _pinned).
-        Otherwise: a root of cp of multiplicity k + 1 is a root of
-        g = gcd(cp, cp') of multiplicity k.  When g has no roots but 0 and
-        +-1, the only eigenvalues that verify checks, the block is
-        diagonalizable iff each of them that g has is semisimple:
-        nullity(block - lam I) is k + 1.  Otherwise the Krylov minimal
-        polynomial decides.
-        """
-        if self._pinned is not None:
-            return True
-        cp = self.charpoly
-        g = polynomial_gcd(cp, cp.derivative())
-        repeated = {lam: root_power(g, lam) for lam in (0, 1, -1)}
-        if sum(repeated.values()) < g.degree():
-            return is_squarefree(minpoly(self.matrix))
-        return all(
-            self.multiplicity(lam)[0] == k + 1 for lam, k in repeated.items() if k
-        )
-
-    def multiplicity(self, lam: Rational) -> tuple[int, int]:
-        """(geometric, algebraic) multiplicity of lam on this block."""
-        known = self._multiplicities
-        if lam not in known:
-            known[lam] = eigen_multiplicity(self.matrix, lam, self.charpoly)
-        return known[lam]
+    multiplicities: dict
 
 
 @dataclass(frozen=True)
@@ -328,20 +239,17 @@ class SpectralContext:
     (i < r/2 for s = -1, whose middle entry is 0).  Each half comes from the
     image of the complementary factor, t^2 - t + 1 for odd r and t - 1 for
     even r: its folded columns, fewest bits first, pinned mod
-    _CERTIFICATE_PRIME by the sandwich of _image_half.  A half whose
-    sandwich does not close falls back to _half_kernel, the exact kernel of
-    the folded factor; the basis differs, but every check reads only its
-    span, so the report does not.
+    _CERTIFICATE_PRIME by the sandwich of _image_half.
 
-    eigenvectors holds, for sym and for anti, {lam: the dimension of the
-    part of the half on which the transfer matrix acts as lam once
-    check_annihilation_identities has passed}: the whole half at 0 for odd
-    r; for even r, X_s n Y- at +1 and X_s n Y+ at -1, the parts of the half
-    of sign s on which the quarter turn acts as -1 and +1 (see
-    eigenspace_dims).  A half is folded one to one onto its block's
-    quotient, so each count bounds that block's geometric multiplicity from
-    below.  Until that check has passed they are mere counts, and the
-    blocks are built without them.
+    Each block's multiplicities are the dimensions of the parts of its half
+    on which the transfer matrix acts as lam once the annihilation
+    identities hold: the whole half at 0 for odd r; for even r, X_s n Y- at
+    +1 and X_s n Y+ at -1, the parts of the half of sign s on which the
+    quarter turn acts as -1 and +1 (see eigenspace_dims).  A half is folded
+    one to one onto its block's quotient, so each count bounds that block's
+    geometric multiplicity from below, and the certificate pins it.
+    annihilation is check_annihilation_identities on this context, computed
+    once; spectral_context has certified that every identity in it holds.
     """
 
     r: int
@@ -350,18 +258,52 @@ class SpectralContext:
     anti: SwapBlock | None
     twist_sym: tuple
     twist_anti: tuple
-    eigenvectors: tuple
 
     @property
     def blocks(self) -> tuple:
         return (self.sym,) if self.anti is None else (self.sym, self.anti)
 
+    @cached_property
+    def annihilation(self) -> dict:
+        return check_annihilation_identities(self)
 
-def _half_kernel(part: RationalMatrix, sign: int) -> tuple:
-    """The half of sign s of ker part (see SpectralContext): the integer
-    kernel of part's rows folded onto the swap classes of sign s."""
-    folded = [_swap_fold(row, sign) for row in part.rows]
-    return tuple(_integer_kernel(RationalMatrix(folded))) if folded[0] else ()
+
+def _certify_block(r: int, name: str, block: SwapBlock) -> None:
+    """Pin block.multiplicities, or raise ArithmeticError naming r, the block
+    and the witness.
+
+    With cp the charpoly of d times the block, for the least d that makes it
+    integral, and cp_p its image mod p = _CERTIFICATE_PRIME: cp is monic in
+    Z[x], so a root of cp of multiplicity k is one of cp_p of multiplicity
+    at least k, and deg gcd(cp, cp') is at most deg gcd(cp_p, cp_p').  So
+    with k eigenvectors at lam, k <= geo(lam) <= alg(lam) <= mult_p(d lam),
+    and where the two ends meet, geo = alg = k.  If they meet at every lam,
+    and deg gcd(cp_p, cp_p') is the sum of k - 1 over those lam with k >= 1,
+    then, as p exceeds every multiplicity, cp_p has no other repeated root
+    (0 and +-1 included), and as deg gcd(cp, cp') is at most that sum, nor
+    has cp: the only repeated roots of cp are lams with geo = alg, so the
+    block is diagonalizable and its minimal polynomial squarefree.  Every
+    step is exact; a failed one (an unlucky prime, or a real defect)
+    raises.
+    """
+    rows, d = _integer_rows(block.matrix.rows)
+    p = _CERTIFICATE_PRIME
+    cp = _charpoly_mod(rows, p)
+    for lam, k in block.multiplicities.items():
+        mult = _root_power(cp, lam * d, p)
+        if mult != k:
+            raise ArithmeticError(
+                f"r={r}: multiplicity certificate refused on the {name} block: "
+                f"{k} eigenvectors at {lam}, but multiplicity {mult} mod p"
+            )
+    repeated = len(_gcd_mod(cp, [i * c for i, c in enumerate(cp)][1:], p)) - 1
+    pinned = sum(k - 1 for k in block.multiplicities.values() if k)
+    if repeated != pinned:
+        raise ArithmeticError(
+            f"r={r}: multiplicity certificate refused on the {name} block: "
+            f"deg gcd(cp, cp') mod p is {repeated}, where its pinned eigenvalues "
+            f"account for {pinned}"
+        )
 
 
 def _extend_echelon(echelon: list, vec: list, p: int) -> bool:
@@ -382,9 +324,8 @@ def _extend_echelon(echelon: list, vec: list, p: int) -> bool:
     return True
 
 
-def _image_half(image: list, factor: list, sign: int) -> tuple | None:
-    """The half of sign s of im(image) = ker(factor), from their columns, or
-    None where the certificate refuses.
+def _image_half(image: list, factor: list, sign: int) -> tuple:
+    """The half of sign s of im(image) = ker(factor), from their columns.
 
     image and factor are the columns of two coprime polynomials in the
     twist t whose product vanishes at t (see spectral_context), so the forms
@@ -399,7 +340,8 @@ def _image_half(image: list, factor: list, sign: int) -> tuple | None:
     ranks sum to width: then both are exact, and the image's half vectors
     that raised its rank, being independent mod p, are independent over Q
     and as many as the half is wide.  They are returned divided by their
-    content, with the last nonzero entry positive, as _half_kernel's are.
+    content, with the last nonzero entry positive.  Where the ranks never
+    sum to width, raises ArithmeticError naming r and the sign.
     """
     r = len(image) - 1
     width = sym_dimension(r) if sign == 1 else (r + 1) // 2
@@ -417,7 +359,11 @@ def _image_half(image: list, factor: list, sign: int) -> tuple | None:
             kept.append(w)
         _extend_echelon(factor_echelon, [x[r - i] + sign * x[i] for i in range(width)], p)
     if len(image_echelon) + len(factor_echelon) != width:
-        return None
+        raise ArithmeticError(
+            f"r={r}: twist half of sign {sign:+d} refused: ranks "
+            f"{len(image_echelon)} + {len(factor_echelon)} mod p of its image and "
+            f"factor columns fall short of its width {width}"
+        )
     basis = []
     for w in kept:
         g = math.gcd(*w)
@@ -428,11 +374,15 @@ def _image_half(image: list, factor: list, sign: int) -> tuple | None:
 
 
 def spectral_context(r: int) -> SpectralContext:
-    """The per-degree context, after certifying that phi commutes with the swap.
+    """The per-degree context, every part of it certified.
 
-    Raises ArithmeticError naming r and a witness entry when
-    phi[r-a][r-b] != phi[a][b] somewhere, because the block split would
-    then be unsound.
+    Raises ArithmeticError naming r and the witness where a certificate
+    refuses: phi[r-a][r-b] != phi[a][b] at some entry, so that the block
+    split would be unsound; a twist half whose ranks mod p do not close
+    (see _image_half); an annihilation identity that fails, so that the
+    halves' counts bound nothing; or a block whose counts the charpoly mod
+    p does not pin (see _certify_block).  At r = 0 the halves are empty and
+    the identities vacuous.
     """
     if r < 0:
         raise ValueError("degree must be nonnegative")
@@ -461,30 +411,29 @@ def spectral_context(r: int) -> SpectralContext:
         for b, (c, c2) in enumerate(zip(t, t2))
     ]
     factor, image = (linear, quadratic) if r % 2 else (quadratic, linear)
-    halves = []
-    for sign in (1, -1):
-        half = _image_half(image, factor, sign)
-        if half is None:
-            half = _half_kernel(RationalMatrix(zip(*factor)), sign)
-        halves.append(half)
-    twist_sym, twist_anti = halves
+    twist_sym, twist_anti = (_image_half(image, factor, sign) for sign in (1, -1))
     if r % 2:
-        eigenvectors = ({0: len(twist_sym)}, {0: len(twist_anti)})
+        sym_counts, anti_counts = {0: len(twist_sym)}, {0: len(twist_anti)}
     else:
         # on the half of sign s, the quarter turn acts on class i as s (-1)^i
-        eigenvectors = (
-            {1: _vanishing_dim(twist_sym, 0), -1: _vanishing_dim(twist_sym, 1)},
-            {1: _vanishing_dim(twist_anti, 1), -1: _vanishing_dim(twist_anti, 0)},
-        )
-    return SpectralContext(
+        sym_counts = {1: _vanishing_dim(twist_sym, 0), -1: _vanishing_dim(twist_sym, 1)}
+        anti_counts = {1: _vanishing_dim(twist_anti, 1), -1: _vanishing_dim(twist_anti, 0)}
+    ctx = SpectralContext(
         r=r,
         phi=phi,
-        sym=SwapBlock(sym_quotient(r, phi)),
-        anti=SwapBlock(anti_quotient(r, phi)) if r else None,
+        sym=SwapBlock(sym_quotient(r, phi), sym_counts),
+        anti=SwapBlock(anti_quotient(r, phi), anti_counts) if r else None,
         twist_sym=twist_sym,
         twist_anti=twist_anti,
-        eigenvectors=eigenvectors,
     )
+    failed = [key for key, holds in ctx.annihilation.items() if holds is False]
+    if failed:
+        raise ArithmeticError(
+            f"r={r}: annihilation identity {', '.join(failed)} fails on the twist halves"
+        )
+    for name, block in zip(("sym", "anti"), ctx.blocks):
+        _certify_block(r, name, block)
+    return ctx
 
 
 def _vanishing_dim(basis: tuple, parity: int) -> int:
@@ -511,15 +460,15 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
       X n Y+- is (X_sym n Y+-) + (X_anti n Y+-).  On the half of sign s,
       Y+ is where the classes i with s (-1)^i = -1 vanish, and Y- where
       the others do; as r is even, (-1)^i is also (-1)^(r-i).  These are
-      the ranks behind ctx.eigenvectors, which keys X_s n Y+ by -1 and
-      X_s n Y- by +1.
+      the ranks behind the blocks' multiplicities, which key X_s n Y+ by -1
+      and X_s n Y- by +1.
     """
     r = ctx.r
     if r < 2 or r % 2:
         raise ValueError("even degree at least 2 required")
     half = r // 2
     sym, anti = ctx.twist_sym, ctx.twist_anti
-    caps_sym, caps_anti = ctx.eigenvectors
+    caps_sym, caps_anti = ctx.sym.multiplicities, ctx.anti.multiplicities
 
     def formula(fn, computed):
         return {"formula": _dim_value(fn, r), "computed": computed}
@@ -577,12 +526,10 @@ def check_annihilation_identities(ctx: SpectralContext) -> dict:
     fold of sign s is one to one on such forms, with
     fold(phi v) = block_s fold(v).  fold(v) is 2 w[i] at class i, and w[i]
     at the middle class, and the quarter turn multiplies class i of it by
-    s (-1)^i.  The check is vacuously true when the eigenspace is zero.  The
-    degree is ctx.r.
+    s (-1)^i.  The check is vacuously true when the eigenspace is zero, as
+    at r = 0.  The degree is ctx.r.
     """
     r = ctx.r
-    if r < 1:
-        raise ValueError("degree must be at least 1")
     folded = [
         (sign, block.matrix, [x if 2 * i == r else 2 * x for i, x in enumerate(w)])
         for sign, block, basis in ((1, ctx.sym, ctx.twist_sym), (-1, ctx.anti, ctx.twist_anti))
@@ -609,9 +556,9 @@ def check_diagonalizability(ctx: SpectralContext) -> tuple:
     square roots of k!(r-k)!).  The second checks squarefreeness of the
     minimal polynomials of both swap blocks (their lcm is the minimal
     polynomial of the transfer matrix, and the symmetric block is its
-    quotient) by SwapBlock.minpoly_squarefree: the certificate mod p where
-    it pins the block, else the block nullities at the repeated eigenvalues
-    0 and +-1, or the Krylov minimal polynomial if another one repeats.
+    quotient).  spectral_context pinned it with each block's multiplicities
+    (see _certify_block), and raises where it cannot, so on a context it
+    built the second witness holds.
     """
     r = ctx.r
     phi = ctx.phi
@@ -622,8 +569,7 @@ def check_diagonalizability(ctx: SpectralContext) -> tuple:
         for a in range(r + 1)
         for b in range(a + 1, r + 1)
     )
-    squarefree = all(block.minpoly_squarefree for block in ctx.blocks)
-    return symmetric, squarefree
+    return symmetric, True
 
 
 def _holds(annihilation: dict) -> bool:
@@ -721,38 +667,26 @@ class VerificationReport:
 def verify_single(r: int) -> VerificationReport:
     """Run every check for one degree, on one spectral context.
 
-    Once check_annihilation_identities has passed, the parts of the twist
-    halves that ctx.eigenvectors counts lie in eigenspaces of the transfer
-    matrix, and each block carries those counts into its multiplicity
-    certificate (see SwapBlock).
+    The context's blocks carry their multiplicities, each pinned as both
+    geometric and algebraic (see _certify_block); a refused certificate
+    raises ArithmeticError from spectral_context instead of a report.
     """
     if r < 1:
         raise ValueError("degree must be at least 1")
     ctx = spectral_context(r)
     preds = predicted_bounds(r)
-    annihilation = check_annihilation_identities(ctx)
-    if _holds(annihilation):
-        sym_counts, anti_counts = ctx.eigenvectors
-        ctx = replace(
-            ctx,
-            sym=SwapBlock(ctx.sym.matrix, sym_counts),
-            anti=SwapBlock(ctx.anti.matrix, anti_counts),
-        )
 
     # phi's multiplicities are the sums over its two swap blocks; phi_sym is
     # the symmetric block alone.
     names = {0: "0", 1: "plus1", -1: "minus1"}
-    lams = (0,) if r % 2 else (1, -1)
-    sym = {lam: ctx.sym.multiplicity(lam) for lam in lams}
-    anti = {lam: ctx.anti.multiplicity(lam) for lam in lams}
+    sym, anti = ctx.sym.multiplicities, ctx.anti.multiplicities
     mults = {}
-    for lam in lams:
+    for lam, k in sym.items():
         key = f"m_phi_{names[lam]}"
-        (sym_geo, sym_alg), (anti_geo, anti_alg) = sym[lam], anti[lam]
-        mults[key] = MultiplicityCheck(preds[key], sym_geo + anti_geo, sym_alg + anti_alg)
-    for lam in lams:
+        mults[key] = MultiplicityCheck(preds[key], k + anti[lam], k + anti[lam])
+    for lam, k in sym.items():
         key = f"m_phi_sym_{names[lam]}"
-        mults[key] = MultiplicityCheck(preds[key], *sym[lam])
+        mults[key] = MultiplicityCheck(preds[key], k, k)
 
     sums = {}
     if r % 2:
@@ -792,7 +726,7 @@ def verify_single(r: int) -> VerificationReport:
         symmetry_identity=symmetric,
         minpoly_squarefree=squarefree,
         dims=dims,
-        annihilation=annihilation,
+        annihilation=ctx.annihilation,
     )
 
 

@@ -19,7 +19,7 @@ from itertools import islice
 
 import pytest
 
-from sternsums.forms import RHO_TWIST, operator_matrix, phi_matrix, sym_quotient
+from sternsums.forms import RHO_TWIST, _swap_fold, operator_matrix, phi_matrix, sym_quotient
 from sternsums.linalg import (
     InexactDivisionError,
     IntPolynomial,
@@ -44,7 +44,7 @@ from sternsums.linalg import (
     root_power,
     solve_linear,
 )
-from sternsums.spectra import _CERTIFICATE_PRIME, _half_kernel, spectral_context
+from sternsums.spectra import _CERTIFICATE_PRIME, spectral_context
 
 
 # -- oracles ----------------------------------------------------------------
@@ -306,6 +306,14 @@ def twist_forms(ctx) -> list:
     return out
 
 
+def _half_kernel(part: RationalMatrix, sign: int) -> tuple:
+    """The half of sign s of ker part (see spectra.SpectralContext): the
+    integer kernel of part's rows folded onto the swap classes of sign s.
+    The exact oracle of the twist halves, which spectral_context pins mod p."""
+    folded = [_swap_fold(row, sign) for row in part.rows]
+    return tuple(_integer_kernel(RationalMatrix(folded))) if folded[0] else ()
+
+
 def _assert_halves_span_the_twist_kernel(r: int):
     part = twist_part(r)
     kernel = _integer_kernel(part)
@@ -315,7 +323,7 @@ def _assert_halves_span_the_twist_kernel(r: int):
     assert all(not any(part.mat_vec(v)) for v in forms), r
     assert len(forms) == len(kernel), r
     assert not forms or rank(RationalMatrix(forms)) == len(forms), r
-    # each half spans what the exact half kernel, the fallback, spans
+    # each half spans what the exact half kernel spans
     for sign, half in ((1, ctx.twist_sym), (-1, ctx.twist_anti)):
         oracle = _half_kernel(part, sign)
         assert len(half) == len(oracle), (r, sign)
@@ -704,7 +712,7 @@ def test_polynomial_gcd_against_prs_oracle():
 def test_polynomial_gcd_of_swap_block_charpolys():
     for r in range(41):
         for block in spectral_context(r).blocks:
-            cp = block.charpoly
+            cp = charpoly(block.matrix)
             assert polynomial_gcd(cp, cp.derivative()) == prs_gcd(cp, cp.derivative()), r
 
 

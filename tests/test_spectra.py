@@ -192,6 +192,8 @@ def test_annihilation_identities():
     assert a2 == {"phi_plus_iota_kills_X": True, "space_dim": 2}
     a1 = check_annihilation_identities(spectral_context(1))
     assert a1["phi_kills_W"] and a1["space_dim"] == 0  # vacuous
+    a0 = check_annihilation_identities(spectral_context(0))
+    assert a0 == {"phi_plus_iota_kills_X": True, "space_dim": 0}  # vacuous
 
 
 def full_width_annihilation(ctx) -> dict:

@@ -5,16 +5,14 @@ phi, reading them from one spectral context per degree.  The oracle here is
 the route it replaced: every multiplicity on the full (r+1)-wide matrix,
 each check rebuilding what it needs, and the eigenspace kernels used as the
 Fraction vectors kernel_basis returns, the twist kernel eliminated full
-width.  The squarefree witness of each block, certified from its block
-nullities (or, for a repeated eigenvalue other than 0 and +-1, from its
-Krylov minimal polynomial), is checked against the radical evaluated at the
-block and the squarefreeness of the minimal polynomial.  The certificate
-that pins each block's multiplicities and witness from the twist halves and
-a charpoly mod p is checked against that exact route (Berkowitz, the block
-nullities and the witness), and forced to refuse.
+width.  The certificate that pins each block's multiplicities and its
+squarefree witness from the twist halves and a charpoly mod p is checked
+against the exact route that the library no longer takes: Berkowitz and
+the block nullities, the Krylov minimal polynomial, and the radical
+evaluated at the block.  Each certificate is forced to refuse too, and
+verify must then exit 1 naming the degree and the witness.
 """
 
-import json
 import math
 import random
 from collections import Counter
@@ -61,10 +59,11 @@ from sternsums.spectra import (
     EVEN,
     ODD,
     MultiplicityCheck,
+    SwapBlock,
     VerificationReport,
+    check_diagonalizability,
     periodic_eval,
     predicted_bounds,
-    SwapBlock,
     spectral_context,
     verify_single,
 )
@@ -248,8 +247,8 @@ def test_anti_quotient_goldens():
 def test_context_holds_one_block_per_swap_class():
     ctx = spectral_context(6)
     assert [b.matrix.nrows for b in ctx.blocks] == [4, 3]
-    assert ctx.sym.charpoly == charpoly(ctx.sym.matrix)
-    assert ctx.anti.minpoly_squarefree == is_squarefree(minpoly(ctx.anti.matrix))
+    assert [set(b.multiplicities) for b in ctx.blocks] == [{1, -1}, {1, -1}]
+    assert [set(b.multiplicities) for b in spectral_context(7).blocks] == [{0}, {0}]
     halves = ctx.twist_sym + ctx.twist_anti
     assert halves and all(isinstance(x, int) for w in halves for x in w)
     assert spectral_context(0).blocks == (spectral_context(0).sym,)
@@ -260,46 +259,23 @@ def test_context_holds_one_block_per_swap_class():
 # -- the squarefree witness -----------------------------------------------------
 
 
-def _radical_annihilates(block: SwapBlock) -> bool:
-    """The radical route: cp / gcd(cp, cp') annihilates the block."""
-    cp = block.charpoly
+def _radical_annihilates(m: RationalMatrix) -> bool:
+    """The radical route: cp / gcd(cp, cp') annihilates m."""
+    cp = charpoly(m)
     radical = divide_out(cp, polynomial_gcd(cp, cp.derivative()), 1)
-    return horner_at_matrix(radical, block.matrix).is_zero()
+    return horner_at_matrix(radical, m).is_zero()
 
 
-def _count_minpoly(monkeypatch) -> Counter:
-    """Counts the witness's fallbacks: its calls of the Krylov minpoly."""
-    calls = Counter()
-    original = spectra.minpoly
-
-    def counted(m):
-        calls["minpoly"] += 1
-        return original(m)
-
-    monkeypatch.setattr(spectra, "minpoly", counted)
-    return calls
-
-
-def _assert_minpoly_squarefree_agrees_with_the_oracles(monkeypatch, degrees):
-    # every block takes the nullity route, which agrees with both oracles
-    blocks = [block for r in degrees for block in spectral_context(r).blocks]
-    calls = _count_minpoly(monkeypatch)
-    witnesses = [block.minpoly_squarefree for block in blocks]
-    assert calls["minpoly"] == 0
-    for block, witness in zip(blocks, witnesses):
-        assert witness is _radical_annihilates(block) is True
-        assert witness is is_squarefree(minpoly(block.matrix))
-
-
-def test_minpoly_squarefree_against_the_minpoly_oracle(monkeypatch):
-    # the oracles cost most at the top, so the default sweep samples it
-    degrees = [*range(1, 21), 30, 45, 60]
-    _assert_minpoly_squarefree_agrees_with_the_oracles(monkeypatch, degrees)
-
-
-@pytest.mark.extended
-def test_minpoly_squarefree_against_the_minpoly_oracle_up_to_r60(monkeypatch):
-    _assert_minpoly_squarefree_agrees_with_the_oracles(monkeypatch, range(1, 61))
+def test_minpoly_squarefree_against_the_minpoly_oracle():
+    # the minimal polynomial is squarefree iff the radical annihilates the
+    # block (test_certificate_pins_what_the_exact_route_computes asks
+    # is_squarefree(minpoly) itself); the oracle costs most at the top, so
+    # the default sweep samples it
+    for r in [*range(1, 21), 30, 45, 60]:
+        ctx = spectral_context(r)
+        assert check_diagonalizability(ctx)[1] is True, r
+        for block in ctx.blocks:
+            assert _radical_annihilates(block.matrix) is True, r
 
 
 def _seeded_witness_cases():
@@ -325,175 +301,163 @@ def _seeded_witness_cases():
             yield _conjugate(rng, _block_diag(blocks)), True
 
 
-@pytest.mark.extended
-def test_minpoly_squarefree_never_falls_back_up_to_r130(monkeypatch):
-    # past the default sweep, up to the old verify cap (the exact charpolys
-    # cost hours past it): no block repeats an eigenvalue other than 0 and
-    # +-1, so none falls back to its minpoly
-    calls = _count_minpoly(monkeypatch)
-    for r in range(61, 131):
-        for block in spectral_context(r).blocks:
-            assert block.minpoly_squarefree, r
-            assert calls["minpoly"] == 0, r
-
-
 def test_minpoly_squarefree_on_seeded_matrices():
+    # the two exact oracles of the witness agree on every seeded case
     for m, expected in _seeded_witness_cases():
-        assert SwapBlock(m).minpoly_squarefree is expected, m
-        assert _radical_annihilates(SwapBlock(m)) is expected, m
+        assert _radical_annihilates(m) is expected, m
         assert is_squarefree(minpoly(m)) is expected, m
-
-
-def test_minpoly_squarefree_falls_back_to_the_minpoly(monkeypatch):
-    # 2 repeats, and the block nullities cover only 0 and +-1
-    calls = _count_minpoly(monkeypatch)
-    assert SwapBlock(_jordan(2, 2)).minpoly_squarefree is False
-    diag = _block_diag([_jordan(2, 1), _jordan(2, 1), _jordan(3, 1)])
-    assert SwapBlock(diag).minpoly_squarefree is True
-    assert calls["minpoly"] == 2
-
-
-def test_minpoly_squarefree_reads_the_block_nullities(monkeypatch):
-    # a Jordan block at lam next to a simple eigenvalue has nullity 1, not 2
-    calls = _count_minpoly(monkeypatch)
-    for lam in (0, 1, -1):
-        jordan = _block_diag([_jordan(lam, 2), _jordan(-lam or 5, 1)])
-        assert SwapBlock(jordan).minpoly_squarefree is False, lam
-        diag = _block_diag([_jordan(lam, 1), _jordan(lam, 1), _jordan(7, 1)])
-        assert SwapBlock(diag).minpoly_squarefree is True, lam
-    assert calls["minpoly"] == 0
-
-
-def test_verify_fails_when_a_block_has_a_jordan_block(monkeypatch, capsys):
-    # r = 4 has the anti block diag(1, -1); a 2x2 Jordan block at 1 in its
-    # place has no squarefree minimal polynomial
-    jordan = RationalMatrix([[1, 1], [0, 1]])
-    monkeypatch.setattr(spectra, "anti_quotient", lambda r, phi=None: jordan)
-    code = main(["verify", "4", "4", "--json"])
-    report = json.loads(capsys.readouterr().out)["results"]["reports"][0]
-    assert code == EXIT_VERIFICATION_FAILED
-    assert report["minpoly_squarefree"] is False
-    assert report["passed"] is False
 
 
 # -- the multiplicity certificate -----------------------------------------------
 
 
-def _certified_blocks(r):
-    """The blocks of degree r with the counts of the twist halves, as
-    verify_single builds them once the annihilation identities hold."""
-    ctx = spectral_context(r)
-    assert spectra._holds(spectra.check_annihilation_identities(ctx)), r
-    return [SwapBlock(b.matrix, counts) for b, counts in zip(ctx.blocks, ctx.eigenvectors)]
-
-
-def _count_exact_route(monkeypatch) -> Counter:
-    """Counts the exact charpolys and eigenvalue multiplicities of the blocks."""
-    calls = Counter()
-    for name in ("charpoly", "eigen_multiplicity"):
-        original = getattr(spectra, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(spectra, name, counted)
-    return calls
-
-
 def _withhold_an_eigenvector(monkeypatch):
-    """Each block built with counts gets one eigenvector fewer at each
-    eigenvalue, so the certificate refuses it and it takes the exact route."""
+    """Each block is built with one eigenvector fewer at each eigenvalue;
+    returns the shifts of the (count, multiplicity mod p) pair refused."""
     real = spectra.SwapBlock
 
-    def withheld(matrix, eigenvectors=None):
-        return real(matrix, {lam: k - 1 for lam, k in (eigenvectors or {}).items()})
+    def withheld(matrix, multiplicities):
+        return real(matrix, {lam: k - 1 for lam, k in multiplicities.items()})
 
     monkeypatch.setattr(spectra, "SwapBlock", withheld)
+    return -1, 0
 
 
 def _miscount_a_root(monkeypatch):
-    """Every multiplicity mod p comes out one too high."""
+    """Every multiplicity mod p comes out one too high; returns the shifts
+    of the (count, multiplicity mod p) pair refused."""
     real = spectra._root_power
     monkeypatch.setattr(spectra, "_root_power", lambda *args: real(*args) + 1)
+    return 0, 1
+
+
+def _assert_exits_1_naming(capsys, r, *witness):
+    """verify r r, in text and with --json, exits 1 with empty stdout and a
+    message on stderr that names r and every part of the witness."""
+    for fmt in ([], ["--json"]):
+        code = main(["verify", str(r), str(r), *fmt])
+        captured = capsys.readouterr()
+        assert code == EXIT_VERIFICATION_FAILED
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: r={r}: "), captured.err
+        for part in witness:
+            assert part in captured.err, (part, captured.err)
 
 
 def test_certificate_prime_is_the_first_of_the_walk_and_above_every_block():
-    # _pinned needs p above every block size, hence every multiplicity; the
-    # symmetric block is the larger, and widest at the cap
+    # _certify_block needs p above every block size, hence every
+    # multiplicity; the symmetric block is the larger, and widest at the cap
     p = spectra._CERTIFICATE_PRIME
     assert p == next(linalg._primes_below_2_30()) == 2**30 - 35
     assert sym_dimension(VERIFY_MAX_DEGREE) < p < 2**30
 
 
-def test_certificate_pins_what_the_exact_route_computes(monkeypatch):
-    # Berkowitz, the block nullities and the squarefree witness of the bare
-    # block are the oracle; a pinned block computes none of them
-    for r in [*range(1, 21), 30, 45, 60]:
-        for block in _certified_blocks(r):
-            with monkeypatch.context() as patch:
-                calls = _count_exact_route(patch)
-                pinned = {lam: block.multiplicity(lam) for lam in block.eigenvectors}
-                assert block.minpoly_squarefree is True, r
-                assert not calls, r
+def test_spectra_keeps_no_exact_spectral_route():
+    # the exact routines are the tests' oracle, and serve mine's annihilator
+    for name in (
+        "charpoly",
+        "eigen_multiplicity",
+        "minpoly",
+        "is_squarefree",
+        "polynomial_gcd",
+        "root_power",
+        "_integer_kernel",
+        "_half_kernel",
+    ):
+        assert not hasattr(spectra, name), name
+
+
+def _assert_certificate_pins_what_the_exact_route_computes(degrees):
+    # Berkowitz with the block nullities, and the Krylov minimal polynomial,
+    # are the oracle of what each block of the context carries
+    for r in degrees:
+        for block in spectral_context(r).blocks:
+            pinned = {lam: (k, k) for lam, k in block.multiplicities.items()}
             assert pinned == {lam: eigen_multiplicity(block.matrix, lam) for lam in pinned}, r
-            assert SwapBlock(block.matrix).minpoly_squarefree is True, r
+            assert is_squarefree(minpoly(block.matrix)), r
+
+
+def test_certificate_pins_what_the_exact_route_computes():
+    # the oracles cost most at the top, so the default sweep samples it
+    _assert_certificate_pins_what_the_exact_route_computes([*range(1, 21), 30, 45, 60])
+
+
+@pytest.mark.extended
+def test_certificate_pins_what_the_exact_route_computes_up_to_r60():
+    _assert_certificate_pins_what_the_exact_route_computes(range(1, 61))
 
 
 @pytest.mark.parametrize("r", [11, 12, 20, 21])
 @pytest.mark.parametrize("refuse", [_withhold_an_eigenvector, _miscount_a_root])
-def test_refused_certificate_leaves_the_report_unchanged(monkeypatch, r, refuse):
-    expected = verify_single(r).to_json_dict()
-    refuse(monkeypatch)
-    calls = _count_exact_route(monkeypatch)
-    assert verify_single(r).to_json_dict() == expected
-    assert calls["charpoly"] == 2  # each block takes the exact route
+def test_refused_certificate_exits_1(monkeypatch, capsys, r, refuse):
+    # the witness is the first eigenvalue of the sym block, the first checked
+    lam, k = next(iter(spectral_context(r).sym.multiplicities.items()))
+    count, mult = (k + shift for shift in refuse(monkeypatch))
+    _assert_exits_1_naming(
+        capsys, r, "sym block", f"{count} eigenvectors at {lam}", f"multiplicity {mult} mod p"
+    )
 
 
 @pytest.mark.parametrize("r", [11, 12])
-def test_certificate_waits_for_the_annihilation_identities(monkeypatch, r):
-    # the twist halves bound nothing until the identities hold
-    expected = verify_single(r).to_json_dict()
+def test_repeated_root_mod_p_exits_1(monkeypatch, capsys, r):
+    # one more repeated root than the pinned eigenvalues account for
+    pinned = sum(k - 1 for k in spectral_context(r).sym.multiplicities.values() if k)
+    real = spectra._gcd_mod
+    monkeypatch.setattr(spectra, "_gcd_mod", lambda *args: real(*args) + [0])
+    _assert_exits_1_naming(
+        capsys, r, "sym block", f"deg gcd(cp, cp') mod p is {pinned + 1}", f"for {pinned}"
+    )
+
+
+@pytest.mark.parametrize("r", [11, 12])
+def test_certificate_waits_for_the_annihilation_identities(monkeypatch, capsys, r):
+    # the twist halves bound nothing until the identities hold: a failed one
+    # exits 1 naming it, before any charpoly mod p
     real = spectra.check_annihilation_identities
 
     def failed(ctx):
         return {k: False if isinstance(v, bool) else v for k, v in real(ctx).items()}
 
     monkeypatch.setattr(spectra, "check_annihilation_identities", failed)
-    calls = _count_exact_route(monkeypatch)
-    report = verify_single(r).to_json_dict()
-    assert calls["charpoly"] == 2
-    assert report["passed"] is False
-    assert report["multiplicities"] == expected["multiplicities"]
+    monkeypatch.setattr(spectra, "_charpoly_mod", None)
+    identity = "phi_kills_W" if r % 2 else "phi_plus_iota_kills_X"
+    _assert_exits_1_naming(capsys, r, f"annihilation identity {identity} fails")
+
+
+def test_verify_fails_when_a_block_has_a_jordan_block(monkeypatch, capsys):
+    # r = 4 has the anti block diag(1, -1); a 2x2 Jordan block at 1 in its
+    # place fails X_anti's identity, which spans both classes
+    jordan = RationalMatrix([[1, 1], [0, 1]])
+    monkeypatch.setattr(spectra, "anti_quotient", lambda r, phi=None: jordan)
+    _assert_exits_1_naming(capsys, 4, "annihilation identity phi_plus_iota_kills_X fails")
+
+
+def _certified(m: RationalMatrix, counts: dict) -> bool:
+    """Whether the certificate pins counts on the block m."""
+    try:
+        spectra._certify_block(0, "sym", SwapBlock(m, counts))
+    except ArithmeticError:
+        return False
+    return True
 
 
 def test_certificate_refuses_or_agrees_on_seeded_matrices():
     # the exact geometric multiplicities at 0 and +-1 are the largest counts
-    # a caller could certify; Jordan blocks must be refused whatever they are
+    # a caller could certify; a Jordan block, at 0 or +-1 next to a simple
+    # eigenvalue too, must be refused whatever it is
+    cases = list(_seeded_witness_cases())
+    for lam in (0, 1, -1):
+        cases.append((_block_diag([_jordan(lam, 2), _jordan(-lam or 5, 1)]), False))
+        cases.append((_block_diag([_jordan(lam, 1), _jordan(lam, 1), _jordan(7, 1)]), True))
     outcomes = Counter()
-    for m, expected in _seeded_witness_cases():
+    for m, expected in cases:
         exact = {lam: eigen_multiplicity(m, lam) for lam in (0, 1, -1)}
-        block = SwapBlock(m, {lam: geo for lam, (geo, _) in exact.items()})
-        pinned = block._pinned
-        if pinned is not None:
+        pinned = _certified(m, {lam: geo for lam, (geo, _) in exact.items()})
+        if pinned:
             assert expected is True, m
-            assert {lam: (k, k) for lam, k in pinned.items()} == exact, m
-        assert block.minpoly_squarefree is expected, m
-        outcomes[pinned is not None, expected] += 1
+            assert all(geo == alg for geo, alg in exact.values()), m
+        outcomes[pinned, expected] += 1
     assert outcomes[True, True] and outcomes[False, True] and outcomes[False, False]
-
-
-def _count_half_kernels(monkeypatch) -> Counter:
-    """Counts the exact half kernels, the fallback of the twist halves, by sign."""
-    calls = Counter()
-    real = spectra._half_kernel
-
-    def counted(part, sign):
-        calls[sign] += 1
-        return real(part, sign)
-
-    monkeypatch.setattr(spectra, "_half_kernel", counted)
-    return calls
 
 
 def _cap_the_echelons(monkeypatch):
@@ -508,26 +472,18 @@ def _cap_the_echelons(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [11, 12])
-def test_refused_twist_half_falls_back_to_the_half_kernel(monkeypatch, capsys, r):
-    def outputs():
-        argv = ["verify", str(r), str(r)]
-        return [(main(argv + fmt), capsys.readouterr()) for fmt in ([], ["--json"])]
-
-    expected = outputs()
+def test_refused_twist_half_exits_1_naming_its_sign(monkeypatch, capsys, r):
+    # the symmetric half is the first taken, and wider than 2
     _cap_the_echelons(monkeypatch)
-    calls = _count_half_kernels(monkeypatch)
-    assert outputs() == expected
-    assert calls == Counter({1: 2, -1: 2})  # both halves, in each of the two runs
+    _assert_exits_1_naming(capsys, r, "twist half of sign +1 refused")
 
 
 @pytest.mark.extended
-def test_certificate_never_falls_back_up_to_the_verify_cap(monkeypatch):
-    calls = _count_exact_route(monkeypatch)
-    half_kernels = _count_half_kernels(monkeypatch)
+def test_every_degree_passes_on_the_certificate_up_to_the_verify_cap():
+    # no certificate refuses a degree that verify admits, so taking the
+    # exact route off the library changed no report
     for r in range(1, VERIFY_MAX_DEGREE + 1):
         assert verify_single(r).passed, r
-        assert not calls, r
-        assert not half_kernels, r
 
 
 # -- the certificate of the split -------------------------------------------------
@@ -549,11 +505,7 @@ def test_verify_exits_1_naming_the_degree_when_the_swap_certificate_fails(
     monkeypatch, capsys
 ):
     monkeypatch.setattr(spectra, "phi_matrix", _skewed_phi)
-    code = main(["verify", "4", "4", "--json"])
-    captured = capsys.readouterr()
-    assert code == EXIT_VERIFICATION_FAILED
-    assert captured.out == ""
-    assert "r=4" in captured.err and "swap" in captured.err
+    _assert_exits_1_naming(capsys, 4, "phi does not commute with the swap")
 
 
 # -- redundancy ----------------------------------------------------------------------
@@ -561,8 +513,8 @@ def test_verify_exits_1_naming_the_degree_when_the_swap_certificate_fails(
 
 @pytest.mark.parametrize("r", [11, 12])
 def test_verify_single_builds_each_object_once(monkeypatch, r):
-    # one charpoly mod p per block, and no exact one: the certificate pins
-    # every multiplicity
+    # one context, one charpoly mod p per block, and no exact one: the
+    # certificate pins every multiplicity, and once, when the context is built
     calls = Counter()
     charpoly_widths = []
     modules = (forms, linalg, spectra)
@@ -579,7 +531,15 @@ def test_verify_single_builds_each_object_once(monkeypatch, r):
         for module in modules:
             if module.__dict__.get(name) is original:
                 monkeypatch.setattr(module, name, counted)
+    real_init = spectra.SpectralContext.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["SpectralContext"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(spectra.SpectralContext, "__init__", counted_init)
     verify_single(r)
+    assert calls["SpectralContext"] == 1
     assert calls["phi_matrix"] <= 2
     assert calls["sym_quotient"] <= 1
     assert calls["_charpoly_mod"] == 2
@@ -639,22 +599,3 @@ def test_verify_single_builds_no_quarter_turn_matrix(monkeypatch, r):
     assert len(rank_widths[spectra]) == (0 if r % 2 else 4)
     assert max(rank_widths[spectra], default=0) <= (r // 2 + 2) // 2
     assert not products
-
-
-@pytest.mark.parametrize("r", [12, 20])
-def test_verify_single_witness_shares_the_block_nullities(monkeypatch, r):
-    # with the certificate refused, the squarefree witness computes no
-    # minimal polynomial, and the nullities at +-1 it reads (r = 20 repeats
-    # both) are the ones the multiplicity check computes, once per block
-    _withhold_an_eigenvector(monkeypatch)
-    calls = _count_minpoly(monkeypatch)
-    original = spectra.eigen_multiplicity
-
-    def counted(*args, **kwargs):
-        calls["eigen_multiplicity"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(spectra, "eigen_multiplicity", counted)
-    report = verify_single(r)
-    assert report.passed and report.minpoly_squarefree
-    assert calls == Counter({"eigen_multiplicity": 4})
