@@ -320,8 +320,7 @@ def _verify_text_lines(reports, r_min, r_max, all_ok):
         for key, chk in rep.multiplicities.items():
             flag = "=" if chk.equal else (">=" if chk.bound_holds else "VIOLATED")
             bits.append(
-                f"{key} pred {chk.predicted} geo {chk.geometric} "
-                f"alg {chk.algebraic} {flag}"
+                f"{key} pred {chk.predicted} geo {chk.count} alg {chk.count} {flag}"
             )
         status = "PASS" if rep.passed else "FAIL"
         yield f"r={rep.r:>3} {rep.parity:<4} | " + "; ".join(bits) + f" | {status}"

@@ -18,12 +18,14 @@ polynomial cp_p of the block mod the prime 2^30 - 35 bounds the algebraic
 ones from above, as cp is monic over the integers, and bounds
 deg gcd(cp, cp') too.  Where the two bounds meet at every reported
 eigenvalue, and the repeated roots of cp_p are those eigenvalues alone,
-geometric and algebraic multiplicities are pinned, and the block is
-diagonalizable (see _certify_block).  So no exact characteristic
-polynomial, nullity or minimal polynomial is computed; on every degree up
-to VERIFY_MAX_DEGREE the bounds meet.  The other diagonalizability
-witness is the integer symmetry identity
-a!(r-a)! M[a][b] == b!(r-b)! M[b][a].
+each multiplicity is pinned as one count, both geometric and algebraic,
+and the block is diagonalizable with a squarefree minimal polynomial (see
+_certify_block).  So no exact characteristic polynomial, nullity or
+minimal polynomial is computed; on every degree up to VERIFY_MAX_DEGREE
+the bounds meet.  A report that verify_single returns can then fail only
+where a pinned count, a dimension or a residue count misses its
+prediction, or where the integer symmetry identity
+a!(r-a)! M[a][b] == b!(r-b)! M[b][a] fails.
 
 The spectral work runs on two blocks of about half the size of the transfer
 matrix.  The swap J: f(x, y) -> f(y, x) commutes with it, because
@@ -41,20 +43,21 @@ J phi J == phi, and raises ArithmeticError naming the degree when it fails.
 verify_single builds that context once per degree, and every check reads
 phi, the blocks, their multiplicities and the twist kernel from it.  As
 J rho J = rho^-1 for rho = RHO_TWIST, J maps the twist kernel onto itself,
-so it is taken as its symmetric and antisymmetric halves, indexed by swap
-class as the blocks are; the symmetric fold is injective on the first and
-kills the second.  No elimination over Q computes them: the twist t has
-t^3 = (-1)^r, so the twist kernel is the image of the complementary factor
-of t^3 - (-1)^r, and each half is spanned by the folded columns of that
-image.  Their rank mod p, and that of the folded columns of the kernel's
-own factor, can only fall short of the exact ones, which sum to the half's
-width; where the two ranks mod p sum to it, both are exact, and the image
-columns kept are an exact basis (see _image_half).  Where they do not,
-spectral_context raises.  On a form of swap sign s and even degree, the
-quarter turn f(x, y) -> f(y, -x) acts on entry a as s (-1)^a, which is
-s (-1)^i on both entries r - i and i of class i, so every dimension that
-involves its eigenspaces Y+- is a rank of one parity of a half's entries,
-and the annihilation identities are checked on the blocks.
+so it is taken as its symmetric and antisymmetric halves, in the blocks'
+own coordinates: the fold of sign s (forms._swap_fold) is injective on the
+half of sign s and kills the other.  No elimination over Q computes them:
+the twist t has t^3 = (-1)^r, so the twist kernel is the image of the
+complementary factor of t^3 - (-1)^r, and each half is spanned by the
+folded columns of that image.  Their rank mod p, and that of the folded
+columns of the kernel's own factor, can only fall short of the exact ones,
+which sum to the half's width; where the two ranks mod p sum to it, both
+are exact, and the image columns kept are an exact basis (see
+_image_half).  Where they do not, spectral_context raises.  On a form of
+swap sign s and even degree, the quarter turn f(x, y) -> f(y, -x) acts on
+entry a as s (-1)^a, which is s (-1)^i on both entries r - i and i of
+class i, so every dimension that involves its eigenspaces Y+- is a rank of
+one parity of a half's entries, and the annihilation identities are
+checked by applying each block to its half as it stands.
 
 A composition subtlety drives the eigenspace computations.  With row-vector
 substitution the operators compose covariantly, so the operator that the
@@ -74,6 +77,7 @@ from functools import cached_property
 from typing import Union
 
 from .forms import (
+    _swap_fold,
     anti_quotient,
     phi_matrix,
     sym_dimension,
@@ -233,21 +237,22 @@ class SpectralContext:
     (anti is None for r = 0, which has no antisymmetric form).  twist_sym and
     twist_anti are integer bases of the swap halves of the kernel of
     twist + 1 for odd r and of twist^2 + twist + 1 for even r (the space W,
-    respectively X).  Both are indexed by swap class, as the blocks are
-    (see forms._swap_fold): a vector w of the half of sign s = +-1 stands
-    for the form v with v[r-i] = w[i] and v[i] = s w[i], for i <= r/2
-    (i < r/2 for s = -1, whose middle entry is 0).  Each half comes from the
-    image of the complementary factor, t^2 - t + 1 for odd r and t - 1 for
-    even r: its folded columns, fewest bits first, pinned mod
+    respectively X), in the blocks' own coordinates: a vector w of the half
+    of sign s = +-1 is forms._swap_fold(v, s) for a kernel form v of swap
+    sign s, so w[i] = 2 v[r-i] on each class i < r/2, and the middle class
+    of even r, which only s = +1 has, holds v[r/2] once.  Each half comes
+    from the image of the complementary factor, t^2 - t + 1 for odd r and
+    t - 1 for even r: its folded columns, fewest bits first, pinned mod
     _CERTIFICATE_PRIME by the sandwich of _image_half.
 
     Each block's multiplicities are the dimensions of the parts of its half
     on which the transfer matrix acts as lam once the annihilation
     identities hold: the whole half at 0 for odd r; for even r, X_s n Y- at
     +1 and X_s n Y+ at -1, the parts of the half of sign s on which the
-    quarter turn acts as -1 and +1 (see eigenspace_dims).  A half is folded
-    one to one onto its block's quotient, so each count bounds that block's
-    geometric multiplicity from below, and the certificate pins it.
+    quarter turn acts as -1 and +1 (see eigenspace_dims).  A half is its
+    forms folded one to one into its block's coordinates, so each count
+    bounds that block's geometric multiplicity from below, and the
+    certificate pins it as the algebraic one too.
     annihilation is check_annihilation_identities on this context, computed
     once; spectral_context has certified that every identity in it holds.
     """
@@ -333,15 +338,15 @@ def _image_half(image: list, factor: list, sign: int) -> tuple:
     im factor = ker image.  The swap maps each of these onto itself, so the
     forms of sign s, of dimension width (the number of classes of sign s),
     split the same way, and the parts of sign s of the two images are
-    spanned by the half vectors w[i] = u[r-i] + s u[i] of their columns u
-    (the middle class too, so that w stands for u + s Ju).  So their ranks
-    over Q sum to width.  A rank mod p = _CERTIFICATE_PRIME can only be
-    lower, so the columns go, in pairs, into two echelons mod p until the
-    ranks sum to width: then both are exact, and the image's half vectors
-    that raised its rank, being independent mod p, are independent over Q
-    and as many as the half is wide.  They are returned divided by their
-    content, with the last nonzero entry positive.  Where the ranks never
-    sum to width, raises ArithmeticError naming r and the sign.
+    spanned by the folds _swap_fold(u, s) of their columns u, as the fold
+    of sign s kills the forms of sign -s.  So their ranks over Q sum to
+    width.  A rank mod p = _CERTIFICATE_PRIME can only be lower, so the
+    columns go, in pairs, into two echelons mod p until the ranks sum to
+    width: then both are exact, and the image's folds that raised its rank,
+    being independent mod p, are independent over Q and as many as the half
+    is wide.  They are returned divided by their content, with the last
+    nonzero entry positive.  Where the ranks never sum to width, raises
+    ArithmeticError naming r and the sign.
     """
     r = len(image) - 1
     width = sym_dimension(r) if sign == 1 else (r + 1) // 2
@@ -353,11 +358,10 @@ def _image_half(image: list, factor: list, sign: int) -> tuple:
     for b in order:
         if len(image_echelon) + len(factor_echelon) == width:
             break
-        u, x = image[b], factor[b]
-        w = [u[r - i] + sign * u[i] for i in range(width)]
+        w = _swap_fold(image[b], sign)
         if _extend_echelon(image_echelon, w, p):
             kept.append(w)
-        _extend_echelon(factor_echelon, [x[r - i] + sign * x[i] for i in range(width)], p)
+        _extend_echelon(factor_echelon, _swap_fold(factor[b], sign), p)
     if len(image_echelon) + len(factor_echelon) != width:
         raise ArithmeticError(
             f"r={r}: twist half of sign {sign:+d} refused: ranks "
@@ -491,14 +495,14 @@ def eigenspace_dims(ctx: SpectralContext) -> dict:
 
 
 def odd_case_dims(ctx: SpectralContext) -> dict:
-    """Residue count versus kernel dimension for odd degree.
+    """The report's dim_W and dim_W_sym entries, for odd degree.
 
     Counts x powers a in 0..r with 2a == r + 3 (mod 6), plain and modulo the
     pairing a ~ r - a, and reads off the minus-one eigenspace W of the twist
     substitution and its image in the quotient, which is as large as the
-    symmetric half W_sym.  The counts should equal dim W and dim W_sym;
-    verify_single reports a mismatch as a failed check.  The degree is
-    ctx.r.
+    symmetric half W_sym.  Each entry puts the formula and the residue count
+    next to the computed dimension; verify_single reports a mismatch as a
+    failed check.  The degree is ctx.r.
     """
     r = ctx.r
     if r % 2 == 0:
@@ -506,12 +510,16 @@ def odd_case_dims(ctx: SpectralContext) -> dict:
     hits = [a for a in range(r + 1) if (2 * a - (r + 3)) % 6 == 0]
     paired = {frozenset((a, r - a)) for a in hits}
     return {
-        "count": len(hits),
-        "count_sym": len(paired),
-        "dim_W": len(ctx.twist_sym) + len(ctx.twist_anti),
-        "dim_W_sym": len(ctx.twist_sym),
-        "formula": _dim_value(COUNT_W, r),
-        "formula_sym": _dim_value(COUNT_W_SYM, r),
+        "dim_W": {
+            "formula": _dim_value(COUNT_W, r),
+            "computed": len(ctx.twist_sym) + len(ctx.twist_anti),
+            "residue_count": len(hits),
+        },
+        "dim_W_sym": {
+            "formula": _dim_value(COUNT_W_SYM, r),
+            "computed": len(ctx.twist_sym),
+            "residue_count": len(paired),
+        },
     }
 
 
@@ -521,81 +529,74 @@ def check_annihilation_identities(ctx: SpectralContext) -> dict:
     Odd r: the transfer matrix kills every kernel vector of (twist + 1).
     Even r: (transfer + quarter-turn) kills every kernel vector of
     twist^2 + twist + 1.  Both are checked on the swap blocks: a vector w of
-    the half of sign s stands for a form v of swap sign s, phi v has sign s
-    too (phi commutes with the swap, as spectral_context certifies), and the
-    fold of sign s is one to one on such forms, with
-    fold(phi v) = block_s fold(v).  fold(v) is 2 w[i] at class i, and w[i]
-    at the middle class, and the quarter turn multiplies class i of it by
+    the half of sign s is the fold of sign s of a form v of swap sign s, phi v
+    has sign s too (phi commutes with the swap, as spectral_context
+    certifies), and the fold of sign s is one to one on such forms, with
+    fold(phi v) = block_s w.  So each block is applied to its half vectors
+    as they stand, and the quarter turn multiplies class i of w by
     s (-1)^i.  The check is vacuously true when the eigenspace is zero, as
     at r = 0.  The degree is ctx.r.
     """
-    r = ctx.r
-    folded = [
-        (sign, block.matrix, [x if 2 * i == r else 2 * x for i, x in enumerate(w)])
+    halves = [
+        (sign, block.matrix, w)
         for sign, block, basis in ((1, ctx.sym, ctx.twist_sym), (-1, ctx.anti, ctx.twist_anti))
         for w in basis
     ]
-    if r % 2:
-        ok = all(not any(block.mat_vec(u)) for _, block, u in folded)
-        return {"phi_kills_W": ok, "space_dim": len(folded)}
+    if ctx.r % 2:
+        ok = all(not any(block.mat_vec(w)) for _, block, w in halves)
+        return {"phi_kills_W": ok, "space_dim": len(halves)}
     ok = all(
         not any(
             p + (-sign if i % 2 else sign) * x
-            for i, (p, x) in enumerate(zip(block.mat_vec(u), u))
+            for i, (p, x) in enumerate(zip(block.mat_vec(w), w))
         )
-        for sign, block, u in folded
+        for sign, block, w in halves
     )
-    return {"phi_plus_iota_kills_X": ok, "space_dim": len(folded)}
+    return {"phi_plus_iota_kills_X": ok, "space_dim": len(halves)}
 
 
-def check_diagonalizability(ctx: SpectralContext) -> tuple:
-    """(symmetry_identity, minpoly_squarefree) witnesses for degree ctx.r.
+def check_diagonalizability(ctx: SpectralContext) -> bool:
+    """The symmetry identity a!(r-a)! M[a][b] == b!(r-b)! M[b][a] for every
+    entry of the transfer matrix, for degree ctx.r.
 
-    The first checks a!(r-a)! M[a][b] == b!(r-b)! M[b][a] for every entry of
-    the transfer matrix (the integer form of conjugating by the diagonal of
-    square roots of k!(r-k)!).  The second checks squarefreeness of the
-    minimal polynomials of both swap blocks (their lcm is the minimal
-    polynomial of the transfer matrix, and the symmetric block is its
-    quotient).  spectral_context pinned it with each block's multiplicities
-    (see _certify_block), and raises where it cannot, so on a context it
-    built the second witness holds.
+    It is the integer form of conjugating by the diagonal of square roots of
+    k!(r-k)!, which makes the transfer matrix symmetric.  The other
+    diagonalizability witness, squarefree minimal polynomials of both swap
+    blocks, is the certificate that spectral_context ran when it built ctx
+    (see _certify_block); it raises where that fails, so no report needs it.
     """
     r = ctx.r
-    phi = ctx.phi
+    rows = ctx.phi.rows
     fact = [math.factorial(k) for k in range(r + 1)]
     weights = [fact[a] * fact[r - a] for a in range(r + 1)]
-    symmetric = all(
-        weights[a] * phi.rows[a][b] == weights[b] * phi.rows[b][a]
+    return all(
+        weights[a] * rows[a][b] == weights[b] * rows[b][a]
         for a in range(r + 1)
         for b in range(a + 1, r + 1)
     )
-    return symmetric, True
-
-
-def _holds(annihilation: dict) -> bool:
-    """Whether every identity that check_annihilation_identities reports holds."""
-    return all(v for v in annihilation.values() if isinstance(v, bool))
 
 
 @dataclass(frozen=True)
 class MultiplicityCheck:
+    """A predicted multiplicity and the count the certificate pinned, which
+    is both the geometric and the algebraic multiplicity."""
+
     predicted: int
-    geometric: int
-    algebraic: int
+    count: int
 
     @property
     def bound_holds(self) -> bool:
-        return self.geometric >= self.predicted and self.algebraic >= self.predicted
+        return self.count >= self.predicted
 
     @property
     def equal(self) -> bool:
-        return self.geometric == self.predicted and self.algebraic == self.predicted
+        return self.count == self.predicted
 
     def to_json_dict(self) -> dict:
         return {
             "predicted": self.predicted,
-            "geometric": self.geometric,
-            "algebraic": self.algebraic,
+            "geometric": self.count,
+            "algebraic": self.count,
             "bound_holds": self.bound_holds,
             "equal": self.equal,
         }
@@ -603,14 +604,19 @@ class MultiplicityCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Everything checked for one degree r."""
+    """Everything checked for one degree r that a report can fail.
+
+    The annihilation identities and the squarefree minimal polynomials are
+    certified when the spectral context is built, which raises where one
+    fails; the report carries the identities' values, and its JSON writes
+    minpoly_squarefree as the true that the certificate established.
+    """
 
     r: int
     parity: str
     multiplicities: dict
     sum_checks: dict
     symmetry_identity: bool
-    minpoly_squarefree: bool
     dims: dict
     annihilation: dict
 
@@ -636,17 +642,8 @@ class VerificationReport:
         return mults and sums
 
     @property
-    def diagonalizable_witnessed(self) -> bool:
-        return self.symmetry_identity and self.minpoly_squarefree
-
-    @property
     def passed(self) -> bool:
-        return (
-            self.bounds_hold
-            and self.all_equal
-            and self.diagonalizable_witnessed
-            and _holds(self.annihilation)
-        )
+        return self.bounds_hold and self.all_equal and self.symmetry_identity
 
     def to_json_dict(self) -> dict:
         return {
@@ -657,7 +654,7 @@ class VerificationReport:
             },
             "sum_checks": self.sum_checks,
             "symmetry_identity": self.symmetry_identity,
-            "minpoly_squarefree": self.minpoly_squarefree,
+            "minpoly_squarefree": True,
             "dims": self.dims,
             "annihilation": self.annihilation,
             "passed": self.passed,
@@ -667,9 +664,9 @@ class VerificationReport:
 def verify_single(r: int) -> VerificationReport:
     """Run every check for one degree, on one spectral context.
 
-    The context's blocks carry their multiplicities, each pinned as both
-    geometric and algebraic (see _certify_block); a refused certificate
-    raises ArithmeticError from spectral_context instead of a report.
+    The context's blocks carry their multiplicities, each pinned as one
+    count (see _certify_block); a refused certificate raises
+    ArithmeticError from spectral_context instead of a report.
     """
     if r < 1:
         raise ValueError("degree must be at least 1")
@@ -683,48 +680,31 @@ def verify_single(r: int) -> VerificationReport:
     mults = {}
     for lam, k in sym.items():
         key = f"m_phi_{names[lam]}"
-        mults[key] = MultiplicityCheck(preds[key], k + anti[lam], k + anti[lam])
+        mults[key] = MultiplicityCheck(preds[key], k + anti[lam])
     for lam, k in sym.items():
         key = f"m_phi_sym_{names[lam]}"
-        mults[key] = MultiplicityCheck(preds[key], k, k)
+        mults[key] = MultiplicityCheck(preds[key], k)
 
     sums = {}
     if r % 2:
-        od = odd_case_dims(ctx)
-        dims = {
-            "dim_W": {
-                "formula": od["formula"],
-                "computed": od["dim_W"],
-                "residue_count": od["count"],
-            },
-            "dim_W_sym": {
-                "formula": od["formula_sym"],
-                "computed": od["dim_W_sym"],
-                "residue_count": od["count_sym"],
-            },
-        }
+        dims = odd_case_dims(ctx)
     else:
         sums["m_phi_pm_sum"] = {
             "predicted": preds["m_phi_pm_sum"],
-            "computed": mults["m_phi_plus1"].geometric
-            + mults["m_phi_minus1"].geometric,
+            "computed": mults["m_phi_plus1"].count + mults["m_phi_minus1"].count,
         }
         sums["m_phi_sym_pm_sum"] = {
             "predicted": preds["m_phi_sym_pm_sum"],
-            "computed": mults["m_phi_sym_plus1"].geometric
-            + mults["m_phi_sym_minus1"].geometric,
+            "computed": mults["m_phi_sym_plus1"].count + mults["m_phi_sym_minus1"].count,
         }
         dims = eigenspace_dims(ctx)
-
-    symmetric, squarefree = check_diagonalizability(ctx)
 
     return VerificationReport(
         r=r,
         parity=ODD if r % 2 else EVEN,
         multiplicities=mults,
         sum_checks=sums,
-        symmetry_identity=symmetric,
-        minpoly_squarefree=squarefree,
+        symmetry_identity=check_diagonalizability(ctx),
         dims=dims,
         annihilation=ctx.annihilation,
     )

@@ -64,8 +64,7 @@ class RowCapError(ValueError):
         self.n = n
         self.cap = cap
         super().__init__(
-            f"row index {n} is outside the valid range 1 <= n <= {cap} "
-            f"(configured cap {cap})"
+            f"row index {n} is outside the valid range 1 <= n <= DEFAULT_ROW_CAP={cap}"
         )
 
 

@@ -165,12 +165,12 @@ def test_row_csv_and_json(capsys):
 def test_row_exit_codes(monkeypatch, capsys):
     code, _, err = run(capsys, "row", "0")
     assert code == EXIT_USAGE
-    assert f"1 <= n <= {DEFAULT_ROW_CAP}" in err
+    assert f"1 <= n <= DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in err
     _block_rows(monkeypatch)
     for n in (DEFAULT_ROW_CAP + 1, 24, 99):
         code, out, err = run(capsys, "row", str(n))
         assert code == EXIT_RESOURCE and out == ""
-        assert f"row index {n}" in err and f"configured cap {DEFAULT_ROW_CAP}" in err
+        assert f"row index {n}" in err and f"DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in err
 
 
 def _no_rows(*args, **kwargs):
@@ -223,7 +223,7 @@ def test_sums_direct_respects_cap(capsys):
     past = str(DEFAULT_ROW_CAP + 1)
     code, _, err = run(capsys, "sums", "x^2", past, "--both")
     assert code == EXIT_RESOURCE
-    assert f"configured cap {DEFAULT_ROW_CAP}" in err
+    assert f"DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in err
     code, _, _ = run(capsys, "sums", "x^2", past, "--fast")
     assert code == EXIT_OK
 
@@ -234,7 +234,7 @@ def test_sums_past_row_cap_exits_before_any_row(monkeypatch, capsys):
         for mode in ("--both", "--direct"):
             code, out, err = run(capsys, "sums", "x", str(n), mode)
             assert code == EXIT_RESOURCE and out == ""
-            assert f"row index {n}" in err and f"configured cap {DEFAULT_ROW_CAP}" in err
+            assert f"row index {n}" in err and f"DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in err
 
 
 def test_sums_json_and_csv(capsys):
@@ -339,7 +339,7 @@ def test_sums_direct_work_cap(monkeypatch, capsys):
     dense = "coeffs=[" + ",".join(["1"] * 101) + "]"
     _block_rows(monkeypatch)
     code, _, err = run(capsys, "sums", dense, str(DEFAULT_ROW_CAP + 1), "--direct")
-    assert code == EXIT_RESOURCE and f"configured cap {DEFAULT_ROW_CAP}" in err
+    assert code == EXIT_RESOURCE and f"DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in err
     reached = []
 
     def stub(f, n):
@@ -602,13 +602,64 @@ def test_verify_degree_cap(monkeypatch, capsys):
         assert f"VERIFY_MAX_DEGREE={VERIFY_MAX_DEGREE}" in err
 
 
+# the text of `verify 1 6`, line for line: each eigenvalue's one pinned count
+# is written as both geo and alg
+VERIFY_1_6_TEXT = [
+    "r=  1 odd  | m_phi_0 pred 0 geo 0 alg 0 =; m_phi_sym_0 pred 0 geo 0 alg 0 = | PASS",
+    (
+        "r=  2 even | m_phi_plus1 pred 1 geo 1 alg 1 =; "
+        "m_phi_minus1 pred 0 geo 0 alg 0 =; "
+        "m_phi_sym_plus1 pred 0 geo 0 alg 0 =; "
+        "m_phi_sym_minus1 pred 0 geo 0 alg 0 = | PASS"
+    ),
+    "r=  3 odd  | m_phi_0 pred 2 geo 2 alg 2 =; m_phi_sym_0 pred 1 geo 1 alg 1 = | PASS",
+    (
+        "r=  4 even | m_phi_plus1 pred 1 geo 1 alg 1 =; "
+        "m_phi_minus1 pred 2 geo 2 alg 2 =; "
+        "m_phi_sym_plus1 pred 0 geo 0 alg 0 =; "
+        "m_phi_sym_minus1 pred 1 geo 1 alg 1 = | PASS"
+    ),
+    "r=  5 odd  | m_phi_0 pred 2 geo 2 alg 2 =; m_phi_sym_0 pred 1 geo 1 alg 1 = | PASS",
+    (
+        "r=  6 even | m_phi_plus1 pred 1 geo 1 alg 1 =; "
+        "m_phi_minus1 pred 0 geo 0 alg 0 =; "
+        "m_phi_sym_plus1 pred 0 geo 0 alg 0 =; "
+        "m_phi_sym_minus1 pred 0 geo 0 alg 0 = | PASS"
+    ),
+    "all checks passed for r in [1, 6]",
+]
+
+
+def test_verify_text_matches_the_recorded_lines(capsys):
+    code, out, err = run(capsys, "verify", "1", "6")
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines() == VERIFY_1_6_TEXT
+    assert out.endswith("\n") and out.count("\n") == len(VERIFY_1_6_TEXT)
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_verify_failed_symmetry_identity_is_a_failed_check(monkeypatch, capsys, r):
+    # the one diagonalizability witness a report can fail; the other is the
+    # certificate, which raises before a report exists
+    monkeypatch.setattr(spectra, "check_diagonalizability", lambda ctx: False)
+    code, out, _ = run(capsys, "verify", str(r), str(r))
+    assert code == EXIT_VERIFICATION_FAILED
+    assert "| FAIL" in out and "CHECKS FAILED" in out
+    code, out, _ = run(capsys, "verify", str(r), str(r), "--json")
+    assert code == EXIT_VERIFICATION_FAILED
+    doc = json.loads(out)["results"]
+    assert doc["reports"][0]["symmetry_identity"] is False
+    assert doc["reports"][0]["passed"] is False and doc["all_passed"] is False
+
+
 def test_verify_residue_count_mismatch_is_a_failed_check(monkeypatch, capsys):
     # a residue count that disagrees with dim W is reported, not raised
     real = spectra.odd_case_dims
 
     def miscounted(ctx):
         dims = real(ctx)
-        return {**dims, "count": dims["count"] + 1}
+        dims["dim_W"]["residue_count"] += 1
+        return dims
 
     monkeypatch.setattr(spectra, "odd_case_dims", miscounted)
     code, out, _ = run(capsys, "verify", "3", "3")

@@ -19,7 +19,7 @@ from itertools import islice
 
 import pytest
 
-from sternsums.forms import RHO_TWIST, _swap_fold, operator_matrix, phi_matrix, sym_quotient
+from sternsums.forms import RHO_TWIST, operator_matrix, phi_matrix, sym_quotient
 from sternsums.linalg import (
     InexactDivisionError,
     IntPolynomial,
@@ -288,30 +288,39 @@ def twist_part(r: int) -> RationalMatrix:
     return twist + ident if r % 2 else twist @ twist + twist + ident
 
 
-def twist_forms(ctx) -> list:
-    """(swap sign, form) for every vector of the context's two twist halves.
+def unfold(w, sign: int, r: int) -> list:
+    """The form of swap sign s whose fold of sign s is w, times 2.
 
-    The halves are indexed by swap class: entry i of a half of sign s
-    gives the coefficient of x^(r-i) y^i, and s times it that of x^i y^(r-i).
+    The halves are indexed by swap class, in the blocks' coordinates (see
+    spectra.SpectralContext): entry i of a half of sign s gives the
+    coefficient of x^(r-i) y^i, and s times it that of x^i y^(r-i); the
+    middle class of even r counts its monomial once, so it unfolds doubled.
     """
-    r = ctx.r
-    out = []
-    for sign, basis in ((1, ctx.twist_sym), (-1, ctx.twist_anti)):
-        for w in basis:
-            v = [0] * (r + 1)
-            for i, x in enumerate(w):
-                v[r - i] = x
-                v[i] = sign * x
-            out.append((sign, v))
-    return out
+    v = [0] * (r + 1)
+    for i, x in enumerate(w):
+        v[r - i] = x
+        v[i] = 2 * x if 2 * i == r else sign * x
+    return v
+
+
+def twist_forms(ctx) -> list:
+    """(swap sign, form) for every vector of the context's two twist halves."""
+    return [
+        (sign, unfold(w, sign, ctx.r))
+        for sign, basis in ((1, ctx.twist_sym), (-1, ctx.twist_anti))
+        for w in basis
+    ]
 
 
 def _half_kernel(part: RationalMatrix, sign: int) -> tuple:
-    """The half of sign s of ker part (see spectra.SpectralContext): the
-    integer kernel of part's rows folded onto the swap classes of sign s.
-    The exact oracle of the twist halves, which spectral_context pins mod p."""
-    folded = [_swap_fold(row, sign) for row in part.rows]
-    return tuple(_integer_kernel(RationalMatrix(folded))) if folded[0] else ()
+    """The half of sign s of ker part, in the coordinates unfold reads: the
+    integer kernel of part applied to the unfolded class unit vectors.  The
+    exact oracle of the twist halves, which spectral_context pins mod p."""
+    r = part.ncols - 1
+    width = r // 2 + 1 if sign == 1 else (r + 1) // 2
+    units = [unfold([int(j == i) for j in range(width)], sign, r) for i in range(width)]
+    restricted = [[sum(a * b for a, b in zip(row, u)) for u in units] for row in part.rows]
+    return tuple(_integer_kernel(RationalMatrix(restricted))) if width else ()
 
 
 def _assert_halves_span_the_twist_kernel(r: int):
@@ -342,10 +351,11 @@ def _assert_twist_kernels_agree(degrees):
 def test_integer_kernel_of_the_twist_parts():
     # r = 0 has no antisymmetric form and X = 0, r = 1 has W = 0 on halves
     # one entry wide, and r = 2 a one-entry antisymmetric half: the form
-    # -x^2 + 4xy - y^2 from (-1, 4), and x^2 - y^2 from (1,)
+    # -x^2 + 4xy - y^2 from (-1, 2), whose middle class counts xy once, and
+    # x^2 - y^2 from (1,)
     contexts = list(map(spectral_context, range(3)))
     halves = [(ctx.twist_sym, ctx.twist_anti) for ctx in contexts]
-    assert halves == [((), ()), ((), ()), (((-1, 4),), ((1,),))]
+    assert halves == [((), ()), ((), ()), (((-1, 2),), ((1,),))]
     assert twist_forms(contexts[2]) == [(1, [-1, 4, -1]), (-1, [-1, 0, 1])]
     # the oracles cost most at the top, so the default sweep samples it
     _assert_twist_kernels_agree([*range(21), 30, 45, 60])

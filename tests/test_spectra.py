@@ -20,7 +20,6 @@ from sternsums.spectra import (
     DIM_Y_PLUS,
     PeriodicFn,
     _dim_value,
-    _holds,
     check_annihilation_identities,
     check_diagonalizability,
     eigenspace_dims,
@@ -79,12 +78,14 @@ def test_predicted_bounds_are_nonnegative_integers_up_to_100():
 
 
 def test_odd_case_dims_goldens():
-    d3 = odd_case_dims(spectral_context(3))
-    assert d3["count"] == 2  # a in {0, 3}
-    assert d3["dim_W"] == 2
-    assert d3["count_sym"] == 1 == d3["dim_W_sym"]
-    assert odd_case_dims(spectral_context(1))["count"] == 0
-    assert odd_case_dims(spectral_context(9))["count"] == 4  # a in {0, 3, 6, 9}
+    # the report's entries as they stand: a in {0, 3} at r = 3, one pair
+    assert odd_case_dims(spectral_context(3)) == {
+        "dim_W": {"formula": 2, "computed": 2, "residue_count": 2},
+        "dim_W_sym": {"formula": 1, "computed": 1, "residue_count": 1},
+    }
+    assert odd_case_dims(spectral_context(1))["dim_W"]["residue_count"] == 0
+    # a in {0, 3, 6, 9}
+    assert odd_case_dims(spectral_context(9))["dim_W"]["residue_count"] == 4
     with pytest.raises(ValueError):
         odd_case_dims(spectral_context(4))
 
@@ -98,9 +99,8 @@ def test_dim_value_rejects_a_non_dimension():
 
 def test_odd_counts_match_formulas_up_to_60():
     for r in range(1, 61, 2):
-        d = odd_case_dims(spectral_context(r))
-        assert d["count"] == d["formula"], r
-        assert d["count_sym"] == d["formula_sym"], r
+        for entry in odd_case_dims(spectral_context(r)).values():
+            assert entry["residue_count"] == entry["formula"], r
 
 
 def test_eigenspace_dims_r2_golden():
@@ -182,7 +182,7 @@ def test_conjugate_twists_share_eigenspace_dimensions_odd():
         ident = RationalMatrix.identity(n)
         d_twist = len(kernel_basis(operator_matrix(RHO_TWIST, r) + ident))
         d_rho = len(kernel_basis(operator_matrix(RHO, r) + ident))
-        assert d_twist == d_rho == odd_case_dims(spectral_context(r))["dim_W"], r
+        assert d_twist == d_rho == odd_case_dims(spectral_context(r))["dim_W"]["computed"], r
 
 
 def test_annihilation_identities():
@@ -227,6 +227,7 @@ def test_block_annihilation_check_fails_forged_vectors():
     failed = Counter()
     for r in range(3, 13):
         ctx = spectral_context(r)
+        identity = "phi_kills_W" if r % 2 else "phi_plus_iota_kills_X"
         for sign, name in ((1, "twist_sym"), (-1, "twist_anti")):
             basis = getattr(ctx, name)
             width = sym_dimension(r) if sign == 1 else (r + 1) // 2
@@ -236,7 +237,7 @@ def test_block_annihilation_check_fails_forged_vectors():
                     fake = replace(ctx, **{name: basis + (forged,)})
                     got = check_annihilation_identities(fake)
                     assert got == full_width_annihilation(fake), (r, sign, forged)
-                    failed[r % 2, sign] += not _holds(got)
+                    failed[r % 2, sign] += not got[identity]
     assert all(failed[parity, sign] for parity in (0, 1) for sign in (1, -1)), failed
 
 
@@ -252,9 +253,10 @@ def test_transfer_factors_through_twist_plus_one():
 
 
 def test_diagonalizability_witnesses():
-    assert check_diagonalizability(spectral_context(0)) == (True, True)
-    assert check_diagonalizability(spectral_context(3)) == (True, True)
-    assert check_diagonalizability(spectral_context(20)) == (True, True)
+    # the symmetry identity alone: the squarefree witness is the certificate
+    # that built the context
+    for r in (0, 3, 20):
+        assert check_diagonalizability(spectral_context(r)) is True, r
 
 
 def test_symmetry_identity_spot_values():
@@ -269,13 +271,19 @@ def test_symmetry_identity_spot_values():
 def test_verify_single_r3():
     rep = verify_single(3)
     chk = rep.multiplicities["m_phi_0"]
-    assert (chk.predicted, chk.geometric, chk.algebraic) == (2, 2, 2)
+    assert (chk.predicted, chk.count) == (2, 2)
     assert chk.equal
     assert rep.multiplicities["m_phi_sym_0"].equal
-    assert rep.symmetry_identity and rep.minpoly_squarefree
+    assert rep.symmetry_identity
     assert rep.dims["dim_W"]["computed"] == 2
     assert rep.passed
-    json.dumps(rep.to_json_dict())  # serializable as-is
+    doc = rep.to_json_dict()
+    json.dumps(doc)  # serializable as-is
+    # the one count is written as both multiplicities, and the squarefree
+    # witness as the true the certificate established
+    assert doc["multiplicities"]["m_phi_0"]["geometric"] == 2
+    assert doc["multiplicities"]["m_phi_0"]["algebraic"] == 2
+    assert doc["minpoly_squarefree"] is True
 
 
 def test_verify_single_r2():

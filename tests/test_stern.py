@@ -61,10 +61,9 @@ def test_row_cap_errors_name_the_cap(monkeypatch):
             with pytest.raises(RowCapError) as err:
                 call()
             assert str(err.value) == (
-                f"row index {n} is outside the valid range 1 <= n <= {cap} "
-                f"(configured cap {cap})"
+                f"row index {n} is outside the valid range 1 <= n <= DEFAULT_ROW_CAP={cap}"
             )
-    with pytest.raises(RowCapError, match="<= 20"):
+    with pytest.raises(RowCapError, match="<= DEFAULT_ROW_CAP=20$"):
         stern_row(0)
 
 
@@ -257,7 +256,7 @@ def test_power_sum_direct_sequence_validates_its_horizon(monkeypatch):
     with pytest.raises(RowCapError) as err:
         power_sum_direct_sequence(X3, past)
     assert f"row index {past}" in str(err.value)
-    assert f"configured cap {DEFAULT_ROW_CAP}" in str(err.value)
+    assert f"DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in str(err.value)
     with pytest.raises(ValueError):
         power_sum_direct_sequence(X3, 0)
 
