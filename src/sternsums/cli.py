@@ -100,14 +100,15 @@ SUMS_MAX_DEGREE = 100
 SUMS_MAX_TERMS = 800
 # Cap on the direct route's work (`sums --direct` and `--both`): the form's
 # nonzero terms times the 2^(n_max+1) - 2 consecutive pairs of rows
-# 1..n_max.  The route sums only the 2^(n-2) pairs that row n adds to row
-# n-1 (stern.power_sum_direct_sequence), so the unit counts about 4 times
-# the pairs it evaluates; it does not weigh the degree.  The dearest shape
-# it admits is x^50*y^50 over rows 1..20: 0.9 s and 71 MB in a fresh
-# process on the same machine, against 2.5 s and 78 MB when every row was
-# summed whole.  There x^100 takes 0.55 s (1.3 s), a dense degree-100 form
-# stops at n_max = 13 (0.4 s; 0.85 s), and a dense degree-10 form at 16
-# (0.25 s; 0.5 s).
+# 1..n_max.  The route walks only the segment of 2^(n-2) pairs that row n
+# adds to row n-1 (stern.power_sum_direct_sequence), so the unit counts
+# about 4 times the pairs it evaluates; it does not weigh the degree, and
+# memory is set by the last segment, not the row.  Medians of 11 fresh
+# `--direct --json` runs on one core of a 2-core Xeon: the dearest shape it
+# admits, x^50*y^50 over rows 1..20, takes 0.51 s and 32 MB (0.59 s and
+# 71 MB when full rows were built), x^100 there 0.30 s and 32 MB (0.46 s,
+# 71 MB); dense forms of degree 100 and 10 stop at n_max = 13 and 16, in
+# 0.16 to 0.23 s and 17 to 19 MB either way.
 SUMS_MAX_DIRECT_WORK = 2**21
 
 

@@ -428,8 +428,8 @@ def mine_all_monomials(
         n_terms = minimum
     elif n_terms < minimum:
         raise InsufficientDataError(
-            f"n_terms={n_terms} is below the required horizon {minimum} "
-            f"for degree {r}",
+            f"a horizon of {n_terms} terms is below the required horizon of "
+            f"{minimum} for degree {r}",
             minimum,
         )
     if include_affine is None:

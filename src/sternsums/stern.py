@@ -10,14 +10,16 @@ where s(n, 0) = s(n, 2^n) = 0, so the boundary pairs (0, 1) and (1, 0) are
 included; for n = 1 the sum is f(0, 1) + f(1, 0).
 
 Two independent evaluation routes are provided: direct summation over
-generated rows, and the transfer route, which iterates the boundary
-functional g -> g(0,1) + g(1,0) as a row vector through the transfer
-matrix on the swap-symmetric quotient.  The direct route sums only the
-pairs that each row adds to the one before: every pair (a, b) has the
-Calkin-Wilf children (a, a+b) and (a+b, b) in the next row (N. Calkin and
-H. Wilf, Recounting the rationals, Amer. Math. Monthly 107, 2000), so row
-n repeats row n-1's pairs and adds twice those of s(n, 2^(n-2)) ..
-s(n, 2^(n-1)), 2^(n-2) pairs where the row has 2^n (the proof is in
+generated segments of the rows, and the transfer route, which iterates
+the boundary functional g -> g(0,1) + g(1,0) as a row vector through the
+transfer matrix on the swap-symmetric quotient.  The direct route sums
+only the pairs that each row adds to the one before: every pair (a, b)
+has the Calkin-Wilf children (a, a+b) and (a+b, b) in the next row (N.
+Calkin and H. Wilf, Recounting the rationals, Amer. Math. Monthly 107,
+2000), so row n repeats row n-1's pairs and adds twice those of its
+segment s(n, 2^(n-2)) .. s(n, 2^(n-1)).  That segment is one insertion
+step on row n-1's segment, less its two ends, so the route builds no full
+row; stern_row is the one full-row walk (the proofs are in
 power_sum_direct_sequence).  It reads each power from a table over the
 segment's distinct values, which are few (at most F(n+1)), instead of
 calling pow on every entry.
@@ -40,10 +42,8 @@ transfer route's oracle in the tests.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from operator import add, mul
 from typing import Sequence, Union
 
@@ -94,40 +94,31 @@ def _expand(prev: list) -> list:
     return out
 
 
-def _rows(n: int):
-    """Iterator over rows 1 .. n as lists, each built from the one before by
-    one insertion step.
-
-    The cap is checked here, before any row is built: raises RowCapError
-    naming n for n < 1 or n > DEFAULT_ROW_CAP.  The cap bounds memory at
-    2^DEFAULT_ROW_CAP - 1 entries.
-    """
+def _check_row_index(n: int) -> None:
+    """Raise RowCapError naming n unless 1 <= n <= DEFAULT_ROW_CAP."""
     if n < 1 or n > DEFAULT_ROW_CAP:
         raise RowCapError(n, DEFAULT_ROW_CAP)
-    return accumulate(range(n - 1), lambda row, _: _expand(row), initial=[1])
-
-
-def _last_row(n: int) -> list:
-    """Row n as a list: the last of the walk _rows(n), kept alone."""
-    (row,) = deque(_rows(n), maxlen=1)
-    return row
 
 
 def stern_row(n: int) -> SternRow:
     """Generate row n (iteratively from row 1; nothing is memoized).
 
-    Raises RowCapError for n < 1 or n > DEFAULT_ROW_CAP.
+    Raises RowCapError for n < 1 or n > DEFAULT_ROW_CAP, before any step.
     """
-    return SternRow(n, tuple(_last_row(n)))
+    _check_row_index(n)
+    row = [1]
+    for _ in range(n - 1):
+        row = _expand(row)
+    return SternRow(n, tuple(row))
 
 
 def _row_power_sum(segment: list, f: HomogPoly) -> Rational:
-    """The sum of f over the consecutive pairs of segment, a slice of a
-    padded row.
+    """The sum of f over the consecutive pairs of segment: padded row 1 or
+    a segment seg_n of power_sum_direct_sequence.
 
     Each term c x^a y^(r-a) of f is summed over the pairs at C level.
     Powers are read from tables over the segment's distinct values, which
-    are few: every entry of row n is at most F(n+1), so row 16 has 65535
+    are few: every entry of row n is at most F(n+1), so seg_16 has 16385
     entries but at most 1597 distinct values.
     """
     xs, ys = segment[:-1], segment[1:]
@@ -143,18 +134,18 @@ def _row_power_sum(segment: list, f: HomogPoly) -> Rational:
 
 
 def power_sum_direct(n: int, f: HomogPoly) -> Rational:
-    """S_n(f) by brute force over the generated rows, boundary pairs
+    """S_n(f) by brute force over the generated segments, boundary pairs
     included: the last of power_sum_direct_sequence(f, n)."""
     return power_sum_direct_sequence(f, n)[-1]
 
 
 def power_sum_direct_sequence(f: HomogPoly, n_max: int) -> list:
-    """[S_1(f), ..., S_n_max(f)] by brute force over rows 1 .. n_max.
+    """[S_1(f), ..., S_n_max(f)] by brute force over the rows' segments.
 
     S_1 is the sum over padded row 1, [0, 1, 0], and for n >= 2
 
         S_n = S_(n-1) + 2 * (sum of f over the consecutive pairs of
-              s(n, 2^(n-2)) .. s(n, 2^(n-1))).
+              seg_n = s(n, 2^(n-2)) .. s(n, 2^(n-1))).
 
     Proof: the insertion step turns each pair (a, b) of a row into its
     Calkin-Wilf children (a, a+b), (a+b, b), so the pairs of padded row n,
@@ -166,15 +157,21 @@ def power_sum_direct_sequence(f: HomogPoly, n_max: int) -> list:
     (s(n, k), s(n, k+1)) for k = 2^(n-2) .. 2^(n-1) - 1.  So each row costs
     2^(n-2) pair evaluations, not 2^n.
 
-    One walk builds each row from the one before, so it costs about what
-    generating row n_max alone does.  Raises RowCapError naming n_max, before
-    any row is built, for n_max < 1 or n_max > DEFAULT_ROW_CAP.
+    The walk builds no full row: seg_2 = [1, 1] and seg_(n+1) =
+    _expand(seg_n)[1:-1].  Proof: by the defining recurrence s(n+1, 2k) =
+    s(n, k) and s(n+1, 2k+1) = s(n, k) + s(n, k+1) for k = 2^(n-2) ..
+    2^(n-1), s(n+1, 2^(n-1)) .. s(n+1, 2^n) is seg_n with the sum of each
+    adjacent two inserted: _expand(seg_n) less its two ends, which read the
+    zero padding.  So memory is set by seg_n_max, 2^(n_max-2) + 1 entries,
+    not by row n_max's 2^n_max - 1.  Raises RowCapError naming n_max,
+    before any insertion step, for n_max < 1 or n_max > DEFAULT_ROW_CAP.
     """
-    rows = _rows(n_max)
-    sums = [_row_power_sum([0, *next(rows), 0], f)]
-    for n, row in enumerate(rows, start=2):
-        added = row[2 ** (n - 2) - 1 : 2 ** (n - 1)]  # row[k - 1] is s(n, k)
-        sums.append(sums[-1] + 2 * _row_power_sum(added, f))
+    _check_row_index(n_max)
+    sums, segment = [_row_power_sum([0, 1, 0], f)], [1, 1]
+    for n in range(2, n_max + 1):
+        if n > 2:
+            segment = _expand(segment)[1:-1]
+        sums.append(sums[-1] + 2 * _row_power_sum(segment, f))
     return sums
 
 

@@ -178,7 +178,8 @@ def _no_rows(*args, **kwargs):
 
 
 def _block_rows(monkeypatch):
-    # every row past row 1 is built by stern._expand
+    # every row past row 1, and every segment of the direct route past
+    # seg_2, is built by stern._expand
     monkeypatch.setattr(stern, "_expand", _no_rows)
     monkeypatch.setattr(cli_mod, "_transfer_sums", _no_rows)
 
@@ -712,6 +713,11 @@ def test_mine_json(capsys):
 def test_mine_bad_terms(capsys):
     code, _, err = run(capsys, "mine", "3", "--terms", "4")
     assert code == EXIT_USAGE
+    code, out, err = run(capsys, "mine", "2", "--terms", "3")
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        "error: a horizon of 3 terms is below the required horizon of 16 for degree 2\n"
+    )
 
 
 def test_mine_degree_cap(capsys):

@@ -192,8 +192,9 @@ def _pairs(seq):
 
 def test_each_row_adds_two_copies_of_its_second_quarter():
     # the pairs of padded row n are those of padded row n-1 and twice those
-    # of s(n, 2^(n-2)) .. s(n, 2^(n-1)); row n is a palindrome, and its
-    # first 2^(n-2) entries are row n-1's
+    # of s(n, 2^(n-2)) .. s(n, 2^(n-1)); row n is a palindrome, its first
+    # 2^(n-2) entries are row n-1's, and that quarter is one insertion step
+    # on row n-1's quarter, less its two ends
     prev = [0, 1, 0]
     for n in range(2, 16):
         row = stern_row(n).entries
@@ -203,7 +204,9 @@ def test_each_row_adds_two_copies_of_its_second_quarter():
         assert _pairs(padded) == _pairs(prev) + added + added, n
         assert row == row[::-1], n
         assert padded[: 2 ** (n - 2) + 1] == prev[: 2 ** (n - 2) + 1], n
-        prev = padded
+        if n > 2:
+            assert quarter == stern._expand(prev_quarter)[1:-1], n
+        prev, prev_quarter = padded, quarter
 
 
 # Forms for the direct route's oracle: monomials, x^r and y^r among them;
@@ -232,9 +235,9 @@ def test_power_sum_direct_sequence_against_the_full_row_oracle():
         ], f
 
 
-def test_power_sum_direct_sequence_makes_one_row_walk(monkeypatch):
-    # every row of the sequence comes from the one capped walk, stern._rows:
-    # row n_max needs n_max - 1 insertion steps and no more
+def test_power_sum_direct_sequence_walks_segments_not_rows(monkeypatch):
+    # seg_n_max needs n_max - 2 insertion steps from seg_2 = [1, 1], and the
+    # longest list expanded is seg_(n_max-1): no full row is ever built
     calls = []
     expand = stern._expand
 
@@ -243,10 +246,11 @@ def test_power_sum_direct_sequence_makes_one_row_walk(monkeypatch):
         return expand(prev)
 
     monkeypatch.setattr(stern, "_expand", counted)
-    for n in range(1, 12):
+    for n in range(1, 13):
         calls.clear()
         power_sum_direct_sequence(HomogPoly([1, -2, 3]), n)
-        assert len(calls) == n - 1, n
+        assert len(calls) == max(n - 2, 0), n
+        assert all(length <= 2 ** (n - 3) + 1 for length in calls), n
 
 
 def test_power_sum_direct_sequence_validates_its_horizon(monkeypatch):
