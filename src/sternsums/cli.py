@@ -45,12 +45,7 @@ from decimal import (
 from fractions import Fraction
 
 from .forms import HomogPoly, phi_matrix, sym_quotient
-from .recurrences import (
-    AFFINE_ALT,
-    HOMOGENEOUS,
-    corollary_bound,
-    mine_all_monomials,
-)
+from .recurrences import mine_all_monomials
 from .spectra import verify_range
 from .stern import (
     DEFAULT_ROW_CAP,
@@ -256,9 +251,9 @@ def parse_fspec(spec: str) -> HomogPoly:
 def cmd_row(args):
     row = stern_row(args.n)
     sep = "," if args.format == "csv" else " "
-    lines = (sep.join(map(str, entries)) for entries in [row.entries])
+    lines = (sep.join(map(str, entries)) for entries in [row])
     parameters = {"n": args.n, "cap": DEFAULT_ROW_CAP}
-    return parameters, {"entries": row.entries}, lines, EXIT_OK
+    return parameters, {"entries": row}, lines, EXIT_OK
 
 
 def _sums_lines(values, fmt, both):
@@ -353,9 +348,9 @@ def cmd_verify(args):
 
 
 def _mine_text_lines(results, r, affine):
-    bound = corollary_bound(r, HOMOGENEOUS)
-    yield f"degree {r}: homogeneous length bound {bound}" + (
-        f", affine-alternating bound {corollary_bound(r, AFFINE_ALT)}" if affine else ""
+    # every class shares the degree's bounds
+    yield f"degree {r}: homogeneous length bound {results[0].bound}" + (
+        f", affine-alternating bound {results[0].affine_bound}" if affine else ""
     )
     for res in results:
         rec = res.recurrence

@@ -95,24 +95,6 @@ class HomogPoly:
     def __repr__(self):
         return f"HomogPoly({list(self.coeffs)!r})"
 
-    def __str__(self):
-        terms = []
-        r = self.degree
-        for a in range(r, -1, -1):
-            c = self.coeffs[a]
-            if not c:
-                continue
-            mono = monomial_name(a, r)
-            if mono == "1":
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(mono)
-            elif c == -1:
-                terms.append(f"-{mono}")
-            else:
-                terms.append(f"{c}*{mono}")
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
 
 def monomial_name(x_power: int, degree: int) -> str:
     a, b = x_power, degree - x_power
@@ -142,9 +124,6 @@ class Mat2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __str__(self):
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
 
 IDENTITY = Mat2(1, 0, 0, 1)

@@ -320,25 +320,14 @@ def _bareiss_echelon(rows: list) -> tuple[list, list]:
         for i in range(r + 1, nr):
             row_i = rows[i]
             factor = row_i[c]
-            if factor:
-                for j in range(c + 1, nc):
-                    num = pivot * row_i[j] - factor * pivot_row[j]
-                    q, rem = divmod(num, prev)
-                    if rem:
-                        raise InexactDivisionError(
-                            "Bareiss step produced an inexact division"
-                        )
-                    row_i[j] = q
-            else:
-                # kept apart: one merged loop, with its zero product, was slower
-                for j in range(c + 1, nc):
-                    num = pivot * row_i[j]
-                    q, rem = divmod(num, prev)
-                    if rem:
-                        raise InexactDivisionError(
-                            "Bareiss step produced an inexact division"
-                        )
-                    row_i[j] = q
+            for j in range(c + 1, nc):
+                num = pivot * row_i[j] - factor * pivot_row[j]
+                q, rem = divmod(num, prev)
+                if rem:
+                    raise InexactDivisionError(
+                        "Bareiss step produced an inexact division"
+                    )
+                row_i[j] = q
             row_i[c] = 0
         prev = pivot
         piv_cols.append(c)
@@ -594,18 +583,15 @@ def _root_power(coeffs: Sequence, lam: Rational, prime: int = 0) -> int:
     return k
 
 
-def eigen_multiplicity(
-    m: RationalMatrix, lam: Rational, cp: IntPolynomial | None = None
-) -> tuple[int, int]:
+def eigen_multiplicity(m: RationalMatrix, lam: Rational) -> tuple[int, int]:
     """(geometric, algebraic) multiplicity of the rational eigenvalue lam.
 
     Geometric multiplicity is the nullity of m - lam*I; algebraic is the exact
-    power of (x - lam) in the characteristic polynomial, which is computed
-    unless the caller already has it and passes it as cp.
+    power of (x - lam) in the characteristic polynomial.
     """
     _require_square(m)
     shifted = m - RationalMatrix.identity(m.nrows) * lam
-    return nullity(shifted), root_power(charpoly(m) if cp is None else cp, lam)
+    return nullity(shifted), root_power(charpoly(m), lam)
 
 
 def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list | None:

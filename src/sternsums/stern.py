@@ -42,7 +42,6 @@ transfer route's oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Sequence, Union
@@ -68,24 +67,6 @@ class RowCapError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class SternRow:
-    """One row of the array: 1-based index n and its 2^n - 1 nonzero entries."""
-
-    n: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != 2**self.n - 1:
-            raise ValueError(
-                f"row {self.n} must have {2 ** self.n - 1} entries, "
-                f"got {len(self.entries)}"
-            )
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def _expand(prev: list) -> list:
     """One insertion step: copy the row and insert pairwise sums."""
     out = [0] * (2 * len(prev) + 1)
@@ -100,16 +81,17 @@ def _check_row_index(n: int) -> None:
         raise RowCapError(n, DEFAULT_ROW_CAP)
 
 
-def stern_row(n: int) -> SternRow:
-    """Generate row n (iteratively from row 1; nothing is memoized).
+def stern_row(n: int) -> tuple:
+    """Row n's entries s(n, 1) .. s(n, 2^n - 1), generated from row 1.
 
-    Raises RowCapError for n < 1 or n > DEFAULT_ROW_CAP, before any step.
+    Nothing is memoized.  Raises RowCapError for n < 1 or
+    n > DEFAULT_ROW_CAP, before any step.
     """
     _check_row_index(n)
     row = [1]
     for _ in range(n - 1):
         row = _expand(row)
-    return SternRow(n, tuple(row))
+    return tuple(row)
 
 
 def _row_power_sum(segment: list, f: HomogPoly) -> Rational:

@@ -44,7 +44,7 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_golden_reproduction():
     t0 = time.time()
-    ok = stern_row(4).entries == (1, 1, 2, 1, 3, 2, 3, 1, 3, 2, 3, 1, 2, 1, 1)
+    ok = stern_row(4) == (1, 1, 2, 1, 3, 2, 3, 1, 3, 2, 3, 1, 2, 1, 1)
     ok &= phi_matrix(3).to_lists() == [
         [2, 1, 1, 1],
         [3, 2, 2, 3],

@@ -332,6 +332,10 @@ def test_sums_terms_cap(monkeypatch, capsys):
         code, out, err = run(capsys, "sums", "x", str(SUMS_MAX_TERMS + 1), mode)
         assert code == EXIT_RESOURCE and out == ""
         assert f"SUMS_MAX_TERMS={SUMS_MAX_TERMS}" in err
+        # below 1 it is a usage error
+        for n_max in ("0", "-3"):
+            code, out, err = run(capsys, "sums", "x", n_max, mode)
+            assert (code, out, err) == (EXIT_USAGE, "", "error: n_max must be at least 1\n")
 
 
 def test_sums_direct_work_cap(monkeypatch, capsys):
@@ -556,6 +560,8 @@ def test_phi_degree_cap(monkeypatch, capsys):
         code, out, err = run(capsys, "phi", str(PHI_MAX_DEGREE + 1), *extra)
         assert code == EXIT_RESOURCE and out == ""
         assert f"PHI_MAX_DEGREE={PHI_MAX_DEGREE}" in err
+        code, out, err = run(capsys, "phi", "-1", *extra)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: degree must be nonnegative\n")
 
 
 def test_phi_json(capsys):
@@ -673,6 +679,26 @@ def test_verify_residue_count_mismatch_is_a_failed_check(monkeypatch, capsys):
     assert rep3["passed"] is False
 
 
+def test_verify_dim_below_its_bound_is_a_failed_check(monkeypatch, capsys):
+    # an even degree's intersection dims are held against lower bounds only
+    real = spectra.eigenspace_dims
+
+    def short(ctx):
+        dims = real(ctx)
+        dims["dim_X_cap_Y_plus"]["computed"] -= 1
+        return dims
+
+    monkeypatch.setattr(spectra, "eigenspace_dims", short)
+    code, out, _ = run(capsys, "verify", "4", "4")
+    assert code == EXIT_VERIFICATION_FAILED
+    assert "| FAIL" in out and "CHECKS FAILED" in out
+    code, out, _ = run(capsys, "verify", "4", "4", "--json")
+    assert code == EXIT_VERIFICATION_FAILED
+    doc = json.loads(out)["results"]
+    assert doc["reports"][0]["dims"]["dim_X_cap_Y_plus"] == {"bound": "2", "computed": "1"}
+    assert doc["reports"][0]["passed"] is False and doc["all_passed"] is False
+
+
 def test_verify_bad_range(capsys):
     code, _, err = run(capsys, "verify", "5", "4")
     assert code == EXIT_USAGE
@@ -722,13 +748,16 @@ def test_mine_bad_terms(capsys):
 
 def test_mine_degree_cap(capsys):
     # at the cap the degree passes to the miner, which here rejects the
-    # horizon; one past it the cap stops the call before any work
+    # horizon; one past it the cap stops the call before any work, and
+    # below 1 it is a usage error
     code, _, err = run(capsys, "mine", str(MINE_MAX_DEGREE), "--terms", "1")
     assert code == EXIT_USAGE
     assert "required horizon" in err
     code, out, err = run(capsys, "mine", str(MINE_MAX_DEGREE + 1), "--affine")
     assert code == EXIT_RESOURCE and out == ""
     assert f"MINE_MAX_DEGREE={MINE_MAX_DEGREE}" in err
+    code, out, err = run(capsys, "mine", "0")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: degree must be at least 1\n")
 
 
 def test_mine_terms_cap(capsys):

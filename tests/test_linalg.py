@@ -206,6 +206,12 @@ def test_rank_against_naive_eliminator():
             rows[-1] = [2 * a + 3 * b for a, b in zip(rows[0], rows[(n - 1) // 2])]
             m = RationalMatrix(rows)
         assert rank(m) == naive_rank(m)
+    # zeros under the first two pivots: such a row is only rescaled, by the
+    # pivot over the one before it, which must divide exactly
+    m = RationalMatrix(
+        [[2, 1, 3, 1, 4], [0, 3, 1, 2, 5], [0, 0, 0, 5, 1], [0, 6, 2, -1, 9]]
+    )
+    assert rank(m) == naive_rank(m) == 3
 
 
 def test_kernel_golden_for_transfer_matrix():

@@ -71,7 +71,7 @@ def rect_matrices(max_rows=5, max_cols=6):
 @COMMON
 @given(st.integers(min_value=1, max_value=12))
 def test_rows_are_palindromic_with_exact_length(n):
-    row = stern_row(n).entries
+    row = stern_row(n)
     assert len(row) == 2**n - 1
     assert row == row[::-1]
     assert sum(row) == 3 ** (n - 1)

@@ -52,7 +52,6 @@ PUBLIC_API = [
     "RowCapError",
     "SIGMA",
     "SpectralContext",
-    "SternRow",
     "TAU",
     "VerificationReport",
     "annihilator_recurrence",
