@@ -7,7 +7,9 @@ padding the outside).  The power sum of a form f over row n is
     S_n(f) = sum over k = 0 .. 2^n - 1 of f(s(n, k), s(n, k + 1)),
 
 where s(n, 0) = s(n, 2^n) = 0, so the boundary pairs (0, 1) and (1, 0) are
-included; for n = 1 the sum is f(0, 1) + f(1, 0).
+included; for n = 1 the sum is f(0, 1) + f(1, 0).  Every function here
+takes any n >= 1: the cost caps are the command line's (cli), and the
+memory of a row doubles with n.
 
 Two independent evaluation routes are provided: direct summation over
 generated segments of the rows, and the transfer route, which iterates
@@ -51,21 +53,6 @@ from .linalg import RationalMatrix, _crt_step, _integer_rows, _primes_below_2_30
 
 Rational = Union[int, Fraction]
 
-#: Memory doubles per row: `row 20 --json` takes about 0.8 s and 210 MB, and
-#: `row 21 --json` 1.9 s and 410 MB, on one core of a 2-core Intel Xeon.
-DEFAULT_ROW_CAP = 20
-
-
-class RowCapError(ValueError):
-    """Row index outside the generable range; names the cap, DEFAULT_ROW_CAP."""
-
-    def __init__(self, n: int, cap: int):
-        self.n = n
-        self.cap = cap
-        super().__init__(
-            f"row index {n} is outside the valid range 1 <= n <= DEFAULT_ROW_CAP={cap}"
-        )
-
 
 def _expand(prev: list) -> list:
     """One insertion step: copy the row and insert pairwise sums."""
@@ -75,19 +62,14 @@ def _expand(prev: list) -> list:
     return out
 
 
-def _check_row_index(n: int) -> None:
-    """Raise RowCapError naming n unless 1 <= n <= DEFAULT_ROW_CAP."""
-    if n < 1 or n > DEFAULT_ROW_CAP:
-        raise RowCapError(n, DEFAULT_ROW_CAP)
-
-
 def stern_row(n: int) -> tuple:
     """Row n's entries s(n, 1) .. s(n, 2^n - 1), generated from row 1.
 
-    Nothing is memoized.  Raises RowCapError for n < 1 or
-    n > DEFAULT_ROW_CAP, before any step.
+    Nothing is memoized, and memory doubles per row.  Raises ValueError
+    for n < 1.
     """
-    _check_row_index(n)
+    if n < 1:
+        raise ValueError("row index must be at least 1")
     row = [1]
     for _ in range(n - 1):
         row = _expand(row)
@@ -145,10 +127,10 @@ def power_sum_direct_sequence(f: HomogPoly, n_max: int) -> list:
     2^(n-1), s(n+1, 2^(n-1)) .. s(n+1, 2^n) is seg_n with the sum of each
     adjacent two inserted: _expand(seg_n) less its two ends, which read the
     zero padding.  So memory is set by seg_n_max, 2^(n_max-2) + 1 entries,
-    not by row n_max's 2^n_max - 1.  Raises RowCapError naming n_max,
-    before any insertion step, for n_max < 1 or n_max > DEFAULT_ROW_CAP.
+    not by row n_max's 2^n_max - 1.  Raises ValueError for n_max < 1.
     """
-    _check_row_index(n_max)
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     sums, segment = [_row_power_sum([0, 1, 0], f)], [1, 1]
     for n in range(2, n_max + 1):
         if n > 2:

@@ -162,15 +162,18 @@ def test_row_csv_and_json(capsys):
     assert doc["results"]["entries"] == ["1", "1", "2", "1", "2", "1", "1"]
 
 
+def _row_refusal(n):
+    return f"error: row index {n} is outside the valid range 1 <= n <= DEFAULT_ROW_CAP=20\n"
+
+
 def test_row_exit_codes(monkeypatch, capsys):
-    code, _, err = run(capsys, "row", "0")
-    assert code == EXIT_USAGE
-    assert f"1 <= n <= DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in err
+    # below 1 a usage error and past the cap a resource limit, in one
+    # message, and either before any row
     _block_rows(monkeypatch)
+    for n in (-2, 0):
+        assert run(capsys, "row", str(n)) == (EXIT_USAGE, "", _row_refusal(n))
     for n in (DEFAULT_ROW_CAP + 1, 24, 99):
-        code, out, err = run(capsys, "row", str(n))
-        assert code == EXIT_RESOURCE and out == ""
-        assert f"row index {n}" in err and f"DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in err
+        assert run(capsys, "row", str(n)) == (EXIT_RESOURCE, "", _row_refusal(n))
 
 
 def _no_rows(*args, **kwargs):
@@ -233,9 +236,11 @@ def test_sums_past_row_cap_exits_before_any_row(monkeypatch, capsys):
     _block_rows(monkeypatch)
     for n in (DEFAULT_ROW_CAP + 1, 24, 30):
         for mode in ("--both", "--direct"):
-            code, out, err = run(capsys, "sums", "x", str(n), mode)
-            assert code == EXIT_RESOURCE and out == ""
-            assert f"row index {n}" in err and f"DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in err
+            assert run(capsys, "sums", "x", str(n), mode) == (EXIT_RESOURCE, "", _row_refusal(n))
+    # the zero form does no work, so only the row cap stops it
+    assert run(capsys, "sums", "coeffs=[0]", "21", "--direct") == (
+        EXIT_RESOURCE, "", _row_refusal(21)
+    )
 
 
 def test_sums_json_and_csv(capsys):
@@ -554,14 +559,16 @@ def _no_matrix(*args, **kwargs):
 
 
 def test_phi_degree_cap(monkeypatch, capsys):
+    # a negative degree passes the cap, and phi_matrix and sym_quotient refuse it
+    for extra in ([], ["--sym"], ["--json"]):
+        code, out, err = run(capsys, "phi", "-1", *extra)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: degree must be nonnegative\n")
     monkeypatch.setattr(cli_mod, "phi_matrix", _no_matrix)
     monkeypatch.setattr(cli_mod, "sym_quotient", _no_matrix)
     for extra in ([], ["--sym"], ["--json"]):
         code, out, err = run(capsys, "phi", str(PHI_MAX_DEGREE + 1), *extra)
         assert code == EXIT_RESOURCE and out == ""
         assert f"PHI_MAX_DEGREE={PHI_MAX_DEGREE}" in err
-        code, out, err = run(capsys, "phi", "-1", *extra)
-        assert (code, out, err) == (EXIT_USAGE, "", "error: degree must be nonnegative\n")
 
 
 def test_phi_json(capsys):

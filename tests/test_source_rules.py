@@ -14,6 +14,10 @@ that only the tests use belongs in the tests.  The same holds for every
 public function, exported or not, and every non-dunder method, but for the
 short list UNCALLED below, each with its one reason.
 
+The cost caps belong to the command line: only `cli` assigns module-level
+names that end in `_CAP` or contain `_MAX_`, and no library module imports
+`cli`.
+
 The benchmark's tracer wraps the functions its LAYERS table names, so every
 one of them must still resolve in the package.
 """
@@ -30,7 +34,6 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 
 PUBLIC_API = [
     "AFFINE_ALT",
-    "DEFAULT_ROW_CAP",
     "EVEN",
     "HOMOGENEOUS",
     "HomogPoly",
@@ -49,7 +52,6 @@ PUBLIC_API = [
     "RHO",
     "RHO_TWIST",
     "RationalMatrix",
-    "RowCapError",
     "SIGMA",
     "SpectralContext",
     "TAU",
@@ -206,6 +208,31 @@ def test_public_api_snapshot():
     assert sternsums.__all__ == PUBLIC_API
     missing = [name for name in PUBLIC_API if not hasattr(sternsums, name)]
     assert missing == []
+
+
+def test_cost_caps_live_in_the_command_line():
+    caps, found = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            targets = getattr(top, "targets", [getattr(top, "target", None)])
+            for target in targets:
+                name = getattr(target, "id", "")
+                if name.endswith("_CAP") or "_MAX_" in name:
+                    (caps if path.name == "cli.py" else found).append(f"{path.name} {name}")
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                modules = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m in ("cli", "sternsums.cli") for m in modules):
+                found.append(f"{path.name}:{node.lineno} imports cli")
+    assert "cli.py DEFAULT_ROW_CAP" in caps and found == []
 
 
 def _layers() -> dict:

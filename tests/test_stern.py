@@ -14,8 +14,6 @@ import sternsums.spectra as spectra
 import sternsums.stern as stern
 from sternsums.forms import HomogPoly, phi_matrix, sym_dimension, sym_quotient
 from sternsums.stern import (
-    DEFAULT_ROW_CAP,
-    RowCapError,
     _berlekamp_massey_mod,
     _form_recurrence,
     _row_power_sum,
@@ -45,25 +43,36 @@ def _block_rows(monkeypatch):
     monkeypatch.setattr(stern, "_expand", no_rows)
 
 
-def test_row_cap_errors_name_the_cap(monkeypatch):
-    # every entry point refuses before its first insertion step, naming the
-    # requested row and the cap in the same words
+def test_entry_points_refuse_n_below_1(monkeypatch):
+    # every entry point refuses before its first insertion step
     _block_rows(monkeypatch)
-    cap = DEFAULT_ROW_CAP
-    for n in (0, cap + 1):
+    for n in (0, -2):
         calls = [
             lambda: stern_row(n),
             lambda: power_sum_direct(n, X3),
             lambda: power_sum_direct_sequence(X3, n),
         ]
         for call in calls:
-            with pytest.raises(RowCapError) as err:
+            with pytest.raises(ValueError, match="must be at least 1$"):
                 call()
-            assert str(err.value) == (
-                f"row index {n} is outside the valid range 1 <= n <= DEFAULT_ROW_CAP={cap}"
-            )
-    with pytest.raises(RowCapError, match="<= DEFAULT_ROW_CAP=20$"):
-        stern_row(0)
+
+
+def test_entry_points_take_n_past_the_command_line_cap(monkeypatch):
+    # the row cap is the command line's: the library walks any n, here on a
+    # stand-in step that keeps each list short
+    calls = []
+
+    def cheap(prev):
+        calls.append(prev)
+        return [0, *prev, 0]
+
+    monkeypatch.setattr(stern, "_expand", cheap)
+    assert len(stern_row(25)) == 49 and len(calls) == 24
+    # S_1 = 1, and the segment stays [1, 1], which adds 2 on each later row
+    calls.clear()
+    assert power_sum_direct_sequence(X3, 25)[-1] == 49 and len(calls) == 23
+    calls.clear()
+    assert power_sum_direct(25, X3) == 49 and len(calls) == 23
 
 
 def test_row_lengths_and_palindromes():
@@ -105,12 +114,6 @@ def test_power_sum_direct_includes_boundary_pairs():
     assert power_sum_direct(1, f) == 2
     g = HomogPoly.monomial(0, 2)  # y^2
     assert power_sum_direct(1, g) == 1
-
-
-def test_power_sum_direct_honors_cap(monkeypatch):
-    _block_rows(monkeypatch)
-    with pytest.raises(RowCapError):
-        power_sum_direct(DEFAULT_ROW_CAP + 1, X3)
 
 
 def test_power_sum_fast_goldens():
@@ -247,15 +250,9 @@ def test_power_sum_direct_sequence_walks_segments_not_rows(monkeypatch):
         assert all(length <= 2 ** (n - 3) + 1 for length in calls), n
 
 
-def test_power_sum_direct_sequence_validates_its_horizon(monkeypatch):
+def test_power_sum_direct_sequence_validates_its_horizon():
     assert power_sum_direct_sequence(X3, 6) == power_sum_sequence(X3, 6)
-    _block_rows(monkeypatch)
-    past = DEFAULT_ROW_CAP + 1
-    with pytest.raises(RowCapError) as err:
-        power_sum_direct_sequence(X3, past)
-    assert f"row index {past}" in str(err.value)
-    assert f"DEFAULT_ROW_CAP={DEFAULT_ROW_CAP}" in str(err.value)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_max must be at least 1$"):
         power_sum_direct_sequence(X3, 0)
 
 
