@@ -56,13 +56,16 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# Cost caps on `mine`; past either one it exits EXIT_RESOURCE.  Nearly all
-# of its time is Berlekamp-Massey.  The degree cap keeps the top degree no
-# dearer than `mine 60 --affine` was while every class iterated the full
-# transfer matrix on its own, and the term cap keeps a run at both caps
-# within about the same time.  README's command-line section has the
-# timings behind every cap in this block.
-MINE_MAX_DEGREE = 65
+# Cost caps on `mine`; past either one it exits EXIT_RESOURCE.  Most of its
+# time is the classes' modular lifts, Berlekamp-Massey mod about 30 primes
+# and an exact check per class at degree 100, and the exact checks of the
+# annihilator and the affine recurrences, which at 200 terms take about as
+# long as the lifts.  The degree cap keeps the top degree no dearer than
+# `mine 60 --affine` was while every class iterated the full transfer
+# matrix on its own, and the term cap keeps a run at both caps within about
+# the same time.  README's command-line section has the timings behind
+# every cap in this block.
+MINE_MAX_DEGREE = 100
 MINE_MAX_TERMS = 200
 # Degree caps on `phi` and `verify`; past either one the command exits
 # EXIT_RESOURCE.  `phi` stops where its text output is still a few MB and

@@ -635,12 +635,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# The primes that _primes_below_2_30 has found so far, descending.  Every
+# walk reads them from here and extends the list by Miller-Rabin only past
+# its end, so no prime is tested twice in a process.
+_PRIMES: list = []
+
+
 def _primes_below_2_30():
     """The primes below 2**30, descending: the moduli of every modular step."""
     # each is one 30-bit digit of a CPython int, so % p divides by one digit
-    for n in range(2**30 - 1, 7, -2):
-        if _is_prime(n):
-            yield n
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            n = _PRIMES[-1] - 2 if _PRIMES else 2**30 - 1
+            while n > 7 and not _is_prime(n):
+                n -= 2
+            if n <= 7:
+                return
+            _PRIMES.append(n)
+        yield _PRIMES[i]
+        i += 1
 
 
 def _crt_step(

@@ -10,17 +10,23 @@ offset n0 = 2 the cubic power-sum sequence 1, 3, 21, 147, ... satisfies the
 length-1 recurrence with coefficient 7 (checked from n = 3 onward, where
 every referenced term has index >= 2).
 
-Recurrences are mined with one exact, fraction-free Berlekamp-Massey run
-over the suffix that starts at n0 (J. L. Massey, "Shift-register synthesis
-and BCH decoding", IEEE Trans. Inf. Theory 15, 1969), which yields the
-minimal annihilator m of that suffix.  The homogeneous answer is m itself;
-the affine-alternating answer is m / gcd(m, x^2 - 1), with b and c read off
+A sequence's recurrences are read from one Berlekamp-Massey run over the
+suffix that starts at n0 (J. L. Massey, "Shift-register synthesis and BCH
+decoding", IEEE Trans. Inf. Theory 15, 1969), which yields the minimal
+annihilator m of that suffix.  The homogeneous answer is m itself; the
+affine-alternating answer is m / gcd(m, x^2 - 1), with b and c read off
 two consecutive residuals.  Both are unique at their minimal length while
-the horizon certifies that length, and each is checked exactly against
-every term of the window before it is returned.  The annihilator route
-provides the proof-backed counterpart: the characteristic polynomial of the
-quotient transfer matrix, with known eigenvalue factors divided out, read as
-a recurrence.
+the horizon certifies that length, and each is checked exactly once against
+every term of the window before it is returned.  min_recurrence and
+min_affine_alt_recurrence take any rational sequence, whose minimal
+recurrence may have rational coefficients (2^-n has), so they run the
+exact, fraction-free Berlekamp-Massey.  mine_all_monomials runs the
+modular lift of the transfer route's sums instead (stern._lift_recurrence:
+Berlekamp-Massey mod primes, Chinese remaindering, an exact check), as the
+minimal recurrence of a power-sum sequence has integer coefficients.  The
+annihilator route provides the proof-backed counterpart: the characteristic
+polynomial of the quotient transfer matrix, with known eigenvalue factors
+divided out, read as a recurrence.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .spectra import (
     LENGTH_BOUND_ODD,
     _dim_value,
 )
-from .stern import power_sum_table
+from .stern import _lift_recurrence, power_sum_table
 
 Rational = Union[int, Fraction]
 
@@ -252,10 +258,22 @@ def _divide_out_period_two(conn: list) -> list:
     return conn
 
 
+def _too_long(n_terms: int, n0: int, max_len: int, extra: int) -> InsufficientDataError:
+    needed = n0 + 2 * (max_len + 1 + extra) + 2
+    return InsufficientDataError(
+        f"no recurrence of length <= {max_len} fits the horizon of "
+        f"{n_terms} terms from n0={n0}; certifying length {max_len + 1} "
+        f"needs at least {needed} terms",
+        needed,
+    )
+
+
 def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence:
     """Minimal recurrence of the given variant, read from one Berlekamp-Massey
-    run (passed in as `annihilator` when the caller shares it between the
-    variants).
+    run: the fraction-free one on the suffix, or the connection polynomial
+    passed in as `annihilator`, which the caller has already checked
+    exactly on the suffix (mine_all_monomials' lift), so that its
+    homogeneous recurrence is not checked a second time.
 
     A homogeneous fit of length L is a connection polynomial of degree <= L,
     so the minimum is the Berlekamp-Massey length.  An affine-alternating fit
@@ -283,14 +301,11 @@ def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence
         conn = _divide_out_period_two(conn)
     length = len(conn) - 1
     if length > max_len:
-        needed = n0 + 2 * (max_len + 1 + extra) + 2
-        raise InsufficientDataError(
-            f"no recurrence of length <= {max_len} fits the horizon of "
-            f"{len(seq)} terms from n0={n0}; certifying length {max_len + 1} "
-            f"needs at least {needed} terms",
-            needed,
-        )
-    coeffs = tuple([_normalize_entry(Fraction(-x, conn[0])) for x in conn[1:]])
+        raise _too_long(len(seq), n0, max_len, extra)
+    if conn[0] == 1:
+        coeffs = tuple([-x for x in conn[1:]])
+    else:
+        coeffs = tuple([_normalize_entry(Fraction(-x, conn[0])) for x in conn[1:]])
     b = c = 0
     if variant == AFFINE_ALT:
         # residuals at n and n + 1 are b + c*(-1)^n and b - c*(-1)^n
@@ -300,7 +315,8 @@ def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence
         b = _normalize_entry(Fraction(r1 + r2, 2))
         c = _normalize_entry(Fraction(r1 - r2, 2) * (-1) ** first)
     rec = LinearRecurrence(length, coeffs, n0, b, c)
-    if not verify_recurrence(seq, rec):
+    checked = annihilator is not None and variant == HOMOGENEOUS  # by the lift
+    if not checked and not verify_recurrence(seq, rec):
         raise ArithmeticError(
             f"the Berlekamp-Massey recurrence of length {length} fails the "
             f"exact check on the window from n0={n0}"
@@ -421,6 +437,33 @@ def mine_all_monomials(
     Each mined length is compared with the guaranteed bound, and the
     annihilator recurrence is validated against every sequence.  The
     horizon defaults to twice the homogeneous bound plus eight.
+
+    Each class is mined on the lift that sums runs (stern._lift_recurrence)
+    over its suffix S_2 .. S_n_terms, with the longest length that the
+    horizon certifies.  Its exact check on the suffix is the only check of
+    the homogeneous recurrence, and what it returns is the connection
+    polynomial C of the suffix's minimal recurrence over Q, the one the
+    fraction-free Berlekamp-Massey finds on the same suffix (the lift's
+    docstring has the proof), with C(0) = 1, so its coefficients are int.
+    Three facts make the lift end with C, within its budget of primes:
+      - the suffix satisfies the quotient's monic integer characteristic
+        polynomial, of degree m = sym_dimension(r), so by Gauss's lemma the
+        connection polynomial of its own minimal recurrence is integral
+        with constant term 1, and C is that one wherever the suffix holds
+        2m terms (_form_recurrence has the argument), as at 200 terms for
+        every degree up to the command line's cap;
+      - a Hankel rank mod p is at most the rank over Q, so for an integral
+        C no image is longer than C, and a lifted candidate that passes
+        the check has exactly its length;
+      - _certifiable_max_length leaves the suffix at least 2L + 3 terms for
+        a length L it admits, and on such a suffix the minimal recurrence
+        is unique.
+    Were C not integral, the lift would return nothing: it would refuse the
+    horizon, or raise ArithmeticError past its budget naming r and the
+    class, where the fraction-free run gives rational coefficients.  At the
+    default horizon, which can be shorter than 2m, that does not happen for
+    any degree up to the command line's cap: there every class's C equals
+    the fraction-free run's (tests/test_recurrence_oracle.py).
     """
     bound = corollary_bound(r, HOMOGENEOUS)
     minimum = 2 * bound + 8
@@ -438,10 +481,15 @@ def mine_all_monomials(
     table = power_sum_table(r, n_terms, phi_sym)
     ann = annihilator_recurrence(r, phi_sym)
     affine_bound = corollary_bound(r, AFFINE_ALT) if include_affine else None
+    max_len = _certifiable_max_length(n_terms, 2, 0)
     results = []
     for a in range((r + 1) // 2, r + 1):
         seq = table[r - a]
-        annihilator = _suffix_annihilator(seq, 2)
+        label = monomial_name(a, r)
+        lifted = _lift_recurrence(seq[1:], max_len, f"r={r}, class {label}")
+        if lifted is None:
+            raise _too_long(n_terms, 2, max_len, 0)
+        annihilator = [1, *[-w for w in reversed(lifted)]]
         rec = _min_recurrence_impl(seq, 2, HOMOGENEOUS, annihilator)
         affine = None
         affine_within = None
@@ -454,7 +502,7 @@ def mine_all_monomials(
             MiningResult(
                 r=r,
                 x_power=a,
-                label=monomial_name(a, r),
+                label=label,
                 recurrence=rec,
                 bound=bound,
                 within_bound=rec.length <= bound,

@@ -34,7 +34,8 @@ sums by the form's own minimal recurrence, of length at most m (about
 r/3 in practice, the paper's bound), found by Berlekamp-Massey mod primes
 below 2^30 and Chinese remaindering, and used only once an exact check on
 the head proves that it holds for every later n; no characteristic
-polynomial is computed.
+polynomial is computed.  That lift, _lift_recurrence, also mines every
+monomial class in recurrences.
 The extension runs on whichever exact integer type it is given: int for
 power_sum_sequence, Decimal for the command line, whose values then print
 in linear time.  The agreement of the two routes is a core test
@@ -45,6 +46,7 @@ transfer route's oracle in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from operator import add, mul
 from typing import Sequence, Union
 
@@ -185,47 +187,104 @@ def _berlekamp_massey_mod(seq: Sequence[int], p: int) -> list:
     return [-x % p for x in reversed(c[1:length + 1])]
 
 
-def _form_recurrence(head: list, r: int) -> list:
-    """The minimal recurrence of head, 2m sums of a degree-r form, lifted
-    from its images mod p and certified on head.
+def _prime_budget(seq: list, longest: int) -> int:
+    """How many primes _lift_recurrence walks at most: 2 (b // 29) + 1."""
+    window = seq[:2 * longest]
+    width = max((abs(x).bit_length() for x in window), default=0)
+    bits = longest * (width + (longest + 1).bit_length())
+    return 2 * (bits // 29) + 1
 
-    Returns [w_1, ..., w_L] in window order: head[n] = w_1 head[n-L] + ... +
-    w_L head[n-1].  The minimal polynomial of the sums divides that of the
-    quotient matrix, which is monic of degree at most m, so by Gauss's lemma
-    it is monic in Z[x] and the w_j are integers.  Berlekamp-Massey runs
-    mod each prime of _primes_below_2_30.  An image mod p is never longer
-    than the true recurrence, and one of the same length is its reduction,
-    as both generate 2m >= 2L terms; so a longer image restarts the lift,
-    and a shorter one comes from an unlucky prime and is skipped.  The
-    images are combined by Chinese remaindering, and once the candidate
-    stops changing it is checked exactly: it must have L <= m and reproduce
-    head at every index L + 1 .. 2m (1-based), at least m consecutive ones.
-    power_sum_sequence says why that proves it for every later index.  A
-    candidate is checked at most once.  Raises ArithmeticError naming r if
-    the primes run out first.
+
+def _lift_recurrence(seq: list, longest: int, what: str) -> list | None:
+    """The minimal recurrence over Q of the integers seq, lifted from its
+    images mod p and checked exactly on seq; None once an image is longer
+    than longest, which seq must cover twice.
+
+    Returns [w_1, ..., w_L] in window order: seq[n] = w_1 seq[n-L] + ... +
+    w_L seq[n-1] at every n from L on.  The lift protocol of sums and mine:
+    Berlekamp-Massey runs mod each prime of _primes_below_2_30 in turn.  An
+    image longer than any before restarts the lift, a shorter one is
+    skipped, and each is combined with the others of its length by Chinese
+    remaindering.  Every new candidate is checked exactly at once, and the
+    check stops at its first failing index.  A refused candidate is never
+    checked again: within one lift a candidate that changes never comes
+    back, and a restart changes the length.
+
+    A returned candidate is the connection polynomial C of the minimal
+    recurrence of seq over Q, of length L, which the fraction-free
+    recurrences._berlekamp_massey finds.  Let C' of length l <= longest be
+    the candidate's: integral, C'(0) = 1, and it generates seq, so L <= l
+    and seq holds at least 2l >= L + l terms.  Two recurrences that
+    generate L + l terms have the same generating function N/C = N'/C', and
+    N/C is in lowest terms as C is minimal; so C' = C G with G(0) = 1, and
+    l >= L + deg G.  By Gauss's lemma C is then integral, C mod p generates
+    seq mod p, and l, the length of an image mod p, is at most L.  So G = 1,
+    l = L and C' = C.
+
+    When C is integral (always for a form's sums, see _form_recurrence), no
+    image is longer than L, so None proves L > longest.  If L <= longest, an
+    image of length L is C mod p, the one recurrence of length L on 2L
+    terms, and a shorter image's prime divides det H for the Hankel matrix
+    H = (seq[i + j]), i, j < L, which is nonsingular: the image's recurrence
+    makes H's first l + 1 columns dependent mod p.  By Cramer's rule on the
+    equations at n = L .. 2L-1, C's coefficients are L x L minors of
+    seq[0 .. 2L-1] over det H, a nonzero integer, so they and det H are
+    below Hadamard's bound 2**b, b = longest * (w + bit length of
+    longest + 1) for the largest bit length w in seq[0 .. 2 longest - 1].
+    Each prime walked exceeds 2**29 (the first 20 million below 2**30 all
+    do), so at most b // 29 are skipped, and b // 29 + 1 of length L make
+    the symmetric residues C itself.  Past those 2 (b // 29) + 1 primes,
+    _prime_budget, the lift raises ArithmeticError naming what.
     """
-    m = len(head) // 2
-    size, refused = -1, None
-    for prime in _primes_below_2_30():
-        image = _berlekamp_massey_mod(head, prime)
+    size, checked, taken = -1, None, 0
+    primes = islice(_primes_below_2_30(), _prime_budget(seq, longest))
+    for taken, prime in enumerate(primes, 1):
+        image = _berlekamp_massey_mod(seq, prime)
         if len(image) < size:
             continue  # an unlucky prime
         if len(image) > size:
-            size, modulus, lifted, candidate = len(image), 1, [0] * len(image), None
-        previous = candidate
+            if len(image) > longest:
+                return None
+            size, modulus, lifted = len(image), 1, [0] * len(image)
         lifted, modulus, candidate = _crt_step(lifted, modulus, image, prime)
-        if candidate != previous or candidate == refused:
+        if candidate == checked:
             continue
-        if size <= m and all(
-            sum(map(mul, candidate, head[n - size:n])) == head[n]
-            for n in range(size, len(head))
+        checked = candidate
+        if all(
+            sum(map(mul, candidate, seq[n - size:n])) == seq[n]
+            for n in range(size, len(seq))
         ):
             return candidate
-        refused = candidate
     raise ArithmeticError(
-        f"r={r}: no recurrence lifted from Berlekamp-Massey images mod the "
-        f"primes below 2**30 passed its certificate on the head"
+        f"{what}: no recurrence lifted from Berlekamp-Massey images mod "
+        f"{taken} primes below 2**30 passed its certificate"
     )
+
+
+def _form_recurrence(head: list, r: int) -> list:
+    """The minimal recurrence of head, 2m sums of a degree-r form, by
+    _lift_recurrence with longest = m.
+
+    The sums' generating function is u_1 (1 - xA)^-1 g for the quotient
+    matrix A, so the connection polynomial of their own minimal recurrence
+    divides det(1 - xA), which is integral with constant term 1; by Gauss's
+    lemma it is integral too, and its length is at most m.  Two recurrences
+    of length at most m that generate the 2m terms of head agree, so that
+    one is head's, and the lift finds it within its budget.  Its length L is
+    at most m, and the check reproduces head at every index L + 1 .. 2m
+    (1-based), at least m consecutive ones; power_sum_sequence says why that
+    proves it for every later index.  Raises ArithmeticError naming r when
+    no candidate passes, or when an image is longer than m, which no
+    recurrence of the sums is.
+    """
+    m = len(head) // 2
+    rec = _lift_recurrence(head, m, f"r={r}")
+    if rec is None:
+        raise ArithmeticError(
+            f"r={r}: a Berlekamp-Massey image of the head is longer than m={m}, "
+            f"so no recurrence passes its certificate"
+        )
+    return rec
 
 
 def _transfer_sums(f: HomogPoly, n_max: int, num=int) -> tuple[list, int]:
@@ -281,7 +340,7 @@ def power_sum_sequence(f: HomogPoly, n_max: int) -> list:
     and the folded form g, so by Cayley-Hamilton it satisfies the charpoly
     of A, of degree m, and the 2m - L >= m consecutive zeros that the check
     finds force every later b_n to vanish.  If no lifted candidate passes
-    before the primes run out, ArithmeticError names r.
+    within the lift's budget of primes, ArithmeticError names r.
     """
     sums, d = _transfer_sums(f, n_max)
     return sums if d == 1 else [Fraction(s, d) for s in sums]

@@ -35,9 +35,9 @@ from sternsums.cli import (
     main,
     parse_fspec,
 )
-from sternsums.forms import HomogPoly
+from sternsums.forms import HomogPoly, sym_quotient
 from sternsums.linalg import InexactDivisionError
-from sternsums.stern import power_sum_sequence
+from sternsums.stern import power_sum_sequence, power_sum_table
 
 
 def run(capsys, *argv):
@@ -252,13 +252,25 @@ def test_sums_json_and_csv(capsys):
     assert out.splitlines() == ["n,value", "1,1", "2,3", "3,21"]
 
 
+def _skewed_images(monkeypatch):
+    """Make every Berlekamp-Massey image of the lift wrong: w_1 moved by one."""
+    real = stern._berlekamp_massey_mod
+
+    def skewed(seq, p):
+        image = real(seq, p)
+        return [(image[0] + 1) % p, *image[1:]]
+
+    monkeypatch.setattr(stern, "_berlekamp_massey_mod", skewed)
+
+
 def test_sums_exits_1_naming_the_degree_when_the_certificate_fails(monkeypatch, capsys):
-    # with one prime the lift never settles, so no recurrence is certified
-    # and none extends the sums
+    # an image that is wrong mod the one prime walked is never certified,
+    # so no recurrence extends the sums
     def one_prime():
         yield spectra._CERTIFICATE_PRIME
 
     monkeypatch.setattr(stern, "_primes_below_2_30", one_prime)
+    _skewed_images(monkeypatch)
     for mode in ("--fast", "--both"):
         code, out, err = run(capsys, "sums", "x^4y^3", "20", mode)
         assert code == EXIT_VERIFICATION_FAILED and out == ""
@@ -802,12 +814,26 @@ def test_verify_json_matches_the_recorded_digests(capsys):
 
 
 def test_mine_arithmetic_error_exits_1_naming_the_degree(monkeypatch, capsys):
-    # a mined recurrence that fails its exact check on the window
+    # images wrong mod every prime: no lifted candidate passes its exact
+    # check on the window, and the lift of the first class, x^2*y^2, stops
+    # at its budget of primes
+    real_walk, taken = stern._primes_below_2_30, []
+
+    def walk():
+        for p in real_walk():
+            taken.append(p)
+            yield p
+
     with monkeypatch.context() as patch:
-        patch.setattr(recurrences, "verify_recurrence", lambda seq, rec: False)
+        _skewed_images(patch)
+        patch.setattr(stern, "_primes_below_2_30", walk)
         code, out, err = run(capsys, "mine", "4", "--json")
     assert code == EXIT_VERIFICATION_FAILED and out == ""
-    assert "r=4" in err and "Berlekamp-Massey" in err
+    assert "r=4" in err and "class x^2*y^2" in err and "certificate" in err
+    n_terms = 2 * recurrences.corollary_bound(4) + 8
+    suffix = power_sum_table(4, n_terms, sym_quotient(4))[2][1:]
+    budget = stern._prime_budget(suffix, recurrences._certifiable_max_length(n_terms, 2, 0))
+    assert len(taken) == budget
 
     # a division that must be exact is not
     def inexact(p, q, k):

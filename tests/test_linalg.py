@@ -19,6 +19,7 @@ from itertools import islice
 
 import pytest
 
+import sternsums.linalg as linalg
 from sternsums.forms import RHO_TWIST, operator_matrix, phi_matrix, sym_quotient
 from sternsums.linalg import (
     InexactDivisionError,
@@ -706,6 +707,29 @@ def _adversarial_prime_pairs():
         # the first prime divides both leading coefficients and must be passed over
         (h * (x + IntPolynomial([1])), h * (x + IntPolynomial([2]))),
     ]
+
+
+def test_the_prime_walk_reads_a_memo_that_grows_only_as_far_as_read(monkeypatch):
+    monkeypatch.setattr(linalg, "_PRIMES", [])
+    fresh = list(islice((n for n in range(2**30 - 1, 7, -2) if linalg._is_prime(n)), 200))
+    assert fresh[:6] == _largest_primes_below_2_30(6)
+    a, b = _primes_below_2_30(), _primes_below_2_30()
+    assert [next(a) for _ in range(3)] == fresh[:3]
+    assert linalg._PRIMES == fresh[:3]
+    # interleaved, b reads the memo and then extends it, and a reads on
+    got_a, got_b = [], []
+    for _ in range(100):
+        got_b += [next(b), next(b)]
+        got_a.append(next(a))
+    assert got_b == fresh and got_a == fresh[3:103]
+    assert linalg._PRIMES == fresh
+
+    # a walk within the memo tests no number again
+    def no_test(n):
+        raise AssertionError(f"{n} was tested twice")
+
+    monkeypatch.setattr(linalg, "_is_prime", no_test)
+    assert list(islice(_primes_below_2_30(), 200)) == fresh
 
 
 def test_polynomial_gcd_against_prs_oracle():

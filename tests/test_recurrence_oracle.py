@@ -1,28 +1,39 @@
-"""Berlekamp-Massey mining against the Hankel oracle.
+"""Berlekamp-Massey mining against the Hankel oracle, and mine's modular
+lift against the fraction-free Berlekamp-Massey.
 
 The oracle is the ascending-length search over `fit_recurrence`, which
 solves the full window of equations exactly at every candidate length (and,
 for the affine-alternating variant, in the order b = c = 0, then b = 0, then
 c = 0).  Both miners must agree on every input: the same LinearRecurrence,
 or the same InsufficientDataError message and required_terms.
+
+`mine_all_monomials` mines each class on the lift that `sums` runs
+(`stern._lift_recurrence`); the exact, fraction-free
+`recurrences._berlekamp_massey` on the same suffix is its oracle: the same
+connection polynomial for every class, and the same `mine` output.
 """
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
-from sternsums.forms import HomogPoly
+import sternsums.recurrences as recurrences
+from sternsums.cli import MINE_MAX_DEGREE, main
+from sternsums.forms import HomogPoly, sym_quotient
 from sternsums.recurrences import (
     AFFINE_ALT,
     HOMOGENEOUS,
     InsufficientDataError,
+    _certifiable_max_length,
     corollary_bound,
     fit_recurrence,
     min_affine_alt_recurrence,
     min_recurrence,
 )
-from sternsums.stern import power_sum_sequence
+from sternsums.stern import _lift_recurrence, power_sum_sequence, power_sum_table
 
 MINERS = {HOMOGENEOUS: min_recurrence, AFFINE_ALT: min_affine_alt_recurrence}
 
@@ -156,3 +167,55 @@ def test_short_horizons_raise_the_oracle_error():
         min_affine_alt_recurrence(fib[:9], 1)
     assert err.value.required_terms == 11
     assert min_recurrence(fib[:9], 1).coefficients == (1, 1)
+
+
+# -- mine's modular lift against the fraction-free Berlekamp-Massey ------------
+
+
+def _lifted_connections(r, n_terms):
+    """(lifted, fraction-free) connection polynomials of every class's suffix."""
+    table = power_sum_table(r, n_terms, sym_quotient(r))
+    longest = _certifiable_max_length(n_terms, 2, 0)
+    for a in range((r + 1) // 2, r + 1):
+        suffix = table[r - a][1:]
+        w = _lift_recurrence(suffix, longest, f"r={r}, a={a}")
+        yield [1, *[-x for x in reversed(w)]], recurrences._berlekamp_massey(suffix)
+
+
+def test_every_class_lifts_the_fraction_free_connection_polynomial():
+    for r in range(1, 41):
+        for lifted, exact in _lifted_connections(r, 2 * corollary_bound(r) + 8):
+            assert lifted == exact, r
+    for r in (2, 11, 24, 40):
+        for lifted, exact in _lifted_connections(r, 200):
+            assert lifted == exact, r
+
+
+def _fraction_free(seq, longest, what):
+    """The exact route in the lift's place: recurrences._berlekamp_massey,
+    whose connection polynomial must be monic for the lift to return it."""
+    c = recurrences._berlekamp_massey(seq)
+    if len(c) - 1 > longest:
+        return None
+    if c[0] != 1:
+        raise AssertionError(f"{what}: the minimal recurrence is not integral")
+    return [-x for x in reversed(c[1:])]
+
+
+def _mine(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["mine", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.extended
+def test_mine_matches_the_exact_route_to_the_degree_cap(monkeypatch):
+    # `mine r --affine --json` on the lift and on the fraction-free run, for
+    # every degree up to the cap: the same exit code and the same bytes
+    for r in range(1, MINE_MAX_DEGREE + 1):
+        lifted = _mine(str(r), "--affine", "--json")
+        with monkeypatch.context() as patch:
+            patch.setattr(recurrences, "_lift_recurrence", _fraction_free)
+            assert _mine(str(r), "--affine", "--json") == lifted, r
+        assert lifted[0] == 0, r

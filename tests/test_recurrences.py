@@ -174,11 +174,17 @@ def test_min_recurrence_agrees_with_berlekamp_massey():
         assert verify_recurrence(seq, mined)
 
 
-def test_mining_certificate_rejects_a_wrong_annihilator():
+def test_mining_certificate_rejects_a_wrong_annihilator(monkeypatch):
     seq = power_sum_sequence(X3, 14)
     assert _min_recurrence_impl(seq, 2, HOMOGENEOUS, [1, -7]).coefficients == (7,)
+    # a passed annihilator has had its homogeneous check (mine's lift), but
+    # the affine recurrence read from it is still checked
     with pytest.raises(ArithmeticError, match="fails the exact check"):
-        _min_recurrence_impl(seq, 2, HOMOGENEOUS, [1, -6])
+        _min_recurrence_impl(seq, 2, AFFINE_ALT, [1, -6])
+    # the fraction-free route checks its homogeneous recurrence
+    monkeypatch.setattr(recurrences, "_suffix_annihilator", lambda seq, n0: [1, -6])
+    with pytest.raises(ArithmeticError, match="fails the exact check"):
+        min_recurrence(seq, 2)
 
 
 def test_minimality_no_shorter_fit_on_horizon():
@@ -257,9 +263,28 @@ def test_mine_all_monomials_r6_within_bounds():
         assert m.affine is not None and m.affine_within_bound
 
 
-def test_mine_all_monomials_rejects_short_horizon():
+def test_mine_all_monomials_rejects_short_horizon(monkeypatch):
     with pytest.raises(InsufficientDataError):
         mine_all_monomials(3, n_terms=5)
+    # an image longer than the horizon certifies refuses it at the first
+    # prime, in the words of the fraction-free route
+    taken = []
+
+    def walk():
+        taken.append(2**30 - 35)
+        yield 2**30 - 35
+
+    monkeypatch.setattr(stern, "_primes_below_2_30", walk)
+    monkeypatch.setattr(stern, "_berlekamp_massey_mod", lambda seq, p: [1] * 7)
+    with pytest.raises(InsufficientDataError) as lifted:
+        mine_all_monomials(4, n_terms=16)
+    seq = [1, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]  # length 8 from n0 = 2
+    with pytest.raises(InsufficientDataError) as exact:
+        min_recurrence(seq, 2)
+    assert (str(lifted.value), lifted.value.required_terms) == (
+        str(exact.value), exact.value.required_terms
+    )
+    assert taken == [2**30 - 35]
 
 
 @pytest.mark.parametrize("r", [1, 6, 11, 12])
@@ -269,6 +294,8 @@ def test_mine_all_monomials_builds_each_object_once(monkeypatch, r):
         (forms, "phi_matrix"),
         (forms, "sym_quotient"),
         (stern, "power_sum_sequence"),
+        (recurrences, "verify_recurrence"),
+        (recurrences, "_berlekamp_massey"),
     ):
         original = getattr(module, name)
 
@@ -279,10 +306,15 @@ def test_mine_all_monomials_builds_each_object_once(monkeypatch, r):
         for owner in (forms, stern, recurrences):
             if owner.__dict__.get(name) is original:
                 monkeypatch.setattr(owner, name, counted)
-    mine_all_monomials(r, include_affine=True)
+    results = mine_all_monomials(r, include_affine=True)
     assert calls["phi_matrix"] == 1
     assert calls["sym_quotient"] == 1
     assert calls["power_sum_sequence"] == 0
+    # per class, one exact check of the annihilator and one of the affine
+    # recurrence; the homogeneous one has only the lift's, and the
+    # fraction-free Berlekamp-Massey never runs
+    assert calls["verify_recurrence"] == 2 * len(results)
+    assert calls["_berlekamp_massey"] == 0
 
 
 def test_annihilator_takes_the_quotient_matrix():

@@ -405,24 +405,37 @@ def test_berlekamp_massey_mod_p_against_the_exact_one():
             assert len(_berlekamp_massey_mod(seq, q)) < len(recurrences._berlekamp_massey(seq))
 
 
+def _skewed(seq, p):
+    """An image that is wrong mod every prime: w_1 moved by one."""
+    image = _berlekamp_massey_mod(seq, p)
+    return [(image[0] + 1) % p, *image[1:]]
+
+
 def test_an_unlucky_prime_is_skipped_and_the_next_one_is_used(monkeypatch):
-    # Every sum of 7 x^2 y^3 + 14 y^5 is a multiple of 7, so its image mod 7
-    # is the empty recurrence, shorter than the true one.
-    f = HomogPoly([14, 0, 7, 0, 0, 0])
+    # Every sum of 7 x^2 y^14 + 14 y^16 is a multiple of 7, so its image mod
+    # 7 is the empty recurrence, shorter than the true one, which takes two
+    # primes of the walk.
+    f = HomogPoly([14, 0, 7] + [0] * 14)
     expected = per_form_power_sums(f, 60)
     big = [p for p, _ in zip(linalg._primes_below_2_30(), range(40))]
+    plain = _primes(monkeypatch, big)
+    assert power_sum_sequence(f, 60) == expected
+    assert len(plain) == 2
+    # first, 7's empty candidate is checked and refused, and the next prime
+    # restarts the lift
     first = _primes(monkeypatch, [7, *big])
     assert power_sum_sequence(f, 60) == expected
-    assert first[0] == 7 and len(first) >= 3  # the lift restarted past 7
+    assert first == [7, *plain]
+    # in the middle, 7 is skipped, not lifted: the lift of big[0] goes on
     middle = _primes(monkeypatch, [big[0], 7, *big[1:]])
     assert power_sum_sequence(f, 60) == expected
-    assert middle[:3] == [big[0], 7, big[1]]  # 7 was skipped, not lifted
-    assert len(middle) == len(first)
+    assert middle == [big[0], 7, big[1]]
 
 
 def test_a_forged_image_never_reaches_the_output(monkeypatch):
-    # a short image at the first prime starts a lift that the next prime,
-    # with the true length, restarts
+    # a short image at the first prime starts a lift whose candidate the
+    # exact check refuses at once; the next prime, with the true length,
+    # restarts it, and one prime of that length settles this form
     f = HomogPoly([3, -1, 4, 1, -5, 9, 2])
     real = stern._berlekamp_massey_mod
     images = []
@@ -435,7 +448,7 @@ def test_a_forged_image_never_reaches_the_output(monkeypatch):
     monkeypatch.setattr(stern, "_berlekamp_massey_mod", shortened_once)
     taken = _primes(monkeypatch, [p for p, _ in zip(linalg._primes_below_2_30(), range(40))])
     assert power_sum_sequence(f, 80) == per_form_power_sums(f, 80)
-    assert len(taken) >= 3 and images[0] == images[1]
+    assert len(taken) == 2 and images[0] == images[1]
 
 
 def test_extension_certifies_the_recurrence_first(monkeypatch):
@@ -449,26 +462,30 @@ def test_extension_certifies_the_recurrence_first(monkeypatch):
             assert len(w) == len(recurrences._berlekamp_massey(head)) - 1
     # sums that all vanish have the empty recurrence
     assert _form_recurrence(_head(HomogPoly([1, 0, -1])), 2) == []
-    # an image that is wrong mod every prime lifts to a stable candidate
-    # that the exact check refuses before any term is extended; the walk
-    # runs out and names r
-    real = stern._berlekamp_massey_mod
-
-    def skewed(seq, p):
-        image = real(seq, p)
-        return [(image[0] + 1) % p, *image[1:]]
-
-    monkeypatch.setattr(stern, "_berlekamp_massey_mod", skewed)
-    for r in (5, 12):
+    # an image that is wrong mod every prime lifts to candidates that the
+    # exact check refuses before any term is extended; the walk stops at
+    # the lift's budget, or where the primes run out, and names r
+    monkeypatch.setattr(stern, "_berlekamp_massey_mod", _skewed)
+    for r, walked in ((5, 5), (12, 12)):
         f = HomogPoly([3 - i for i in range(r + 1)])
+        budget = stern._prime_budget(_head(f), sym_dimension(r))
         taken = _primes(monkeypatch, [p for p, _ in zip(linalg._primes_below_2_30(), range(12))])
-        with pytest.raises(ArithmeticError, match=f"r={r}: .*certificate"):
+        with pytest.raises(ArithmeticError, match=f"r={r}: .* mod {walked} primes .*certificate"):
             power_sum_sequence(f, 90)
-        assert len(taken) == 12
+        assert len(taken) == walked == min(budget, 12)
+    # an image longer than m, which no recurrence of the sums is, ends the
+    # lift at its first prime
+    m = sym_dimension(5)
+    monkeypatch.setattr(stern, "_berlekamp_massey_mod", lambda seq, p: [1] * (m + 1))
+    taken = _primes(monkeypatch, [p for p, _ in zip(linalg._primes_below_2_30(), range(12))])
+    with pytest.raises(ArithmeticError, match=f"r=5: .* longer than m={m}"):
+        power_sum_sequence(HomogPoly.monomial(5, 5), 90)
+    assert len(taken) == 1
 
 
 def test_power_sum_sequence_raises_naming_r_when_the_certificate_fails(monkeypatch):
-    # one prime can never show a stable lift, so nothing is ever certified
+    # an image that is wrong mod the one prime walked is never certified
+    monkeypatch.setattr(stern, "_berlekamp_massey_mod", _skewed)
     taken = _primes(monkeypatch, [spectra._CERTIFICATE_PRIME])
     with pytest.raises(ArithmeticError, match="r=9: .*certificate"):
         power_sum_sequence(HomogPoly.monomial(9, 9), 100)
