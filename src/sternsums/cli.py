@@ -56,15 +56,15 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# Cost caps on `mine`; past either one it exits EXIT_RESOURCE.  Most of its
-# time is the classes' modular lifts, Berlekamp-Massey mod about 30 primes
-# and an exact check per class at degree 100, and the exact checks of the
-# annihilator and the affine recurrences, which at 200 terms take about as
-# long as the lifts.  The degree cap keeps the top degree no dearer than
-# `mine 60 --affine` was while every class iterated the full transfer
-# matrix on its own, and the term cap keeps a run at both caps within about
-# the same time.  README's command-line section has the timings behind
-# every cap in this block.
+# Cost caps on `mine`; past either one it exits EXIT_RESOURCE.  At degree
+# 100 most of its time is the exact checks of each class's homogeneous,
+# affine and annihilator recurrences on the window, and the Berkowitz
+# charpoly behind the annihilator; the degree's one modular lift and the
+# classes' gcds take about a tenth.  The degree cap keeps the top degree
+# no dearer than `mine 60 --affine` was while every class iterated the full
+# transfer matrix on its own, and the term cap keeps a run at both caps
+# within about the same time.  README's command-line section has the
+# timings behind every cap in this block.
 MINE_MAX_DEGREE = 100
 MINE_MAX_TERMS = 200
 # Degree caps on `phi` and `verify`; past either one the command exits

@@ -759,9 +759,9 @@ def polynomial_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     the contents).  For a prime that divides neither leading coefficient,
     the gcd mod the prime has at least the degree of the true gcd; the images
     of the smallest degree seen, scaled to the gcd of the leading
-    coefficients, are lifted by the Chinese remainder theorem.  Once the
-    lifted image stops changing, its primitive part is tried: if it divides
-    both inputs exactly it is a common divisor of at least the true gcd's
+    coefficients, are lifted by the Chinese remainder theorem.  The primitive
+    part of each new lifted candidate is tried at once: if it divides both
+    inputs exactly it is a common divisor of at least the true gcd's
     degree, hence the gcd.  No step is probabilistic (W. S. Brown, J. ACM 18,
     1971).
     """
@@ -776,6 +776,7 @@ def polynomial_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     b = q.primitive().coeffs
     lc = math.gcd(a[-1], b[-1])
     size = None  # length of the images being lifted
+    checked = None  # the last candidate tried
     for prime in _primes_below_2_30():
         if not a[-1] % prime or not b[-1] % prime:
             continue
@@ -785,18 +786,19 @@ def polynomial_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
         if size is not None and len(image) > size:
             continue  # the prime divides a resultant: its image is too large
         if size is None or len(image) < size:
-            size, modulus, lifted, candidate = len(image), 1, [0] * len(image), None
-        previous = candidate
+            size, modulus, lifted = len(image), 1, [0] * len(image)
         lifted, modulus, candidate = _crt_step(
             lifted, modulus, [v * lc for v in image], prime
         )
-        if candidate == previous:
-            g = IntPolynomial(candidate).primitive()
-            if (
-                _exact_quotient(a, g.coeffs) is not None
-                and _exact_quotient(b, g.coeffs) is not None
-            ):
-                return g * c
+        if candidate == checked:
+            continue  # refused already
+        checked = candidate
+        g = IntPolynomial(candidate).primitive()
+        if (
+            _exact_quotient(a, g.coeffs) is not None
+            and _exact_quotient(b, g.coeffs) is not None
+        ):
+            return g * c
     raise ArithmeticError("polynomial_gcd ran out of primes below 2**30")
 
 

@@ -20,11 +20,14 @@ the horizon certifies that length, and each is checked exactly once against
 every term of the window before it is returned.  min_recurrence and
 min_affine_alt_recurrence take any rational sequence, whose minimal
 recurrence may have rational coefficients (2^-n has), so they run the
-exact, fraction-free Berlekamp-Massey.  mine_all_monomials runs the
-modular lift of the transfer route's sums instead (stern._lift_recurrence:
-Berlekamp-Massey mod primes, Chinese remaindering, an exact check), as the
-minimal recurrence of a power-sum sequence has integer coefficients.  The
-annihilator route provides the proof-backed counterpart: the characteristic
+exact, fraction-free Berlekamp-Massey.  A power-sum sequence's minimal
+recurrence has integer coefficients, so mine_all_monomials runs the modular
+lift of the transfer route's sums instead (stern._lift_recurrence:
+Berlekamp-Massey mod primes, Chinese remaindering, an exact check), once
+per degree, on a weighted sum of its classes' sequences.  One exact check
+per class at a single index proves that recurrence on every class, and
+each class's minimal recurrence follows from it by one polynomial gcd
+(rational function reconstruction).  The annihilator route provides the proof-backed counterpart: the characteristic
 polynomial of the quotient transfer matrix, with known eigenvalue factors
 divided out, read as a recurrence.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .forms import monomial_name, sym_dimension, sym_quotient
@@ -43,8 +47,10 @@ from .linalg import (
     _exact_quotient,
     _integer_rows,
     _normalize_entry,
+    _poly_mul,
     charpoly,
     divide_out,
+    polynomial_gcd,
     root_power,
     solve_linear,
 )
@@ -93,11 +99,9 @@ class LinearRecurrence:
 
     def rhs(self, seq: Sequence[Rational], n: int) -> Rational:
         """Right-hand side at index n (1-based) over the given sequence."""
-        total = self.affine_b + self.alternating_c * (-1) ** n
-        for j, a in enumerate(self.coefficients, start=1):
-            if a:
-                total += a * seq[n - 1 - j]
-        return total
+        window = seq[n - 1 - self.length:n - 1]
+        terms = sum(map(mul, reversed(self.coefficients), window))
+        return self.affine_b + self.alternating_c * (-1) ** n + terms
 
     def to_json_dict(self) -> dict:
         return {
@@ -271,9 +275,8 @@ def _too_long(n_terms: int, n0: int, max_len: int, extra: int) -> InsufficientDa
 def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence:
     """Minimal recurrence of the given variant, read from one Berlekamp-Massey
     run: the fraction-free one on the suffix, or the connection polynomial
-    passed in as `annihilator`, which the caller has already checked
-    exactly on the suffix (mine_all_monomials' lift), so that its
-    homogeneous recurrence is not checked a second time.
+    of the suffix's minimal recurrence passed in as `annihilator`
+    (mine_all_monomials reads it from the degree's recurrence).
 
     A homogeneous fit of length L is a connection polynomial of degree <= L,
     so the minimum is the Berlekamp-Massey length.  An affine-alternating fit
@@ -315,8 +318,7 @@ def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence
         b = _normalize_entry(Fraction(r1 + r2, 2))
         c = _normalize_entry(Fraction(r1 - r2, 2) * (-1) ** first)
     rec = LinearRecurrence(length, coeffs, n0, b, c)
-    checked = annihilator is not None and variant == HOMOGENEOUS  # by the lift
-    if not checked and not verify_recurrence(seq, rec):
+    if not verify_recurrence(seq, rec):
         raise ArithmeticError(
             f"the Berlekamp-Massey recurrence of length {length} fails the "
             f"exact check on the window from n0={n0}"
@@ -424,6 +426,46 @@ class MiningResult:
         return out
 
 
+def _class_connections(r: int, table: list, n_terms: int) -> list:
+    """Connection polynomials of every class's minimal recurrence from
+    n0 = 2, for x^a y^(r-a) with a from ceil(r/2) to r: one lift for the
+    degree, then one exact check and one gcd per class.
+
+    Each has L + 1 entries for its length L, with C[0] = 1 and C[L] = 0 when
+    its degree is below L, as _berlekamp_massey gives it on the class's
+    suffix S_2 .. S_n_terms; mine_all_monomials has the proof.  Raises
+    InsufficientDataError when the horizon cannot certify the degree's
+    recurrence, and ArithmeticError naming r and the class that refuses it.
+    """
+    longest = _certifiable_max_length(n_terms, 2, 0)
+    suffixes = [seq[1:] for seq in table]
+    weighted = [
+        sum(map(mul, range(1, len(table) + 1), column)) for column in zip(*suffixes)
+    ]
+    lifted = _lift_recurrence(weighted, longest, f"r={r}")
+    if lifted is None:
+        raise _too_long(n_terms, 2, longest, 0)
+    length = len(lifted)
+    degree_conn = IntPolynomial([1, *[-w for w in reversed(lifted)]])
+    connections = []
+    for a in range((r + 1) // 2, r + 1):
+        suffix = suffixes[r - a]
+        if sum(map(mul, lifted, suffix[:length])) != suffix[length]:
+            raise ArithmeticError(
+                f"r={r}, class {monomial_name(a, r)}: the degree's recurrence "
+                f"of length {length} fails its exact check at n={length + 2}"
+            )
+        numerator = IntPolynomial(_poly_mul(suffix[:length], degree_conn.coeffs, length))
+        g = polynomial_gcd(degree_conn, numerator).coeffs
+        if g[0] < 0:  # g(0) divides C(0) = 1
+            g = [-x for x in g]
+        conn = _exact_quotient(degree_conn.coeffs, g)
+        num = _exact_quotient(numerator.coeffs, g)
+        class_length = max(len(conn) - 1, len(num))
+        connections.append([*conn, *[0] * (class_length + 1 - len(conn))])
+    return connections
+
+
 def mine_all_monomials(
     r: int, n_terms: int | None = None, include_affine: bool | None = None
 ) -> list:
@@ -438,32 +480,43 @@ def mine_all_monomials(
     annihilator recurrence is validated against every sequence.  The
     horizon defaults to twice the homogeneous bound plus eight.
 
-    Each class is mined on the lift that sums runs (stern._lift_recurrence)
-    over its suffix S_2 .. S_n_terms, with the longest length that the
-    horizon certifies.  Its exact check on the suffix is the only check of
-    the homogeneous recurrence, and what it returns is the connection
-    polynomial C of the suffix's minimal recurrence over Q, the one the
-    fraction-free Berlekamp-Massey finds on the same suffix (the lift's
-    docstring has the proof), with C(0) = 1, so its coefficients are int.
-    Three facts make the lift end with C, within its budget of primes:
-      - the suffix satisfies the quotient's monic integer characteristic
-        polynomial, of degree m = sym_dimension(r), so by Gauss's lemma the
-        connection polynomial of its own minimal recurrence is integral
-        with constant term 1, and C is that one wherever the suffix holds
-        2m terms (_form_recurrence has the argument), as at 200 terms for
-        every degree up to the command line's cap;
-      - a Hankel rank mod p is at most the rank over Q, so for an integral
-        C no image is longer than C, and a lifted candidate that passes
-        the check has exactly its length;
-      - _certifiable_max_length leaves the suffix at least 2L + 3 terms for
-        a length L it admits, and on such a suffix the minimal recurrence
-        is unique.
-    Were C not integral, the lift would return nothing: it would refuse the
-    horizon, or raise ArithmeticError past its budget naming r and the
-    class, where the fraction-free run gives rational coefficients.  At the
-    default horizon, which can be shorter than 2m, that does not happen for
-    any degree up to the command line's cap: there every class's C equals
-    the fraction-free run's (tests/test_recurrence_oracle.py).
+    The classes are mined from one recurrence of the degree
+    (_class_connections).  The suffixes S_2 .. S_n_terms of the m classes,
+    weighted by 1, 2, ..., m in table order, add up to one sequence, and
+    the lift that sums runs (stern._lift_recurrence) gives its minimal
+    recurrence w of length L, with the longest length the horizon
+    certifies.  One exact check per class at the single index L (S_(L+2))
+    proves w on every class at every later index: row i of the table is
+    coordinate i of u_n = u_2 A^(n-2), for the quotient matrix A of
+    _boundary_steps, so at the suffix index k >= L the residuals of all m
+    classes form the vector u_2 A^(k-L) q(A) = y A^(k-L), for w's
+    polynomial q(x) = x^L - (w_L x^(L-1) + ... + w_1) and the residuals y
+    = u_2 q(A) at index L; the check is y = 0.  Which w it is does not
+    matter to that proof; a class that refuses it raises ArithmeticError
+    naming r and the class.
+
+    So each class's suffix s has the generating function P/C, for w's
+    connection polynomial C = 1 - w_L x - ... - w_1 x^L and P = (s C) mod
+    x^L.  In lowest terms, P'/C' with C' = C/G and P' = P/G for G =
+    gcd(C, P) (linalg.polynomial_gcd; J. von zur Gathen and J. Gerhard,
+    Modern Computer Algebra, on rational function reconstruction), it gives
+    the minimal recurrence of s over Q: connection polynomial C', and length
+    L' = max(deg C', deg P' + 1) <= L.  G(0) = +-1 divides C(0) = 1, so C'
+    is integral with C'(0) = 1 once G is signed with G(0) = 1, and C' is
+    padded to L' + 1 entries, so that a zero oldest coefficient survives
+    (r = 65 has one).  _certifiable_max_length leaves the suffix at least
+    2L + 3 terms, so no recurrence shorter than L' generates it (two that
+    generate L' + l terms have the same generating function), and C' is the
+    connection polynomial that the fraction-free Berlekamp-Massey finds on
+    the suffix (tests/test_recurrence_oracle.py compares them).  Each
+    returned homogeneous recurrence is checked once more on its window.
+
+    The weighted sum is a form's sums, so its connection polynomial is
+    integral (_form_recurrence has the argument): the lift returns nothing,
+    and the horizon is refused, only when that recurrence is longer than the
+    horizon certifies, and it ends within its budget of primes.  Had the
+    weights missed a class, that class would refuse w; no class refuses it
+    at any degree up to the command line's cap.
     """
     bound = corollary_bound(r, HOMOGENEOUS)
     minimum = 2 * bound + 8
@@ -481,15 +534,10 @@ def mine_all_monomials(
     table = power_sum_table(r, n_terms, phi_sym)
     ann = annihilator_recurrence(r, phi_sym)
     affine_bound = corollary_bound(r, AFFINE_ALT) if include_affine else None
-    max_len = _certifiable_max_length(n_terms, 2, 0)
+    connections = _class_connections(r, table, n_terms)
     results = []
-    for a in range((r + 1) // 2, r + 1):
+    for a, annihilator in zip(range((r + 1) // 2, r + 1), connections):
         seq = table[r - a]
-        label = monomial_name(a, r)
-        lifted = _lift_recurrence(seq[1:], max_len, f"r={r}, class {label}")
-        if lifted is None:
-            raise _too_long(n_terms, 2, max_len, 0)
-        annihilator = [1, *[-w for w in reversed(lifted)]]
         rec = _min_recurrence_impl(seq, 2, HOMOGENEOUS, annihilator)
         affine = None
         affine_within = None
@@ -502,7 +550,7 @@ def mine_all_monomials(
             MiningResult(
                 r=r,
                 x_power=a,
-                label=label,
+                label=monomial_name(a, r),
                 recurrence=rec,
                 bound=bound,
                 within_bound=rec.length <= bound,

@@ -34,8 +34,8 @@ sums by the form's own minimal recurrence, of length at most m (about
 r/3 in practice, the paper's bound), found by Berlekamp-Massey mod primes
 below 2^30 and Chinese remaindering, and used only once an exact check on
 the head proves that it holds for every later n; no characteristic
-polynomial is computed.  That lift, _lift_recurrence, also mines every
-monomial class in recurrences.
+polynomial is computed.  That lift, _lift_recurrence, also gives
+recurrences the one recurrence it mines each degree from.
 The extension runs on whichever exact integer type it is given: int for
 power_sum_sequence, Decimal for the command line, whose values then print
 in linear time.  The agreement of the two routes is a core test

@@ -815,8 +815,9 @@ def test_verify_json_matches_the_recorded_digests(capsys):
 
 def test_mine_arithmetic_error_exits_1_naming_the_degree(monkeypatch, capsys):
     # images wrong mod every prime: no lifted candidate passes its exact
-    # check on the window, and the lift of the first class, x^2*y^2, stops
-    # at its budget of primes
+    # check on the window, and the degree's one lift, of the classes'
+    # suffixes weighted by 1, 2, 3 in table order, stops at its budget of
+    # primes
     real_walk, taken = stern._primes_below_2_30, []
 
     def walk():
@@ -829,11 +830,12 @@ def test_mine_arithmetic_error_exits_1_naming_the_degree(monkeypatch, capsys):
         patch.setattr(stern, "_primes_below_2_30", walk)
         code, out, err = run(capsys, "mine", "4", "--json")
     assert code == EXIT_VERIFICATION_FAILED and out == ""
-    assert "r=4" in err and "class x^2*y^2" in err and "certificate" in err
+    assert err.startswith("error: r=4: mining failed: r=4: ") and "certificate" in err
     n_terms = 2 * recurrences.corollary_bound(4) + 8
-    suffix = power_sum_table(4, n_terms, sym_quotient(4))[2][1:]
-    budget = stern._prime_budget(suffix, recurrences._certifiable_max_length(n_terms, 2, 0))
-    assert len(taken) == budget
+    table = power_sum_table(4, n_terms, sym_quotient(4))
+    weighted = [sum(i * seq[k] for i, seq in enumerate(table, 1)) for k in range(1, n_terms)]
+    budget = stern._prime_budget(weighted, recurrences._certifiable_max_length(n_terms, 2, 0))
+    assert len(taken) == budget == 19
 
     # a division that must be exact is not
     def inexact(p, q, k):

@@ -651,6 +651,22 @@ def test_polynomial_gcd():
     assert polynomial_gcd(a, b) == IntPolynomial([2, 2])
 
 
+def test_polynomial_gcd_tries_each_candidate_at_once(monkeypatch):
+    # a gcd with small coefficients is right at the first prime, and it is
+    # returned there, with no second prime to repeat it
+    real_walk, taken = linalg._primes_below_2_30, []
+
+    def walk():
+        for p in real_walk():
+            taken.append(p)
+            yield p
+
+    monkeypatch.setattr(linalg, "_primes_below_2_30", walk)
+    g = IntPolynomial([-3, 1, 2])
+    assert polynomial_gcd(g * IntPolynomial([1, 1]), g * IntPolynomial([5, 0, -1])) == g
+    assert len(taken) == 1
+
+
 def _random_poly(rng, deg, lo=-9, hi=9) -> IntPolynomial:
     coeffs = [rng.randint(lo, hi) for _ in range(deg)]
     return IntPolynomial(coeffs + [rng.choice([c for c in range(lo, hi + 1) if c])])

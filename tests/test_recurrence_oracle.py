@@ -7,22 +7,27 @@ for the affine-alternating variant, in the order b = c = 0, then b = 0, then
 c = 0).  Both miners must agree on every input: the same LinearRecurrence,
 or the same InsufficientDataError message and required_terms.
 
-`mine_all_monomials` mines each class on the lift that `sums` runs
-(`stern._lift_recurrence`); the exact, fraction-free
-`recurrences._berlekamp_massey` on the same suffix is its oracle: the same
-connection polynomial for every class, and the same `mine` output.
+`mine_all_monomials` mines every class from one recurrence of the degree,
+lifted as `sums` lifts a form's (`stern._lift_recurrence`), checked once
+per class and reduced by one gcd per class
+(`recurrences._class_connections`).  Two routes on each class's own suffix
+are its oracles: the lift, and the exact, fraction-free
+`recurrences._berlekamp_massey`.  All three give the same connection
+polynomial for every class, and the fraction-free one the same `mine`
+output.
 """
 
 import contextlib
 import io
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 import sternsums.recurrences as recurrences
 from sternsums.cli import MINE_MAX_DEGREE, main
-from sternsums.forms import HomogPoly, sym_quotient
+from sternsums.forms import HomogPoly, monomial_name, sym_quotient
 from sternsums.recurrences import (
     AFFINE_ALT,
     HOMOGENEOUS,
@@ -169,37 +174,77 @@ def test_short_horizons_raise_the_oracle_error():
     assert min_recurrence(fib[:9], 1).coefficients == (1, 1)
 
 
-# -- mine's modular lift against the fraction-free Berlekamp-Massey ------------
+# -- mine's degree route against each class's lift and fraction-free run ------
 
 
-def _lifted_connections(r, n_terms):
-    """(lifted, fraction-free) connection polynomials of every class's suffix."""
+def _class_routes(r, n_terms):
+    """(degree route, lifted, fraction-free) connection polynomials of every
+    class's suffix, in mining order."""
     table = power_sum_table(r, n_terms, sym_quotient(r))
     longest = _certifiable_max_length(n_terms, 2, 0)
-    for a in range((r + 1) // 2, r + 1):
+    degree = recurrences._class_connections(r, table, n_terms)
+    for a, conn in zip(range((r + 1) // 2, r + 1), degree, strict=True):
         suffix = table[r - a][1:]
         w = _lift_recurrence(suffix, longest, f"r={r}, a={a}")
-        yield [1, *[-x for x in reversed(w)]], recurrences._berlekamp_massey(suffix)
+        yield conn, [1, *[-x for x in reversed(w)]], recurrences._berlekamp_massey(suffix)
 
 
 def test_every_class_lifts_the_fraction_free_connection_polynomial():
     for r in range(1, 41):
-        for lifted, exact in _lifted_connections(r, 2 * corollary_bound(r) + 8):
-            assert lifted == exact, r
+        for degree, lifted, exact in _class_routes(r, 2 * corollary_bound(r) + 8):
+            assert degree == lifted == exact, r
     for r in (2, 11, 24, 40):
-        for lifted, exact in _lifted_connections(r, 200):
-            assert lifted == exact, r
+        for degree, lifted, exact in _class_routes(r, 200):
+            assert degree == lifted == exact, r
 
 
-def _fraction_free(seq, longest, what):
-    """The exact route in the lift's place: recurrences._berlekamp_massey,
-    whose connection polynomial must be monic for the lift to return it."""
-    c = recurrences._berlekamp_massey(seq)
-    if len(c) - 1 > longest:
-        return None
-    if c[0] != 1:
-        raise AssertionError(f"{what}: the minimal recurrence is not integral")
-    return [-x for x in reversed(c[1:])]
+@pytest.mark.parametrize("r, holding", [(4, 0), (10, 1), (22, 1)])
+def test_a_forged_degree_recurrence_is_refused_at_its_check_index(monkeypatch, r, holding):
+    # the "degree's recurrence" is the class x^(r-1)*y's own, one shorter
+    # than the degree's: the first class in mining order that it does not
+    # annihilate refuses it at the one index checked, n = L + 2, after
+    # `holding` classes that it does annihilate
+    n_terms = 2 * corollary_bound(r) + 8
+    table = power_sum_table(r, n_terms, sym_quotient(r))
+    longest = _certifiable_max_length(n_terms, 2, 0)
+    forged = _lift_recurrence(table[1][1:], longest, "x^(r-1)*y")
+    length = len(forged)
+    monkeypatch.setattr(recurrences, "_lift_recurrence", lambda *args: forged)
+    for a in range((r + 1) // 2, r + 1):
+        suffix = table[r - a][1:]
+        residuals = [
+            suffix[k] - sum(map(mul, forged, suffix[k - length:k]))
+            for k in range(length, len(suffix))
+        ]
+        if residuals[0]:
+            break
+        # a class that passes at index L holds the forged recurrence at
+        # every later index, as the single check proves
+        assert not any(residuals), (r, a)
+    else:
+        raise AssertionError("the forged recurrence annihilates every class")
+    assert a - (r + 1) // 2 == holding
+    label = f"r={r}, class {monomial_name(a, r)}: "
+    with pytest.raises(ArithmeticError) as err:
+        recurrences._class_connections(r, table, n_terms)
+    assert str(err.value).startswith(label)
+    assert str(err.value).endswith(f"fails its exact check at n={length + 2}")
+
+
+def _fraction_free_connections(r, table, n_terms):
+    """The exact route in the degree route's place: recurrences._berlekamp_massey
+    on every class's suffix, whose connection polynomial must be monic for
+    mine to read it."""
+    longest = _certifiable_max_length(n_terms, 2, 0)
+    connections = []
+    for a in range((r + 1) // 2, r + 1):
+        c = recurrences._berlekamp_massey(table[r - a][1:])
+        if len(c) - 1 > longest:
+            raise recurrences._too_long(n_terms, 2, longest, 0)
+        if c[0] != 1:
+            raise AssertionError(f"r={r}, a={a}: the minimal recurrence is not integral")
+        connections.append(c)
+    return connections
 
 
 def _mine(*argv):
@@ -211,11 +256,12 @@ def _mine(*argv):
 
 @pytest.mark.extended
 def test_mine_matches_the_exact_route_to_the_degree_cap(monkeypatch):
-    # `mine r --affine --json` on the lift and on the fraction-free run, for
-    # every degree up to the cap: the same exit code and the same bytes
+    # `mine r --affine --json` on the degree route and on the fraction-free
+    # run of every class, for every degree up to the cap: the same exit code
+    # and the same bytes
     for r in range(1, MINE_MAX_DEGREE + 1):
-        lifted = _mine(str(r), "--affine", "--json")
+        mined = _mine(str(r), "--affine", "--json")
         with monkeypatch.context() as patch:
-            patch.setattr(recurrences, "_lift_recurrence", _fraction_free)
-            assert _mine(str(r), "--affine", "--json") == lifted, r
-        assert lifted[0] == 0, r
+            patch.setattr(recurrences, "_class_connections", _fraction_free_connections)
+            assert _mine(str(r), "--affine", "--json") == mined, r
+        assert mined[0] == 0, r

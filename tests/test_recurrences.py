@@ -296,6 +296,7 @@ def test_mine_all_monomials_builds_each_object_once(monkeypatch, r):
         (stern, "power_sum_sequence"),
         (recurrences, "verify_recurrence"),
         (recurrences, "_berlekamp_massey"),
+        (stern, "_lift_recurrence"),
     ):
         original = getattr(module, name)
 
@@ -310,10 +311,11 @@ def test_mine_all_monomials_builds_each_object_once(monkeypatch, r):
     assert calls["phi_matrix"] == 1
     assert calls["sym_quotient"] == 1
     assert calls["power_sum_sequence"] == 0
-    # per class, one exact check of the annihilator and one of the affine
-    # recurrence; the homogeneous one has only the lift's, and the
-    # fraction-free Berlekamp-Massey never runs
-    assert calls["verify_recurrence"] == 2 * len(results)
+    # one lift for the degree; per class, one exact check each of the
+    # homogeneous, affine and annihilator recurrences on the window, and
+    # the fraction-free Berlekamp-Massey never runs
+    assert calls["_lift_recurrence"] == 1
+    assert calls["verify_recurrence"] == 3 * len(results)
     assert calls["_berlekamp_massey"] == 0
 
 
@@ -335,6 +337,35 @@ def test_mining_result_json_shape():
     assert d["monomial"] == "x"
     assert d["recurrence"]["coefficients"] == [3]
     assert d["within_bound"] is True
+
+
+def _rhs_loop(rec, seq, n):
+    """LinearRecurrence.rhs one coefficient at a time, skipping zeros."""
+    total = rec.affine_b + rec.alternating_c * (-1) ** n
+    for j, a in enumerate(rec.coefficients, start=1):
+        if a:
+            total += a * seq[n - 1 - j]
+    return total
+
+
+def test_rhs_matches_the_coefficient_loop():
+    rng = random.Random(94)
+
+    def number():
+        return rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(2, 7))])
+
+    seen = set()
+    for _ in range(300):
+        length = rng.randint(0, 6)
+        rec = LinearRecurrence(
+            length, tuple(number() for _ in range(length)), rng.randint(1, 3), number(), number()
+        )
+        seq = [Fraction(rng.randint(-99, 99), rng.randint(1, 6)) for _ in range(length + 10)]
+        for n in range(rec.first_checked_index, len(seq) + 1):
+            assert rec.rhs(seq, n) == _rhs_loop(rec, seq, n), (rec, n)
+        seen.add((0 in rec.coefficients, bool(rec.affine_b), bool(rec.alternating_c)))
+    # zero coefficients, and b and c each with and without the other
+    assert seen == {(z, b, c) for z in (False, True) for b in (False, True) for c in (False, True)}
 
 
 def test_recurrence_validation_rejects_wrong_coefficients():
