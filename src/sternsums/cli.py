@@ -72,13 +72,12 @@ MINE_MAX_TERMS = 200
 # under a second; its size grows as the cube of the degree.  The verify cap
 # rises only to a degree no dearer than its top degree was before the last
 # speed-up.  `verify r r --json` in a fresh process on one core of a 2-core
-# Xeon costs most at even r, where the charpolys mod p, the twist halves
-# mod p, the annihilation products and the exact ranks of the halves'
-# parities share the cost.  With every modular step mod a prime below 2^30,
-# 350 takes 4.2 s (median of 5 runs, 3.8 to 5.1 s), against 6.0 s (4.7 to
-# 6.6 s) mod 2^31 - 1 in alternation with them; mod 2^31 - 1 on a quieter
-# host it took 4.4 s at 340, 4.2 s at 350 and 5.2 s at 360, and 3.0 to
-# 4.2 s at the odd 351.
+# Xeon costs most at even r: 350 takes 3.1 s (median of 6 runs, 2.7 to
+# 3.2 s), against 3.7 s (3.6 to 3.8 s) in alternation with them before each
+# twist half's echelon drew from its own candidate columns, and 349 takes
+# 2.5 s.  tools/bench_layers.py splits 350 into the two charpolys mod p
+# (1.0 s), the annihilation products (0.84 s), the exact ranks of the
+# halves' parities (0.45 s) and the twist halves mod p (0.29 s).
 PHI_MAX_DEGREE = 400
 VERIFY_MAX_DEGREE = 350
 # Caps on `sums`: the form's degree and n_max; past either one it exits

@@ -50,14 +50,17 @@ the twist t has t^3 = (-1)^r, so the twist kernel is the image of the
 complementary factor of t^3 - (-1)^r, and each half is spanned by the
 folded columns of that image.  Their rank mod p, and that of the folded
 columns of the kernel's own factor, can only fall short of the exact ones,
-which sum to the half's width; where the two ranks mod p sum to it, both
-are exact, and the image columns kept are an exact basis (see
-_image_half).  Where they do not, spectral_context raises.  On a form of
-swap sign s and even degree, the quarter turn f(x, y) -> f(y, -x) acts on
-entry a as s (-1)^a, which is s (-1)^i on both entries r - i and i of
-class i, so every dimension that involves its eigenspaces Y+- is a rank of
-one parity of a half's entries, and the annihilation identities are
-checked by applying each block to its half as it stands.
+which sum to the half's width.  So two echelons mod p, one for the image
+and one for the factor, each draw from their own list of candidate
+columns, those expected to raise that echelon's rank first, until the two
+ranks sum to the width: then both are exact, and the image columns kept
+are an exact basis (see _image_half).  Where both lists run out first,
+spectral_context raises.  On a form of swap sign s and even degree, the
+quarter turn f(x, y) -> f(y, -x) acts on entry a as s (-1)^a, which is
+s (-1)^i on both entries r - i and i of class i, so every dimension that
+involves its eigenspaces Y+- is a rank of one parity of a half's entries,
+and the annihilation identities are checked by applying each block to its
+half as it stands.
 
 A composition subtlety drives the eigenspace computations.  With row-vector
 substitution the operators compose covariantly, so the operator that the
@@ -329,6 +332,30 @@ def _extend_echelon(echelon: list, vec: list, p: int) -> bool:
     return True
 
 
+def _candidates(r: int, sign: int, order: list) -> tuple:
+    """The image's and the factor's candidate columns for the half of sign s:
+    each list holds every column b of order, those expected to raise that
+    echelon's rank mod p first, then the others, each part in order.
+
+    At even r the image t - 1 grows the half of sign +1 on odd b and the
+    factor t^2 + t + 1 on even b, and the half of sign -1 the other way
+    round; b = r - 1 raises both, and one of the two reaches it only in
+    its fallback.  At odd r the image q = t^2 - t + 1 commutes with the
+    swap J, as J t J = t^-1 = -t^2, so its columns b and r - b fold to +-
+    each other, and it prefers b < r/2; the factor prefers every column.
+    The parity pattern is observed, not proven: from r = 5 up to the verify
+    cap neither list reaches its fallback.
+    """
+    if r % 2:
+        preferred = (lambda b: 2 * b < r, lambda b: True)
+    else:
+        grows = (sign + 1) // 2  # the parity of b on which the image grows
+        preferred = (lambda b: b % 2 == grows, lambda b: b % 2 != grows)
+    return tuple(
+        sorted(order, key=lambda b, pref=pref: not pref(b)) for pref in preferred
+    )
+
+
 def _image_half(image: list, factor: list, sign: int) -> tuple:
     """The half of sign s of im(image) = ker(factor), from their columns.
 
@@ -341,27 +368,38 @@ def _image_half(image: list, factor: list, sign: int) -> tuple:
     spanned by the folds _swap_fold(u, s) of their columns u, as the fold
     of sign s kills the forms of sign -s.  So their ranks over Q sum to
     width.  A rank mod p = _CERTIFICATE_PRIME can only be lower, so the
-    columns go, in pairs, into two echelons mod p until the ranks sum to
-    width: then both are exact, and the image's folds that raised its rank,
-    being independent mod p, are independent over Q and as many as the half
-    is wide.  They are returned divided by their content, with the last
-    nonzero entry positive.  Where the ranks never sum to width, raises
-    ArithmeticError naming r and the sign.
+    folds go into two echelons mod p, each drawing from its own candidate
+    list (see _candidates), until the ranks sum to width: then both are
+    exact, and the image's folds that raised its rank, being independent
+    mod p, are independent over Q and as many as the half is wide.  They
+    are returned divided by their content, with the last nonzero entry
+    positive.  A fold that raises nothing gives the turn to the other list,
+    so a full echelon takes no more columns.  Every column is on both
+    lists, and soundness rests on the ranks alone, not on their order;
+    where the ranks do not sum to width once both lists are used up,
+    raises ArithmeticError naming r and the sign.
     """
     r = len(image) - 1
     width = sym_dimension(r) if sign == 1 else (r + 1) // 2
     p = _CERTIFICATE_PRIME
-    kept, image_echelon, factor_echelon = [], [], []
     # the smallest columns first: the exact ranks of _vanishing_dim and the
     # annihilation identities run on the basis kept
     order = sorted(range(r + 1), key=lambda b: max(map(abs, image[b])))
-    for b in order:
-        if len(image_echelon) + len(factor_echelon) == width:
-            break
-        w = _swap_fold(image[b], sign)
-        if _extend_echelon(image_echelon, w, p):
+    columns, queues = (image, factor), [iter(c) for c in _candidates(r, sign, order)]
+    echelons, kept = ([], []), []
+    live = [0, 1]  # the lists not used up, the one whose turn it is first
+    while live and len(echelons[0]) + len(echelons[1]) < width:
+        turn = live[0]
+        b = next(queues[turn], None)
+        if b is None:
+            live.pop(0)
+            continue
+        w = _swap_fold(columns[turn][b], sign)
+        if not _extend_echelon(echelons[turn], w, p):
+            live.append(live.pop(0))
+        elif turn == 0:
             kept.append(w)
-        _extend_echelon(factor_echelon, _swap_fold(factor[b], sign), p)
+    image_echelon, factor_echelon = echelons
     if len(image_echelon) + len(factor_echelon) != width:
         raise ArithmeticError(
             f"r={r}: twist half of sign {sign:+d} refused: ranks "

@@ -501,6 +501,90 @@ def test_refused_twist_half_exits_1_naming_its_sign(monkeypatch, capsys, r):
     _assert_exits_1_naming(capsys, r, "twist half of sign +1 refused")
 
 
+# -- the echelons of the twist halves ---------------------------------------------
+
+
+def _count_echelon_calls(monkeypatch) -> list:
+    """A list that each _extend_echelon call appends its fold to."""
+    calls = []
+    real = spectra._extend_echelon
+
+    def counted(echelon, vec, p):
+        calls.append(vec)
+        return real(echelon, vec, p)
+
+    monkeypatch.setattr(spectra, "_extend_echelon", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r", [49, 50, 150])
+def test_twist_halves_feed_the_echelons_little_past_their_ranks(monkeypatch, r):
+    # the halves are r + 1 classes wide in all, one call for each fold that
+    # raises a rank; fed every column in the image's size order, both
+    # echelons took 68, 134 and 398 calls here.  On their own candidate
+    # lists, each half wastes one: the image's first fold that raises
+    # nothing hands the turn to the factor
+    calls = _count_echelon_calls(monkeypatch)
+    spectral_context(r)
+    assert r + 1 <= len(calls) <= r + 3
+
+
+def _size_order_basis(image: list, sign: int) -> tuple:
+    """The image's folds, smallest column first, that raise the rank mod p,
+    divided by their content with the last nonzero entry positive."""
+    p, echelon, basis = spectra._CERTIFICATE_PRIME, [], []
+    for b in sorted(range(len(image)), key=lambda b: max(map(abs, image[b]))):
+        w = forms._swap_fold(image[b], sign)
+        if spectra._extend_echelon(echelon, w, p):
+            g = math.gcd(*w) * (1 if next(x for x in reversed(w) if x) > 0 else -1)
+            basis.append(tuple(x // g for x in w))
+    return tuple(basis)
+
+
+def test_twist_halves_keep_the_smallest_independent_image_columns(monkeypatch):
+    # the candidate lists only skip folds that raise nothing: the basis kept
+    # is the one that the image's folds in size order give
+    halves = []
+    real = spectra._image_half
+
+    def recorded(image, factor, sign):
+        halves.append((image, sign, real(image, factor, sign)))
+        return halves[-1][2]
+
+    monkeypatch.setattr(spectra, "_image_half", recorded)
+    for r in range(1, 41):
+        halves.clear()
+        spectral_context(r)
+        assert len(halves) == 2, r
+        for image, sign, basis in halves:
+            assert basis == _size_order_basis(image, sign), (r, sign)
+
+
+@pytest.mark.parametrize("r", [12, 13, 50])
+def test_twist_halves_close_when_every_preferred_list_comes_up_short(
+    monkeypatch, capsys, r
+):
+    # reversed, each list starts on the columns that are not preferred,
+    # largest first, so every echelon passes the turn back and forth into
+    # its fallback; the ranks still close, and nothing the certificate
+    # pins or verify prints changes
+    ctx = spectral_context(r)
+    mults = [block.multiplicities for block in ctx.blocks]
+    assert main(["verify", str(r), str(r), "--json"]) == 0
+    expected = capsys.readouterr().out
+    real = spectra._candidates
+    monkeypatch.setattr(
+        spectra, "_candidates", lambda *args: tuple(c[::-1] for c in real(*args))
+    )
+    calls = _count_echelon_calls(monkeypatch)
+    reordered = spectral_context(r)
+    assert len(calls) > r + 3
+    assert reordered.twist_sym != ctx.twist_sym or reordered.twist_anti != ctx.twist_anti
+    assert [block.multiplicities for block in reordered.blocks] == mults
+    assert main(["verify", str(r), str(r), "--json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.extended
 def test_every_degree_passes_on_the_certificate_up_to_the_verify_cap():
     # no certificate refuses a degree that verify admits, so taking the
