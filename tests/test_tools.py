@@ -16,12 +16,12 @@ BENCH_LAYERS = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.
 def test_bench_layers_runs_at_r4(tmp_path):
     done = subprocess.run(
         [sys.executable, str(BENCH_LAYERS), "--label", "smoke", "--degrees", "4", "5",
-         "--repeats", "2", "--out", str(tmp_path)],
+         "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     document = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert document["label"] == "smoke" and document["repeats"] == 2
+    assert document["label"] == "smoke" and document["repeats"] == 5
     assert document["python"] and document["nproc"] >= 1
     assert "commit" in document
     layers = [

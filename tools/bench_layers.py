@@ -1,7 +1,7 @@
 """Per-layer timings of `sternsums verify`, at fixed degrees.
 
     python3 tools/bench_layers.py --label LABEL [--degrees 20 40 60 80 350]
-        [--repeats 5] [--out DIR]
+        [--out DIR]
 
 Times direct calls of the layers that `verify` runs for one degree, each
 on the inputs that spectral_context(r) gives it:
@@ -12,7 +12,7 @@ on the inputs that spectral_context(r) gives it:
 - check_annihilation_identities on the context;
 - _certify_block on both blocks.
 
-Each layer is called --repeats times per degree, and its median and
+Each layer is called REPEATS times per degree, and its median and
 quartiles are reported.  The degrees default to 20, 40, 60, 80 and
 VERIFY_MAX_DEGREE.  The script imports the package from `src/` of the
 checkout it sits in and writes BENCH_<label>.json into --out (default: the
@@ -38,6 +38,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sternsums import forms, spectra  # noqa: E402
 from sternsums.cli import VERIFY_MAX_DEGREE  # noqa: E402
+
+REPEATS = 5
 
 
 def _git(*args: str) -> str | None:
@@ -95,20 +97,20 @@ def _summary(samples: list) -> dict:
     return {"median_s": median, "q1_s": q1, "q3_s": q3}
 
 
-def measure(degrees: list, repeats: int) -> dict:
+def measure(degrees: list) -> dict:
     results = {}
     for r in degrees:
         layers = _layers(r)
         samples = {name: [] for name in layers}
         # round robin, so that a slow spell of the host spreads over layers
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             for name, call in layers.items():
                 start = time.perf_counter()
                 call()
                 samples[name].append(time.perf_counter() - start)
         results[str(r)] = {name: _summary(s) for name, s in samples.items()}
         medians = (f"{name} {1e3 * v['median_s']:.2f}" for name, v in results[str(r)].items())
-        print(f"r={r}: {'  '.join(medians)} (ms, median of {repeats})")
+        print(f"r={r}: {'  '.join(medians)} (ms, median of {REPEATS})")
     return results
 
 
@@ -118,11 +120,10 @@ def main(argv: list | None = None) -> int:
     parser.add_argument(
         "--degrees", type=int, nargs="+", default=[20, 40, 60, 80, VERIFY_MAX_DEGREE]
     )
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, default=ROOT / "bench")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or any(not 1 <= r <= VERIFY_MAX_DEGREE for r in args.degrees):
-        parser.error(f"need --repeats >= 1 and degrees in 1..{VERIFY_MAX_DEGREE}")
+    if any(not 1 <= r <= VERIFY_MAX_DEGREE for r in args.degrees):
+        parser.error(f"need degrees in 1..{VERIFY_MAX_DEGREE}")
     dirty = _git("status", "--porcelain", "--", "src")
     document = {
         "label": args.label,
@@ -131,8 +132,8 @@ def main(argv: list | None = None) -> int:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "machine": platform.machine(),
-        "repeats": args.repeats,
-        "layers": measure(args.degrees, args.repeats),
+        "repeats": REPEATS,
+        "layers": measure(args.degrees),
     }
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.label}.json"
