@@ -16,8 +16,8 @@ decoding", IEEE Trans. Inf. Theory 15, 1969), which yields the minimal
 annihilator m of that suffix.  The homogeneous answer is m itself; the
 affine-alternating answer is m / gcd(m, x^2 - 1), with b and c read off
 two consecutive residuals.  Both are unique at their minimal length while
-the horizon certifies that length, and each is checked exactly once against
-every term of the window before it is returned.  min_recurrence and
+the horizon certifies that length, and each is checked exactly against every
+term of the window before it is returned.  min_recurrence and
 min_affine_alt_recurrence take any rational sequence, whose minimal
 recurrence may have rational coefficients (2^-n has), so they run the
 exact, fraction-free Berlekamp-Massey.  A power-sum sequence's minimal
@@ -27,9 +27,13 @@ Berlekamp-Massey mod primes, Chinese remaindering, an exact check), once
 per degree, on a weighted sum of its classes' sequences.  One exact check
 per class at a single index proves that recurrence on every class, and
 each class's minimal recurrence follows from it by one polynomial gcd
-(rational function reconstruction).  The annihilator route provides the proof-backed counterpart: the characteristic
-polynomial of the quotient transfer matrix, with known eigenvalue factors
-divided out, read as a recurrence.
+(rational function reconstruction).  One walk of each class's window then
+checks both its affine and its homogeneous recurrence, the homogeneous
+residuals being a short combination of the affine ones, and one residual
+vector at one index checks the annihilator on every class.  The annihilator
+route provides the proof-backed counterpart: the characteristic polynomial
+of the quotient transfer matrix, with known eigenvalue factors divided out,
+read as a recurrence.
 """
 
 from __future__ import annotations
@@ -249,17 +253,19 @@ def _suffix_annihilator(seq: Sequence[Rational], n0: int) -> list:
     return _berlekamp_massey(tail)
 
 
-def _divide_out_period_two(conn: list) -> list:
-    """conn with the factors 1 - x and 1 + x that divide it removed.
+def _divide_out_period_two(conn: list) -> tuple:
+    """conn with the factors 1 - x and 1 + x that divide it removed, and
+    their product D, so that conn = quotient * D.
 
     Connection polynomials are reversed characteristic polynomials, so this
     is m / gcd(m, x^2 - 1) for the characteristic polynomial m.
     """
+    period = [1]
     for factor in ([1, -1], [1, 1]):
         quotient = _exact_quotient(conn, factor)
         if quotient is not None:
-            conn = quotient
-    return conn
+            conn, period = quotient, _poly_mul(period, factor)
+    return conn, period
 
 
 def _too_long(n_terms: int, n0: int, max_len: int, extra: int) -> InsufficientDataError:
@@ -275,8 +281,7 @@ def _too_long(n_terms: int, n0: int, max_len: int, extra: int) -> InsufficientDa
 def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence:
     """Minimal recurrence of the given variant, read from one Berlekamp-Massey
     run: the fraction-free one on the suffix, or the connection polynomial
-    of the suffix's minimal recurrence passed in as `annihilator`
-    (mine_all_monomials reads it from the degree's recurrence).
+    of the suffix's minimal recurrence passed in as `annihilator`.
 
     A homogeneous fit of length L is a connection polynomial of degree <= L,
     so the minimum is the Berlekamp-Massey length.  An affine-alternating fit
@@ -291,8 +296,7 @@ def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence
     if variant not in (HOMOGENEOUS, AFFINE_ALT):
         raise ValueError(f"unknown variant {variant!r}")
     extra = 2 if variant == AFFINE_ALT else 0
-    max_len = _certifiable_max_length(len(seq), n0, extra)
-    if max_len < 0:
+    if _certifiable_max_length(len(seq), n0, extra) < 0:
         needed = n0 + 2 * extra + 2
         raise InsufficientDataError(
             f"horizon of {len(seq)} terms cannot certify any recurrence from "
@@ -301,7 +305,21 @@ def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence
         )
     conn = _suffix_annihilator(seq, n0) if annihilator is None else annihilator
     if variant == AFFINE_ALT:
-        conn = _divide_out_period_two(conn)
+        conn, _ = _divide_out_period_two(conn)
+    rec = _connection_recurrence(seq, n0, conn, extra)
+    if not verify_recurrence(seq, rec):
+        raise ArithmeticError(
+            f"the Berlekamp-Massey recurrence of length {rec.length} fails the "
+            f"exact check on the window from n0={n0}"
+        )
+    return rec
+
+
+def _connection_recurrence(seq, n0: int, conn: list, extra: int) -> LinearRecurrence:
+    """The recurrence of connection polynomial conn on seq from n0, unchecked;
+    with extra = 2, b and c are read off its first two residuals.  Raises
+    InsufficientDataError when the horizon cannot certify its length."""
+    max_len = _certifiable_max_length(len(seq), n0, extra)
     length = len(conn) - 1
     if length > max_len:
         raise _too_long(len(seq), n0, max_len, extra)
@@ -310,20 +328,14 @@ def _min_recurrence_impl(seq, n0, variant, annihilator=None) -> LinearRecurrence
     else:
         coeffs = tuple([_normalize_entry(Fraction(-x, conn[0])) for x in conn[1:]])
     b = c = 0
-    if variant == AFFINE_ALT:
+    if extra:
         # residuals at n and n + 1 are b + c*(-1)^n and b - c*(-1)^n
         first = n0 + length
         homogeneous = LinearRecurrence(length, coeffs, n0)
         r1, r2 = (seq[n - 1] - homogeneous.rhs(seq, n) for n in (first, first + 1))
         b = _normalize_entry(Fraction(r1 + r2, 2))
         c = _normalize_entry(Fraction(r1 - r2, 2) * (-1) ** first)
-    rec = LinearRecurrence(length, coeffs, n0, b, c)
-    if not verify_recurrence(seq, rec):
-        raise ArithmeticError(
-            f"the Berlekamp-Massey recurrence of length {length} fails the "
-            f"exact check on the window from n0={n0}"
-        )
-    return rec
+    return LinearRecurrence(length, coeffs, n0, b, c)
 
 
 def corollary_bound(r: int, variant: str = HOMOGENEOUS) -> int:
@@ -461,9 +473,46 @@ def _class_connections(r: int, table: list, n_terms: int) -> list:
             g = [-x for x in g]
         conn = _exact_quotient(degree_conn.coeffs, g)
         num = _exact_quotient(numerator.coeffs, g)
+        if conn is None or num is None:
+            raise ArithmeticError(
+                f"r={r}, class {monomial_name(a, r)}: the gcd {IntPolynomial(g)} "
+                f"does not divide the degree's recurrence and the class's numerator"
+            )
         class_length = max(len(conn) - 1, len(num))
         connections.append([*conn, *[0] * (class_length + 1 - len(conn))])
     return connections
+
+
+def _annihilator_validates(table: list, ann: LinearRecurrence) -> list:
+    """verify_recurrence(seq, ann) for every row seq of the table, from one
+    residual vector; mine_all_monomials has the proof."""
+    first = ann.first_checked_index
+    if first > len(table[0]) or all(seq[first - 1] == ann.rhs(seq, first) for seq in table):
+        return [True] * len(table)
+    return [verify_recurrence(seq, ann) for seq in table]
+
+
+def _check_class(where: str, seq, rec, affine=None, period=(1,)) -> None:
+    """Raise ArithmeticError naming `where` and the index unless rec, and
+    affine when given, hold on seq's whole window: one walk with the
+    recurrence of connection polynomial E (affine, or else rec) gives its
+    residuals t, checked against b + c*(-1)^n, and rec's, of connection
+    polynomial E * period, are period * t."""
+    walked = rec if affine is None else affine
+    coeffs, length = walked.coefficients[::-1], walked.length
+    t = [
+        seq[n - 1] - sum(map(mul, coeffs, seq[n - 1 - length:n - 1]))
+        for n in range(walked.first_checked_index, len(seq) + 1)
+    ]
+    h = [sum(d * t[k - i] for i, d in enumerate(period)) for k in range(len(period) - 1, len(t))]
+    checks = ((HOMOGENEOUS if affine is None else "affine", walked, t), (HOMOGENEOUS, rec, h))
+    for kind, checked, residuals in checks:
+        for n, x in enumerate(residuals, checked.first_checked_index):
+            if x != checked.affine_b + checked.alternating_c * (-1) ** n:
+                raise ArithmeticError(
+                    f"{where}: the {kind} recurrence of length {checked.length} "
+                    f"fails its exact check at n={n}"
+                )
 
 
 def mine_all_monomials(
@@ -508,8 +557,24 @@ def mine_all_monomials(
     2L + 3 terms, so no recurrence shorter than L' generates it (two that
     generate L' + l terms have the same generating function), and C' is the
     connection polynomial that the fraction-free Berlekamp-Massey finds on
-    the suffix (tests/test_recurrence_oracle.py compares them).  Each
-    returned homogeneous recurrence is checked once more on its window.
+    the suffix (tests/test_recurrence_oracle.py compares them).
+
+    Each returned recurrence is still checked exactly on its whole window,
+    in one walk per class (_check_class).  The affine recurrence has the
+    connection polynomial E = C'/D, for the product D of the factors 1 - x
+    and 1 + x that _divide_out_period_two divides out exactly.  The walk
+    computes its residuals t_n = (E s)_n from n = n0 + L_E on and checks
+    t_n = b + c*(-1)^n at each n.  As C' = E D, the homogeneous residuals
+    are h_n = (C' s)_n = sum_i D_i t_(n-i), and h_n = 0 is checked at every
+    n from n0 + L'.  Without the affine recurrence, E = C' and D = 1.
+
+    The annihilator, of polynomial q and length L_q, is checked once for the
+    degree (_annihilator_validates).  By the argument above for w, the
+    residuals of all m classes at index k >= n0 + L_q form the vector R_k =
+    u_(k-L_q) q(A), so R_(k+1) = R_k A, and R = 0 at n0 + L_q proves it on
+    every class at every later index.  Otherwise every class walks its
+    window with verify_recurrence, so each annihilator_validates is exactly
+    what that walk returns.
 
     The weighted sum is a form's sums, so its connection polynomial is
     integral (_form_recurrence has the argument): the lift returns nothing,
@@ -535,27 +600,31 @@ def mine_all_monomials(
     ann = annihilator_recurrence(r, phi_sym)
     affine_bound = corollary_bound(r, AFFINE_ALT) if include_affine else None
     connections = _class_connections(r, table, n_terms)
+    validates = _annihilator_validates(table, ann)
     results = []
-    for a, annihilator in zip(range((r + 1) // 2, r + 1), connections):
+    for a, conn in zip(range((r + 1) // 2, r + 1), connections):
         seq = table[r - a]
-        rec = _min_recurrence_impl(seq, 2, HOMOGENEOUS, annihilator)
-        affine = None
-        affine_within = None
+        label = monomial_name(a, r)
+        rec = _connection_recurrence(seq, 2, conn, 0)
+        affine = affine_within = None
+        period = (1,)
         if include_affine:
-            affine = _min_recurrence_impl(seq, 2, AFFINE_ALT, annihilator)
+            affine_conn, period = _divide_out_period_two(conn)
+            affine = _connection_recurrence(seq, 2, affine_conn, 2)
             affine_within = affine.length <= affine_bound
+        _check_class(f"r={r}, class {label}", seq, rec, affine, period)
         # rec is checked from n0 = 2 on; n0 = 1 adds the one index length + 1
         best_n0 = 1 if seq[rec.length] == rec.rhs(seq, rec.length + 1) else 2
         results.append(
             MiningResult(
                 r=r,
                 x_power=a,
-                label=monomial_name(a, r),
+                label=label,
                 recurrence=rec,
                 bound=bound,
                 within_bound=rec.length <= bound,
                 best_n0=best_n0,
-                annihilator_validates=verify_recurrence(seq, ann),
+                annihilator_validates=validates[r - a],
                 affine=affine,
                 affine_bound=affine_bound,
                 affine_within_bound=affine_within,

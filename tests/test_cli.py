@@ -6,6 +6,7 @@ import json
 import re
 import sys
 from collections import Counter
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +37,7 @@ from sternsums.cli import (
     parse_fspec,
 )
 from sternsums.forms import HomogPoly, sym_quotient
-from sternsums.linalg import InexactDivisionError
+from sternsums.linalg import InexactDivisionError, IntPolynomial
 from sternsums.stern import power_sum_sequence, power_sum_table
 
 
@@ -845,6 +846,30 @@ def test_mine_arithmetic_error_exits_1_naming_the_degree(monkeypatch, capsys):
     code, out, err = run(capsys, "mine", "5", "--affine")
     assert code == EXIT_VERIFICATION_FAILED and out == ""
     assert "r=5" in err and "not divisible" in err
+
+
+def test_mine_exits_1_naming_the_class_when_a_gcd_does_not_divide(monkeypatch, capsys):
+    monkeypatch.setattr(recurrences, "polynomial_gcd", lambda *args: IntPolynomial([1, 3]))
+    code, out, err = run(capsys, "mine", "4", "--json")
+    assert code == EXIT_VERIFICATION_FAILED and out == ""
+    assert err == (
+        "error: r=4: mining failed: r=4, class x^2*y^2: the gcd 3*x + 1 does not "
+        "divide the degree's recurrence and the class's numerator\n"
+    )
+
+
+def test_mine_exits_1_when_the_annihilator_fails_its_walk(monkeypatch, capsys):
+    real = recurrences.annihilator_recurrence
+
+    def forged(*args):
+        ann = real(*args)
+        return replace(ann, coefficients=(ann.coefficients[0] + 1, *ann.coefficients[1:]))
+
+    monkeypatch.setattr(recurrences, "annihilator_recurrence", forged)
+    code, out, err = run(capsys, "mine", "6", "--json")
+    assert code == EXIT_VERIFICATION_FAILED and err == ""
+    results = json.loads(out)["results"]["results"]
+    assert [res["annihilator_validates"] for res in results] == [False] * 4
 
 
 def test_broken_pipe_is_not_an_error(monkeypatch):

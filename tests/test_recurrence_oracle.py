@@ -231,6 +231,20 @@ def test_a_forged_degree_recurrence_is_refused_at_its_check_index(monkeypatch, r
     assert str(err.value).endswith(f"fails its exact check at n={length + 2}")
 
 
+def test_the_degree_annihilator_certificate_equals_every_class_walk():
+    # one residual vector at the first checked index against the walk of
+    # every class's window; on short tables the window is empty
+    for r in range(1, 41):
+        n_terms = 2 * corollary_bound(r) + 8
+        phi_sym = sym_quotient(r)
+        table = power_sum_table(r, n_terms, phi_sym)
+        ann = recurrences.annihilator_recurrence(r, phi_sym)
+        for rows in (table, [seq[: ann.first_checked_index - 1] for seq in table]):
+            walked = [recurrences.verify_recurrence(seq, ann) for seq in rows]
+            assert recurrences._annihilator_validates(rows, ann) == walked, r
+            assert all(walked), r
+
+
 def _fraction_free_connections(r, table, n_terms):
     """The exact route in the degree route's place: recurrences._berlekamp_massey
     on every class's suffix, whose connection polynomial must be monic for

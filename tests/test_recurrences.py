@@ -7,6 +7,7 @@ sequences; test_recurrence_oracle.py compares it with the Hankel fitter.
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from sternsums.recurrences import (
     shortened_annihilator,
     verify_recurrence,
 )
-from sternsums.stern import power_sum_sequence
+from sternsums.stern import power_sum_sequence, power_sum_table
 
 X3 = HomogPoly.monomial(3, 3)
 
@@ -295,6 +296,8 @@ def test_mine_all_monomials_builds_each_object_once(monkeypatch, r):
         (forms, "sym_quotient"),
         (stern, "power_sum_sequence"),
         (recurrences, "verify_recurrence"),
+        (recurrences, "_annihilator_validates"),
+        (recurrences, "_check_class"),
         (recurrences, "_berlekamp_massey"),
         (stern, "_lift_recurrence"),
     ):
@@ -311,12 +314,100 @@ def test_mine_all_monomials_builds_each_object_once(monkeypatch, r):
     assert calls["phi_matrix"] == 1
     assert calls["sym_quotient"] == 1
     assert calls["power_sum_sequence"] == 0
-    # one lift for the degree; per class, one exact check each of the
-    # homogeneous, affine and annihilator recurrences on the window, and
-    # the fraction-free Berlekamp-Massey never runs
+    # one lift and one annihilator certificate for the degree; per class,
+    # one walk of the window proves both the affine and the homogeneous
+    # recurrence, no window walk checks the annihilator (its certificate
+    # holds), and the fraction-free Berlekamp-Massey never runs
     assert calls["_lift_recurrence"] == 1
-    assert calls["verify_recurrence"] == 3 * len(results)
+    assert calls["_annihilator_validates"] == 1
+    assert calls["_check_class"] == len(results)
+    assert calls["verify_recurrence"] == 0
     assert calls["_berlekamp_massey"] == 0
+
+
+def _mining_inputs(r):
+    n_terms = 2 * corollary_bound(r) + 8
+    phi_sym = sym_quotient(r)
+    table = power_sum_table(r, n_terms, phi_sym)
+    return table, annihilator_recurrence(r, phi_sym), recurrences._class_connections(r, table, n_terms)
+
+
+def _refused_as_walked(monkeypatch, r, table, forged):
+    """The degree certificate and mine report `forged` as the walk of each
+    class's window does; returns the walks in table order."""
+    walked = [verify_recurrence(seq, forged) for seq in table]
+    assert recurrences._annihilator_validates(table, forged) == walked
+    with monkeypatch.context() as patch:
+        patch.setattr(recurrences, "annihilator_recurrence", lambda *args: forged)
+        results = mine_all_monomials(r)
+    assert [m.annihilator_validates for m in results] == [walked[r - m.x_power] for m in results]
+    return walked
+
+
+@pytest.mark.parametrize("r", [4, 7, 12])
+def test_a_forged_annihilator_is_refused_by_exactly_the_classes_that_walk_it(monkeypatch, r):
+    table, ann, _ = _mining_inputs(r)
+    coeffs = list(ann.coefficients)
+    coeffs[-1] += 1
+    forged = LinearRecurrence(ann.length, tuple(coeffs), ann.n0)
+    assert not any(_refused_as_walked(monkeypatch, r, table, forged))
+
+
+def test_a_class_recurrence_as_annihilator_holds_on_exactly_its_walks(monkeypatch):
+    # at r = 12 the classes x^a y^(12-a) of odd a share a recurrence one
+    # shorter than the rest's: x^11*y's holds on every class of odd a only
+    table, _, connections = _mining_inputs(12)
+    own = recurrences._connection_recurrence(table[1], 2, connections[5], 0)
+    walked = _refused_as_walked(monkeypatch, 12, table, own)
+    assert walked == [i % 2 == 1 for i in range(7)]
+
+
+def _forge(monkeypatch, name, change):
+    real = getattr(recurrences, name)
+    monkeypatch.setattr(recurrences, name, lambda *args: change(real(*args), *args))
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_a_forged_class_connection_is_refused_naming_the_class(monkeypatch, affine):
+    def off_by_one(connections, *args):
+        connections[1] = [*connections[1][:-1], connections[1][-1] + 1]
+        return connections
+
+    _forge(monkeypatch, "_class_connections", off_by_one)
+    with pytest.raises(ArithmeticError, match=r"^r=4, class x\^3\*y: the .* fails its exact check at n="):
+        mine_all_monomials(4, include_affine=affine)
+
+
+@pytest.mark.parametrize("field", ["affine_b", "alternating_c"])
+def test_a_forged_affine_term_is_refused_naming_the_class(monkeypatch, field):
+    first = mine_all_monomials(12, include_affine=True)[0]
+
+    def shifted(rec, seq, n0, conn, extra):
+        return replace(rec, **{field: getattr(rec, field) + 1}) if extra else rec
+
+    _forge(monkeypatch, "_connection_recurrence", shifted)
+    with pytest.raises(ArithmeticError) as err:
+        mine_all_monomials(12, include_affine=True)
+    assert str(err.value) == (
+        f"r=12, class {first.label}: the affine recurrence of length "
+        f"{first.affine.length} fails its exact check at n={first.affine.first_checked_index}"
+    )
+
+
+def test_a_homogeneous_recurrence_is_checked_through_the_affine_residuals(monkeypatch):
+    # x^6*y^6 at r = 12 loses the factor 1 + x to its affine recurrence, so
+    # its affine residuals are c*(-1)^n with c != 0; a period forged to 1
+    # passes the affine walk and reads them as the homogeneous residuals
+    first = mine_all_monomials(12, include_affine=True)[0]
+    assert first.affine.length == first.recurrence.length - 1 and first.affine.alternating_c
+    _forge(monkeypatch, "_divide_out_period_two", lambda pair, conn: (pair[0], [1]))
+    with pytest.raises(ArithmeticError) as err:
+        mine_all_monomials(12, include_affine=True)
+    assert str(err.value) == (
+        f"r=12, class x^6*y^6: the homogeneous recurrence of length "
+        f"{first.recurrence.length} fails its exact check at "
+        f"n={first.recurrence.first_checked_index}"
+    )
 
 
 def test_annihilator_takes_the_quotient_matrix():

@@ -1,7 +1,7 @@
 """Smoke tests of the scripts under tools/.
 
-tools/bench_layers.py times private layers of verify by name, so a rename
-in the library breaks it; running it here at a small degree makes that
+tools/bench_layers.py times private layers of verify and mine by name, so a
+rename in the library breaks it; running it here at a small degree makes that
 break loud.
 """
 
@@ -31,6 +31,13 @@ def test_bench_layers_runs_at_r4(tmp_path):
         "_vanishing_dim",
         "check_annihilation_identities",
         "_certify_block",
+        "sym_quotient",
+        "power_sum_table",
+        "annihilator_recurrence",
+        "_class_connections",
+        "_annihilator_validates",
+        "_check_class",
+        "mine_all_monomials",
     ]
     assert list(document["layers"]["4"]) == layers
     # odd degrees take no parity rank

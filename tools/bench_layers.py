@@ -1,6 +1,6 @@
-"""Per-layer timings of `sternsums verify`, at fixed degrees.
+"""Per-layer timings of `sternsums verify` and `mine`, at fixed degrees.
 
-    python3 tools/bench_layers.py --label LABEL [--degrees 20 40 60 80 350]
+    python3 tools/bench_layers.py --label LABEL [--degrees 20 40 60 80 100 350]
         [--out DIR]
 
 Times direct calls of the layers that `verify` runs for one degree, each
@@ -12,9 +12,18 @@ on the inputs that spectral_context(r) gives it:
 - check_annihilation_identities on the context;
 - _certify_block on both blocks.
 
+At degrees up to MINE_MAX_DEGREE it also times the layers of `mine r
+--affine`, each on the calls that mine_all_monomials(r) makes of it:
+sym_quotient, power_sum_table, annihilator_recurrence (the Berkowitz
+charpoly), _class_connections, the degree's annihilator certificate
+_annihilator_validates and the per-class window walks _check_class, and
+then mine_all_monomials itself.  A mining layer that the checkout does not
+have is left out, so that the script also times the parent of a change
+that adds one.
+
 Each layer is called REPEATS times per degree, and its median and
-quartiles are reported.  The degrees default to 20, 40, 60, 80 and
-VERIFY_MAX_DEGREE.  The script imports the package from `src/` of the
+quartiles are reported.  The degrees default to 20, 40, 60, 80,
+MINE_MAX_DEGREE and VERIFY_MAX_DEGREE.  The script imports the package from `src/` of the
 checkout it sits in and writes BENCH_<label>.json into --out (default: the
 `bench/` directory of that checkout), with the commit, the Python version
 and nproc.  It calls private names on purpose: a tier-1 smoke test runs it
@@ -36,10 +45,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from sternsums import forms, spectra  # noqa: E402
-from sternsums.cli import VERIFY_MAX_DEGREE  # noqa: E402
+from sternsums import forms, recurrences, spectra  # noqa: E402
+from sternsums.cli import MINE_MAX_DEGREE, VERIFY_MAX_DEGREE  # noqa: E402
 
 REPEATS = 5
+MINING = (
+    "sym_quotient",
+    "power_sum_table",
+    "annihilator_recurrence",
+    "_class_connections",
+    "_annihilator_validates",
+    "_check_class",
+)
 
 
 def _git(*args: str) -> str | None:
@@ -52,27 +69,49 @@ def _git(*args: str) -> str | None:
     return done.stdout.strip()
 
 
-def _inputs(r: int) -> tuple:
-    """The context of degree r and the (image, factor, sign) of each twist
-    half, as spectral_context passes them to _image_half."""
-    halves = []
-    real = spectra._image_half
+def _recorded(module, names, run) -> tuple:
+    """run() and the arguments of every call it makes of each of module's
+    names that exist, by name."""
+    calls = {name: [] for name in names if hasattr(module, name)}
+    real = {name: getattr(module, name) for name in calls}
 
-    def recorded(image, factor, sign):
-        halves.append((image, factor, sign))
-        return real(image, factor, sign)
+    def recorder(name):
+        def call(*args):
+            calls[name].append(args)
+            return real[name](*args)
 
-    spectra._image_half = recorded
+        return call
+
+    for name in calls:
+        setattr(module, name, recorder(name))
     try:
-        ctx = spectra.spectral_context(r)
+        result = run()
     finally:
-        spectra._image_half = real
-    return ctx, halves
+        for name, fn in real.items():
+            setattr(module, name, fn)
+    return result, calls
+
+
+def _replay(fn, calls):
+    return lambda: [fn(*args) for args in calls]
+
+
+def _mining_layers(r: int) -> dict:
+    """Name -> the calls that mine_all_monomials(r, include_affine=True)
+    makes of that layer, and the whole call."""
+    def mine():
+        return recurrences.mine_all_monomials(r, None, True)
+
+    _, calls = _recorded(recurrences, MINING, mine)
+    layers = {name: _replay(getattr(recurrences, name), args) for name, args in calls.items()}
+    layers["mine_all_monomials"] = mine
+    return layers
 
 
 def _layers(r: int) -> dict:
     """Name -> a call of that layer at degree r, on fixed inputs."""
-    ctx, halves = _inputs(r)
+    ctx, calls = _recorded(spectra, ["_image_half"], lambda: spectra.spectral_context(r))
+    halves = calls["_image_half"]
     blocks = list(zip(("sym", "anti"), ctx.blocks))
     # the four ranks of spectral_context: X_s n Y+- on each half
     parities = [(ctx.twist_sym, 0), (ctx.twist_sym, 1), (ctx.twist_anti, 1), (ctx.twist_anti, 0)]
@@ -86,6 +125,8 @@ def _layers(r: int) -> dict:
     }
     if r % 2:
         del layers["_vanishing_dim"]
+    if r <= MINE_MAX_DEGREE:
+        layers.update(_mining_layers(r))
     return layers
 
 
@@ -118,7 +159,10 @@ def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument(
-        "--degrees", type=int, nargs="+", default=[20, 40, 60, 80, VERIFY_MAX_DEGREE]
+        "--degrees",
+        type=int,
+        nargs="+",
+        default=[20, 40, 60, 80, MINE_MAX_DEGREE, VERIFY_MAX_DEGREE],
     )
     parser.add_argument("--out", type=Path, default=ROOT / "bench")
     args = parser.parse_args(argv)
