@@ -492,9 +492,9 @@ def _annihilator_validates(table: list, ann: LinearRecurrence) -> list:
     return [verify_recurrence(seq, ann) for seq in table]
 
 
-def _check_class(where: str, seq, rec, affine=None, period=(1,)) -> None:
+def _check_class(where: str, seq, rec, affine, period) -> None:
     """Raise ArithmeticError naming `where` and the index unless rec, and
-    affine when given, hold on seq's whole window: one walk with the
+    affine unless None, hold on seq's whole window: one walk with the
     recurrence of connection polynomial E (affine, or else rec) gives its
     residuals t, checked against b + c*(-1)^n, and rec's, of connection
     polynomial E * period, are period * t."""

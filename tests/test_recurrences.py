@@ -329,7 +329,8 @@ def _mining_inputs(r):
     n_terms = 2 * corollary_bound(r) + 8
     phi_sym = sym_quotient(r)
     table = power_sum_table(r, n_terms, phi_sym)
-    return table, annihilator_recurrence(r, phi_sym), recurrences._class_connections(r, table, n_terms)
+    connections = recurrences._class_connections(r, table, n_terms)
+    return table, annihilator_recurrence(r, phi_sym), connections
 
 
 def _refused_as_walked(monkeypatch, r, table, forged):
@@ -374,7 +375,8 @@ def test_a_forged_class_connection_is_refused_naming_the_class(monkeypatch, affi
         return connections
 
     _forge(monkeypatch, "_class_connections", off_by_one)
-    with pytest.raises(ArithmeticError, match=r"^r=4, class x\^3\*y: the .* fails its exact check at n="):
+    refusal = r"^r=4, class x\^3\*y: the .* fails its exact check at n="
+    with pytest.raises(ArithmeticError, match=refusal):
         mine_all_monomials(4, include_affine=affine)
 
 
