@@ -23,11 +23,12 @@ that adds one.
 
 Each layer is called REPEATS times per degree, and its median and
 quartiles are reported.  The degrees default to 20, 40, 60, 80,
-MINE_MAX_DEGREE and VERIFY_MAX_DEGREE.  The script imports the package from `src/` of the
-checkout it sits in and writes BENCH_<label>.json into --out (default: the
-`bench/` directory of that checkout), with the commit, the Python version
-and nproc.  It calls private names on purpose: a tier-1 smoke test runs it
-at r = 4, so a rename breaks it loudly.  Stdlib only.
+MINE_MAX_DEGREE and VERIFY_MAX_DEGREE.  The script imports the package
+from `src/` of the checkout it sits in and writes BENCH_<label>.json into
+--out (default: the `bench/` directory of that checkout), with the commit,
+the Python version and nproc.  It calls private names on purpose: a
+tier-1 smoke test runs it at r = 4, so a rename breaks it loudly.  Stdlib
+only.
 """
 
 from __future__ import annotations
